@@ -5,8 +5,8 @@ engine-agreement test fails, 2 on configuration errors (bad spec, unknown
 check name, unwritable output path).
 
 Worker count for sweeps comes from the PARTLAB_THREADS environment
-variable, defaulting to the number of processors; output is identical
-regardless of worker count.
+variable, defaulting to the number of processors this process may run on;
+output is identical regardless of worker count.
 """
 
 from __future__ import annotations
@@ -40,7 +40,10 @@ def _parse_residues(text: str):
 def _resolve_workers() -> int:
     raw = os.environ.get("PARTLAB_THREADS")
     if raw is None:
-        return os.cpu_count() or 1
+        try:
+            return len(os.sched_getaffinity(0))
+        except AttributeError:  # platforms without CPU affinity (macOS, Windows)
+            return os.cpu_count() or 1
     try:
         workers = int(raw)
     except ValueError:

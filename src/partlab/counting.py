@@ -11,21 +11,22 @@ All counts are exact Python integers (arbitrary precision, never floats):
 
 The engines share no code paths, so agreement among them certifies each.
 ``TableFactory`` adds a fast exact route for sweeps over many residue
-subsets: per-residue slice tables combined by packed convolution (see the
-``packed`` module), cross-validated against ``count_dp`` in the test suite.
+subsets: each subset's tail table is the table of the subset without its
+highest residue, extended by that residue's slice of parts, with every
+table cached per factory.  It is cross-validated against ``count_dp`` in
+the test suite.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
-from . import packed
 from .partset import (
     A_PLUS,
     FULL_A,
     R_PLUS,
-    PartSetVariant,
     ResidueSpec,
     parts_up_to,
 )
@@ -228,17 +229,22 @@ def eq4_rhs_all(table: CountTable) -> list[BigCount]:
     """The double-counting right side at every level 0..n, computed at once.
 
     Grouping the double sum by the product d = s*k turns it into the
-    convolution of the count table with ``sigma(d) = sum of parts dividing d``,
-    evaluated exactly by one packed multiply.
+    convolution of the count table with ``sigma(d) = sum of parts dividing d``:
+    ``rhs[j] = sum_{1 <= d <= j} sigma(d) * p(j - d)``.
     """
     n = table.n_max
+    values = table.values
     sigma = [0] * (n + 1)
     for s in table.parts:
         if s > n:
             break
         for d in range(s, n + 1, s):
             sigma[d] += s
-    return packed.convolve_truncated(table.values, sigma, n)
+    # At j = 0 the sigma slice is empty, so the reversed values slice is unused.
+    return [
+        sum(map(operator.mul, sigma[1 : j + 1], values[j - 1 :: -1]))
+        for j in range(n + 1)
+    ]
 
 
 def check_eq4(table: CountTable) -> bool:
@@ -292,50 +298,58 @@ def convolution_check_range(spec: ResidueSpec, n_max: int) -> list[ConvolutionRe
 # --- sweep-scale table factory -----------------------------------------------
 
 
+def _add_part(values: list[int], a: int) -> None:
+    """Extend a count table in place by the part a (a >= 1).
+
+    Same result as the ascending loop ``values[j] += values[j - a]``, done a
+    block of a totals at a time: each block reads only the block before it,
+    which is already updated.  The last block may be short; ``map`` stops
+    at the shorter slice.
+    """
+    for lo in range(a, len(values), a):
+        hi = lo + a
+        values[lo:hi] = map(operator.add, values[lo:hi], values[lo - a : hi - a])
+
+
 class TableFactory:
     """Exact count tables for many residue subsets at one fixed n_max.
 
     The tail set of (m, R) is the disjoint union of its single-residue
-    slices, so its count table is the convolution of the slice tables.
-    The factory builds each slice table once per modulus, packs it, and
-    combines subsets by packed products with prefix reuse; full-set tables
-    extend the tail table with the small parts of R+.  All results are
-    exact and agree with ``count_dp`` (asserted in the test suite).
+    slices {r+m, r+2m, ...}, so the tail table for R is the table for R
+    without its highest residue r, extended by the parts of r's slice.
+    Every tail table built on the way is cached per (m, R), so a sweep over
+    many subsets of one modulus extends each table by one slice only.
+    Full-set tables extend the tail table with the small parts of R+.  All
+    results are exact and agree with ``count_dp`` (asserted in the test
+    suite).
     """
 
     def __init__(self, n_max: int) -> None:
         if n_max < 0:
             raise ValueError(f"n_max must be >= 0, got {n_max}")
         self.n_max = n_max
-        self._wbytes = packed.limb_bytes(n_max)
-        self._mask = packed.truncation_mask(n_max + 1, self._wbytes)
-        self._subset_packed: dict[tuple[int, int], object] = {}
+        # (m, residue bitmask) -> tail-set counts of 0..n_max; never mutated
+        self._tails: dict[tuple[int, int], list[int]] = {}
 
-    def _packed_for(self, m: int, bits: int):
-        """Packed tail-set table for the residue subset encoded by bits."""
-        if bits == 0:
-            return packed.mpz(1)  # delta table: one empty partition
+    def _tail_values(self, m: int, bits: int) -> list[int]:
+        """Cached tail-set counts for the residue subset encoded by bits."""
         key = (m, bits)
-        cached = self._subset_packed.get(key)
-        if cached is not None:
-            return cached
-        low = bits & -bits
-        rest = bits ^ low
-        if rest == 0:
-            r = low.bit_length() - 1
-            slice_table = count_dp(range(m + r, self.n_max + 1, m), self.n_max)
-            value = packed.pack(slice_table.values, self._wbytes)
-        else:
-            value = (self._packed_for(m, rest) * self._packed_for(m, low)) & self._mask
-        self._subset_packed[key] = value
-        return value
+        values = self._tails.get(key)
+        if values is None:
+            if bits == 0:
+                values = [1] + [0] * self.n_max  # only the empty partition
+            else:
+                r = bits.bit_length() - 1
+                values = list(self._tail_values(m, bits ^ (1 << r)))
+                for a in range(m + r, self.n_max + 1, m):
+                    _add_part(values, a)
+            self._tails[key] = values
+        return values
 
     def aplus(self, spec: ResidueSpec) -> CountTable:
         """Counts over the tail set (all members >= m)."""
         bits = sum(1 << r for r in spec.residues)
-        values = packed.unpack(
-            self._packed_for(spec.m, bits), self.n_max + 1, self._wbytes
-        )
+        values = self._tail_values(spec.m, bits)
         parts = tuple(parts_up_to(spec, A_PLUS, self.n_max))
         return CountTable(parts=parts, values=tuple(values))
 
@@ -344,20 +358,10 @@ class TableFactory:
         values = list(self.aplus(spec).values)
         for r in spec.residues:
             if r >= 1:
-                for j in range(r, self.n_max + 1):
-                    values[j] += values[j - r]
+                _add_part(values, r)
         parts = tuple(parts_up_to(spec, FULL_A, self.n_max))
         return CountTable(parts=parts, values=tuple(values))
 
     def rplus(self, spec: ResidueSpec) -> CountTable:
         """Counts over the head set R+ (at most m-1 small parts)."""
         return count_dp(parts_up_to(spec, R_PLUS, self.n_max), self.n_max)
-
-    def table(self, spec: ResidueSpec, variant: PartSetVariant) -> CountTable:
-        if variant == FULL_A:
-            return self.full_a(spec)
-        if variant == A_PLUS:
-            return self.aplus(spec)
-        if variant == R_PLUS:
-            return self.rplus(spec)
-        return count_dp(parts_up_to(spec, variant, self.n_max), self.n_max)

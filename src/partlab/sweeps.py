@@ -4,8 +4,9 @@ A verify run walks all residue subsets R of {0..m-1} for each modulus
 m <= m_max (the empty subset rides along vacuously), shares exact count
 tables through a per-modulus TableFactory, and aggregates one summary per
 named check.  Work is split by modulus across processes when a worker
-count above 1 is requested; rows are merged in a fixed order either way,
-so output is deterministic.
+count above 1 is requested; the pool never starts more workers than there
+are moduli.  Rows are merged in a fixed order either way, so output is
+deterministic.
 """
 
 from __future__ import annotations
@@ -60,6 +61,10 @@ class SweepConfig:
     workers: int = 1
 
     def validated(self) -> "SweepConfig":
+        if not self.checks:
+            raise ValueError(f"no checks selected; choose from {CHECK_NAMES}")
+        if "counts" in self.checks and not self.variants:
+            raise ValueError(f"the counts check needs a variant from {SWEEP_VARIANTS}")
         if self.m_max < 1:
             raise ValueError(f"m_max must be >= 1, got {self.m_max}")
         if self.n_max < 0:
@@ -317,8 +322,9 @@ def run_verify(config: SweepConfig) -> VerifyResult:
             (m, config.n_max, tuple(spec_checks), config.variants)
             for m in range(1, config.m_max + 1)
         ]
-        if config.workers > 1 and len(tasks) > 1:
-            with ProcessPoolExecutor(max_workers=config.workers) as pool:
+        workers = min(config.workers, len(tasks))
+        if workers > 1:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
                 partials = list(pool.map(_rows_for_modulus, tasks))
         else:
             partials = [_rows_for_modulus(t) for t in tasks]
@@ -387,7 +393,8 @@ def sweep_rows(m_max: int, n_max: int, workers: int = 1) -> list[dict]:
     if m_max < 1:
         raise ValueError(f"m_max must be >= 1, got {m_max}")
     tasks = [(m, n_max) for m in range(1, m_max + 1)]
-    if workers > 1 and len(tasks) > 1:
+    workers = min(workers, len(tasks))
+    if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             partials = list(pool.map(_sweep_rows_for_modulus, tasks))
     else:

@@ -1,9 +1,11 @@
 """Command-line behavior: subcommands, exit codes, determinism."""
 
+import hashlib
 import json
 
 import pytest
 
+from partlab import cli, sweeps
 from partlab.cli import main
 
 
@@ -137,6 +139,19 @@ class TestVerify:
         # registry order is fixed regardless of the order given on the command line
         assert names == ["counts", "erdos", "chain", "rpoly", "eq2", "eq3", "helpers", "ratio"]
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--checks", ""],
+            ["verify", "--checks", "counts", "--variants", ""],
+        ],
+    )
+    def test_empty_selection_is_config_error(self, capsys, argv):
+        code, out, err = run_cli(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert "verify: OK" not in err
+
     def test_unknown_check(self, capsys):
         code, _, err = run_cli(capsys, ["verify", "--checks", "nonsense"])
         assert code == 2
@@ -188,6 +203,74 @@ class TestDeterminism:
             if json_row["slack"] is not None:
                 assert float(cells["slack"]) == json_row["slack"]
             assert cells["holds"] == ("true" if json_row["holds"] else "false")
+
+
+class TestGoldens:
+    """stdout digests captured from an earlier, independently built table factory."""
+
+    @pytest.mark.parametrize(
+        "argv,digest",
+        [
+            (
+                ["table", "--m", "6", "--r", "0,1,2,3,4,5", "--n-max", "600", "--format", "csv"],
+                "d1bc1e9cbb138dc9309b2e5e857513d505ae046c0569ab131ecb2947381feb8f",
+            ),
+            (
+                ["table", "--m", "5", "--r", "1,3", "--n-max", "600", "--format", "json"],
+                "0431aa7fc0815e4b1dd10c659728d623ca2ee9e34c68d68fb3ded2e1df2b29ec",
+            ),
+            (
+                ["table", "--m", "7", "--r", "0,2,3,6", "--n-max", "600", "--format", "csv"],
+                "37f6e91684fe31cbe55cc9502b586653a0cf7605a3439d876d661c94faae13c5",
+            ),
+            (
+                ["sweep", "--m-max", "4", "--n-max", "200", "--format", "csv"],
+                "2d0cc301766dcff972fab292bb20a27cc4d81bef3d690e3ab00e2d91f2be0c45",
+            ),
+        ],
+    )
+    def test_stdout_digest(self, capsys, argv, digest):
+        code, out, _ = run_cli(capsys, argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+class TestWorkers:
+    @pytest.fixture
+    def pool_sizes(self, monkeypatch):
+        """Record each pool's max_workers and run its map serially."""
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(sweeps, "ProcessPoolExecutor", RecordingPool)
+        return sizes
+
+    def test_verify_pool_capped_at_task_count(self, pool_sizes):
+        config = sweeps.SweepConfig(m_max=3, n_max=20, checks=("theorem1",), workers=64)
+        assert sweeps.run_verify(config).ok
+        assert pool_sizes == [3]
+
+    def test_sweep_pool_capped_at_task_count(self, pool_sizes):
+        assert len(sweeps.sweep_rows(2, 3, workers=64)) == 4 * 4
+        assert sweeps.sweep_rows(1, 3, workers=64)
+        assert pool_sizes == [2]
+
+    def test_default_follows_cpu_affinity(self, monkeypatch):
+        monkeypatch.delenv("PARTLAB_THREADS")
+        monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
+        assert cli._resolve_workers() == 3
 
 
 class TestSweep:

@@ -10,7 +10,6 @@ from _oracle import (
     brute_count_min_multiplicity,
     enumerate_partitions,
 )
-from partlab import packed
 from partlab.counting import (
     IntegrityError,
     MultiplicityQuery,
@@ -27,6 +26,7 @@ from partlab.counting import (
     eq4_rhs_direct,
 )
 from partlab.partset import A_PLUS, FULL_A, R_PLUS, make_residue_spec, parts_up_to
+from partlab.sweeps import subsets_for_modulus
 from test_partset import spec_strategy
 
 
@@ -232,43 +232,6 @@ class TestConvolution:
         assert all(r.holds for r in convolution_check_range(spec, n_max))
 
 
-class TestPacked:
-    def test_roundtrip(self):
-        values = [0, 1, 2**200, 7, 0, 123456789]
-        wb = 32
-        assert packed.unpack(packed.pack(values, wb), len(values), wb) == values
-
-    def test_convolution_matches_direct(self):
-        a = [3, 1, 4, 1, 5, 9, 2, 6]
-        b = [2, 7, 1, 8, 2, 8]
-        n = 9
-        direct = [
-            sum(a[i] * b[j - i] for i in range(len(a)) if 0 <= j - i < len(b))
-            for j in range(n + 1)
-        ]
-        assert packed.convolve_truncated(a, b, n) == direct
-
-    def test_limb_width_grows(self):
-        assert packed.limb_bytes(10_000) > packed.limb_bytes(100)
-
-    def test_pure_python_fallback(self, monkeypatch):
-        """Identical results when gmpy2 is unavailable and plain ints are used."""
-        monkeypatch.setattr(packed, "mpz", lambda x: x)
-        a = [3, 1, 4, 1, 5]
-        b = [2, 7, 1, 8]
-        n = 6
-        direct = [
-            sum(a[i] * b[j - i] for i in range(len(a)) if 0 <= j - i < len(b))
-            for j in range(n + 1)
-        ]
-        assert packed.convolve_truncated(a, b, n) == direct
-        spec = make_residue_spec(4, [1, 3])
-        factory = TableFactory(60)
-        assert factory.aplus(spec).values == count_dp(
-            parts_up_to(spec, A_PLUS, 60), 60
-        ).values
-
-
 class TestTableFactory:
     @given(spec=spec_strategy(m_max=5))
     @settings(max_examples=30, deadline=None)
@@ -294,6 +257,30 @@ class TestTableFactory:
         factory = TableFactory(10)
         spec = make_residue_spec(4, [])
         assert factory.aplus(spec).values == (1,) + (0,) * 10
+
+    def test_shared_cache_matches_count_dp(self):
+        """One factory serves every subset of m <= 5 in either bitmask order.
+
+        Tail tables are cached and extended in place while being built, so
+        full_a must not write through to a cached tail table.
+        """
+        n = 150
+        specs = [spec for m in range(1, 6) for spec in subsets_for_modulus(m)]
+        expected = {
+            spec: tuple(
+                count_dp(parts_up_to(spec, variant, n), n).values
+                for variant in (A_PLUS, FULL_A, R_PLUS)
+            )
+            for spec in specs
+        }
+        factory = TableFactory(n)
+        for order in (reversed(specs), specs):
+            for spec in order:
+                aplus, full, rplus = expected[spec]
+                assert factory.aplus(spec).values == aplus
+                assert factory.full_a(spec).values == full
+                assert factory.rplus(spec).values == rplus
+                assert factory.aplus(spec).values == aplus
 
 
 def test_enumeration_oracle_is_sane():
