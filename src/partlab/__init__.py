@@ -29,34 +29,21 @@ from .counting import (
     ConvolutionReport,
     CountTable,
     IntegrityError,
-    MultiplicityQuery,
     TableFactory,
     check_eq4,
-    convolution_check,
     convolution_check_range,
     count_bruteforce,
     count_dp,
-    count_exact_multiplicity,
-    count_min_multiplicity,
     count_recurrence,
     eq4_rhs_all,
     eq4_rhs_direct,
 )
 from .partset import (
     A_PLUS,
-    ALL_NATURALS,
     FULL_A,
     R_PLUS,
-    AllNaturals,
-    APlus,
-    ArPlus,
-    Explicit,
-    FullA,
-    PartSetVariant,
     ResidueSpec,
-    RPlus,
     SpecError,
-    contains,
     make_residue_spec,
     parts_up_to,
 )

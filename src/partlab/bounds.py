@@ -152,7 +152,7 @@ def check_theorem1(
         table = count_dp(parts_up_to(spec, A_PLUS, n_max), n_max)
     params = BoundParams.from_spec(spec)
     return _bound_reports(
-        spec, "a-plus", table.values[: n_max + 1], lambda n: theorem1_rhs(n, params)
+        spec, A_PLUS, table.values[: n_max + 1], lambda n: theorem1_rhs(n, params)
     )
 
 
@@ -188,7 +188,7 @@ def check_rplus_poly_bound(
             BoundReport(
                 m=spec.m,
                 residues=spec.residues,
-                variant="r-plus",
+                variant=R_PLUS,
                 n=n,
                 count=cnt,
                 log_count=lg,
@@ -214,7 +214,7 @@ def check_nathanson_chain(
     def bound_at(n: int) -> float:
         return rfactor * math.log(n + 1) + params.c * math.sqrt(n)
 
-    return _bound_reports(spec, "full-a", table.values[: n_max + 1], bound_at)
+    return _bound_reports(spec, FULL_A, table.values[: n_max + 1], bound_at)
 
 
 def asymptotic_ratio(

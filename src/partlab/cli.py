@@ -18,7 +18,7 @@ import sys
 
 from . import reporting, sweeps
 from .counting import IntegrityError, count_dp, count_recurrence
-from .partset import VARIANT_LABELS, SpecError, make_residue_spec, parts_up_to
+from .partset import FULL_A, SpecError, make_residue_spec, parts_up_to
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -68,8 +68,7 @@ def cmd_count(args: argparse.Namespace) -> int:
     spec = make_residue_spec(args.m, residues)
     if args.n < 0:
         raise ValueError(f"n must be >= 0, got {args.n}")
-    variant = VARIANT_LABELS[args.variant]
-    parts = parts_up_to(spec, variant, args.n)
+    parts = parts_up_to(spec, args.variant, args.n)
     dp = count_dp(parts, args.n)
     rec = count_recurrence(parts, args.n)
     agree = dp.values == rec.values
@@ -106,12 +105,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
         n_max=args.n_max,
         variants=variants,
         checks=checks,
-        output_format=args.format,
-        output_path=args.output,
         workers=_resolve_workers(),
     ).validated()
     result = sweeps.run_verify(config)
-    if config.output_format == "csv":
+    if args.format == "csv":
         text = reporting.rows_to_csv(result.rows, reporting.VERIFY_FIELDS)
     else:
         doc = {
@@ -122,13 +119,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
                 "variants": list(config.variants),
                 "checks": list(config.checks),
             },
-            "summaries": [s.as_row() for s in result.summaries],
+            "summaries": [reporting.canon_tree(s.as_row()) for s in result.summaries],
             "rows": [
                 reporting.canon_row(r, reporting.VERIFY_FIELDS) for r in result.rows
             ],
         }
         text = reporting.document_to_json(doc)
-    _emit(text, config.output_path)
+    _emit(text, args.output)
     for s in result.summaries:
         worst = (
             repr(reporting.canon_float(s.worst_margin))
@@ -175,8 +172,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_count.add_argument("--r", required=True, help="comma-separated residues, '' for empty")
     p_count.add_argument(
         "--variant",
-        choices=sorted(VARIANT_LABELS),
-        default="full-a",
+        choices=sweeps.SWEEP_VARIANTS,
+        default=FULL_A,
         help="which part set to count over",
     )
     p_count.add_argument("--n", type=int, required=True, help="target integer")

@@ -4,12 +4,16 @@ All counts are exact Python integers (arbitrary precision, never floats):
 
 * ``count_dp`` - coin-change style accumulation, the workhorse;
 * ``count_recurrence`` - bottom-up evaluation of the double-counting
-  identity ``n * p(n) = sum_{s <= n} s * sum_{k >= 1} p(n - s*k)``, with a
-  hard divisibility assertion at every level;
+  identity ``n * p(n) = sum_{s <= n} s * sum_{k >= 1} p(n - s*k)``, grouped
+  by d = s*k, with a hard divisibility assertion at every level;
 * ``count_bruteforce`` - exhaustive enumeration of nonincreasing summand
   sequences, usable up to a configured ceiling.
 
 The engines share no code paths, so agreement among them certifies each.
+Two exact identities are checked here as well: the double-counting
+identity at every level (``check_eq4``) and the split of each full-set
+partition into head (R+) and tail (A+) parts (``convolution_check_range``).
+
 ``TableFactory`` adds a fast exact route for sweeps over many residue
 subsets: each subset's tail table is the table of the subset without its
 highest residue, extended by that residue's slice of parts, with every
@@ -52,23 +56,6 @@ class CountTable:
     def n_max(self) -> int:
         return len(self.values) - 1
 
-    def __getitem__(self, n: int) -> BigCount:
-        return self.values[n]
-
-
-@dataclass(frozen=True)
-class MultiplicityQuery:
-    """Ask about partitions where part ``s`` appears ``t`` times."""
-
-    s: int
-    t: int
-
-    def __post_init__(self) -> None:
-        if self.s < 1:
-            raise ValueError(f"part must be >= 1, got {self.s}")
-        if self.t < 0:
-            raise ValueError(f"multiplicity must be >= 0, got {self.t}")
-
 
 def _validated_parts(parts: Iterable[int]) -> tuple[int, ...]:
     ps = tuple(parts)
@@ -101,31 +88,37 @@ def count_dp(parts: Iterable[int], n: int) -> CountTable:
     return CountTable(parts=ps, values=tuple(values))
 
 
+def _divisor_sums(parts: tuple[int, ...], n: int) -> list[int]:
+    """sigma[d] = sum of the parts that divide d, for 0 <= d <= n (sigma[0] = 0)."""
+    sigma = [0] * (n + 1)
+    for s in parts:
+        if s > n:
+            break
+        for d in range(s, n + 1, s):
+            sigma[d] += s
+    return sigma
+
+
 def count_recurrence(parts: Iterable[int], n: int) -> CountTable:
     """Exact counts built bottom-up from the double-counting identity.
 
-    At each level j the accumulated sum ``sum_{s <= j} s * sum_k p(j - s*k)``
-    must be divisible by j; that divisibility is a theorem, so failure
-    raises IntegrityError rather than returning a wrong table.
+    Grouping ``sum_{s <= j} s * sum_{k >= 1} p(j - s*k)`` by the product
+    d = s*k gives ``j * p(j) = sum_{1 <= d <= j} sigma(d) * p(j - d)``, with
+    sigma(d) the sum of the parts dividing d.  That sum must be divisible
+    by j at each level; the divisibility is a theorem, so failure raises
+    IntegrityError rather than returning a wrong table.
 
-    Memory is O(|parts| * n); intended as an oracle engine at moderate n.
+    Memory is O(n): the table, sigma, and one reversed slice of the table.
+    Time is O(n**2) big-integer products.
     """
     ps = _validated_parts(parts)
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    usable = [s for s in ps if s <= n]
+    sigma = _divisor_sums(ps, n)
     values = [0] * (n + 1)
     values[0] = 1
-    # tail[s][j] = sum_{k >= 1, s*k <= j} values[j - s*k], built incrementally
-    tail = {s: [0] * (n + 1) for s in usable}
     for j in range(1, n + 1):
-        acc = 0
-        for s in usable:
-            if s > j:
-                break
-            row = tail[s]
-            row[j] = values[j - s] + row[j - s]
-            acc += s * row[j]
+        acc = sum(map(operator.mul, sigma[1 : j + 1], values[j - 1 :: -1]))
         if acc % j:
             raise IntegrityError(
                 f"level {j}: weighted tail sum {acc} not divisible by {j}"
@@ -169,43 +162,6 @@ def count_bruteforce(
     return walk(n, len(usable) - 1)
 
 
-# --- multiplicity-resolved counts -------------------------------------------
-
-
-def count_exact_multiplicity(
-    parts: Iterable[int], n: int, q: MultiplicityQuery
-) -> BigCount:
-    """Partitions of n where part s appears exactly t times.
-
-    Equals the count over the part list without s at offset n - s*t.
-    """
-    ps = _validated_parts(parts)
-    if q.s not in ps:
-        raise ValueError(f"part {q.s} not in the part list")
-    rest = n - q.s * q.t
-    if rest < 0:
-        return 0
-    others = tuple(p for p in ps if p != q.s)
-    return count_dp(others, rest).values[rest]
-
-
-def count_min_multiplicity(
-    parts: Iterable[int], n: int, q: MultiplicityQuery
-) -> BigCount:
-    """Partitions of n where part s appears at least t times.
-
-    Removing t forced copies of s leaves an unconstrained count over the
-    same part list: p(n - s*t).  Zero when s*t exceeds n.
-    """
-    ps = _validated_parts(parts)
-    if q.s not in ps:
-        raise ValueError(f"part {q.s} not in the part list")
-    rest = n - q.s * q.t
-    if rest < 0:
-        return 0
-    return count_dp(ps, rest).values[rest]
-
-
 # --- identities --------------------------------------------------------------
 
 
@@ -234,12 +190,7 @@ def eq4_rhs_all(table: CountTable) -> list[BigCount]:
     """
     n = table.n_max
     values = table.values
-    sigma = [0] * (n + 1)
-    for s in table.parts:
-        if s > n:
-            break
-        for d in range(s, n + 1, s):
-            sigma[d] += s
+    sigma = _divisor_sums(table.parts, n)
     # At j = 0 the sigma slice is empty, so the reversed values slice is unused.
     return [
         sum(map(operator.mul, sigma[1 : j + 1], values[j - 1 :: -1]))
@@ -266,23 +217,13 @@ class ConvolutionReport:
         return self.lhs == self.rhs
 
 
-def convolution_check(spec: ResidueSpec, n: int) -> ConvolutionReport:
-    """Verify p_A(n) = sum_{n'} p_{R+}(n') * p_{A+}(n - n') exactly.
+def convolution_check_range(spec: ResidueSpec, n_max: int) -> list[ConvolutionReport]:
+    """Verify p_A(n) = sum_{n'} p_{R+}(n') * p_{A+}(n - n') for 0 <= n <= n_max.
 
     Every partition from the full set splits uniquely into its parts below
-    m (members of R+) and its parts at least m (members of A+).
+    m (members of R+) and its parts at least m (members of A+).  The three
+    count tables are built once and shared by every level.
     """
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    full = count_dp(parts_up_to(spec, FULL_A, n), n).values
-    head = count_dp(parts_up_to(spec, R_PLUS, n), n).values
-    tail = count_dp(parts_up_to(spec, A_PLUS, n), n).values
-    rhs = sum(head[k] * tail[n - k] for k in range(n + 1))
-    return ConvolutionReport(n=n, lhs=full[n], rhs=rhs)
-
-
-def convolution_check_range(spec: ResidueSpec, n_max: int) -> list[ConvolutionReport]:
-    """Convolution identity at every 0 <= n <= n_max, sharing the tables."""
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
     full = count_dp(parts_up_to(spec, FULL_A, n_max), n_max).values

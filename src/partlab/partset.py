@@ -1,22 +1,21 @@
-"""Residue-class part sets and their variants.
+"""Residue-class part sets: the full set, the tail set and the head parts.
 
 A part-set family is specified by a modulus ``m >= 1`` and a set of
-residues ``R`` drawn from ``{0, ..., m-1}``.  The full set A contains
+residues ``R`` drawn from ``{0, ..., m-1}``.  The full set A consists of
 every positive integer whose residue mod m lies in R; the tail set A+
 keeps only the members ``>= m``; the head set R+ = R minus {0} consists
-of the small residue parts themselves.  Single-residue slices
-``{r+m, r+2m, ...}`` and explicit finite part lists round out the
-variants consumed by the counting engines and bound checkers.
+of the small residue parts themselves.  Each of the three variants is
+named by its label string (``FULL_A``, ``A_PLUS``, ``R_PLUS``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Union
+from typing import Iterable
 
 
 class SpecError(ValueError):
-    """Invalid modulus/residue specification or variant parameter."""
+    """Invalid modulus/residue specification or unknown variant label."""
 
 
 @dataclass(frozen=True)
@@ -54,83 +53,14 @@ def make_residue_spec(m: int, residues: Iterable[int]) -> ResidueSpec:
 
 # --- variants ---------------------------------------------------------------
 
-
-@dataclass(frozen=True)
-class FullA:
-    """All positive integers congruent mod m to a member of R."""
-
-    label = "full-a"
-
-
-@dataclass(frozen=True)
-class APlus:
-    """Members of the full set that are >= m (the full set minus R)."""
-
-    label = "a-plus"
+# Each variant is its label: the full set A, the tail set A+ (members >= m)
+# and the head parts R+ = R minus {0}.
+FULL_A = "full-a"
+A_PLUS = "a-plus"
+R_PLUS = "r-plus"
 
 
-@dataclass(frozen=True)
-class RPlus:
-    """The nonzero residues themselves, R minus {0}."""
-
-    label = "r-plus"
-
-
-@dataclass(frozen=True)
-class ArPlus:
-    """Single-residue slice {r+m, r+2m, r+3m, ...}.
-
-    Well defined for any 0 <= r <= m-1; it is a subset of the tail set
-    only when r actually belongs to R.
-    """
-
-    r: int
-    label = "ar-plus"
-
-
-@dataclass(frozen=True)
-class Explicit:
-    """A finite, explicit list of distinct positive integer parts."""
-
-    parts: tuple[int, ...]
-    label = "explicit"
-
-    def __post_init__(self) -> None:
-        for p in self.parts:
-            if not isinstance(p, int) or isinstance(p, bool) or p < 1:
-                raise SpecError(f"explicit part must be a positive integer, got {p!r}")
-        if len(set(self.parts)) != len(self.parts):
-            raise SpecError(f"duplicate explicit parts in {self.parts}")
-
-
-@dataclass(frozen=True)
-class AllNaturals:
-    """Every positive integer (the unrestricted partition setting)."""
-
-    label = "all-naturals"
-
-
-PartSetVariant = Union[FullA, APlus, RPlus, ArPlus, Explicit, AllNaturals]
-
-FULL_A = FullA()
-A_PLUS = APlus()
-R_PLUS = RPlus()
-ALL_NATURALS = AllNaturals()
-
-VARIANT_LABELS = {
-    "full-a": FULL_A,
-    "a-plus": A_PLUS,
-    "r-plus": R_PLUS,
-    "all-naturals": ALL_NATURALS,
-}
-
-
-def _check_ar(spec: ResidueSpec, variant: ArPlus) -> None:
-    if not 0 <= variant.r <= spec.m - 1:
-        raise SpecError(f"slice residue {variant.r} out of range [0, {spec.m - 1}]")
-
-
-def parts_up_to(spec: ResidueSpec, variant: PartSetVariant, n: int) -> list[int]:
+def parts_up_to(spec: ResidueSpec, variant: str, n: int) -> list[int]:
     """Strictly increasing list of all members of the variant set that are <= n.
 
     Members are generated arithmetically (r + k*m per residue class), never
@@ -139,44 +69,16 @@ def parts_up_to(spec: ResidueSpec, variant: PartSetVariant, n: int) -> list[int]
     if n < 0:
         raise ValueError(f"bound must be >= 0, got {n}")
     m = spec.m
-    if isinstance(variant, FullA):
+    if variant == FULL_A:
         out: list[int] = []
         for r in spec.residues:
             out.extend(range(r if r >= 1 else m, n + 1, m))
         return sorted(out)
-    if isinstance(variant, APlus):
+    if variant == A_PLUS:
         out = []
         for r in spec.residues:
             out.extend(range(m + r, n + 1, m))
         return sorted(out)
-    if isinstance(variant, RPlus):
+    if variant == R_PLUS:
         return [r for r in spec.residues if 1 <= r <= n]
-    if isinstance(variant, ArPlus):
-        _check_ar(spec, variant)
-        return list(range(m + variant.r, n + 1, m))
-    if isinstance(variant, Explicit):
-        return sorted(p for p in variant.parts if p <= n)
-    if isinstance(variant, AllNaturals):
-        return list(range(1, n + 1))
-    raise SpecError(f"unknown variant {variant!r}")
-
-
-def contains(spec: ResidueSpec, variant: PartSetVariant, a: int) -> bool:
-    """True iff the positive integer a belongs to the selected part set."""
-    if a < 1:
-        raise ValueError(f"parts are positive integers, got {a}")
-    m = spec.m
-    if isinstance(variant, FullA):
-        return a % m in spec.residues
-    if isinstance(variant, APlus):
-        return a >= m and a % m in spec.residues
-    if isinstance(variant, RPlus):
-        return a in spec.residues
-    if isinstance(variant, ArPlus):
-        _check_ar(spec, variant)
-        return a >= m and a % m == variant.r
-    if isinstance(variant, Explicit):
-        return a in variant.parts
-    if isinstance(variant, AllNaturals):
-        return True
     raise SpecError(f"unknown variant {variant!r}")

@@ -85,5 +85,9 @@ def rows_to_csv(rows: Iterable[dict], fields: Sequence[str]) -> str:
 
 
 def document_to_json(doc: dict) -> str:
-    """Render a report document as stable, human-readable JSON."""
-    return json.dumps(canon_tree(doc), indent=2) + "\n"
+    """Render a report document as stable, human-readable JSON.
+
+    The document is serialized as given: callers canonicalize its rows
+    with ``canon_row`` (and any other floats with ``canon_tree``) first.
+    """
+    return json.dumps(doc, indent=2) + "\n"

@@ -23,7 +23,7 @@ from .counting import (
     count_dp,
     count_recurrence,
 )
-from .partset import ResidueSpec, VARIANT_LABELS, parts_up_to
+from .partset import A_PLUS, FULL_A, R_PLUS, ResidueSpec, parts_up_to
 
 CHECK_NAMES = (
     "counts",
@@ -39,7 +39,7 @@ CHECK_NAMES = (
     "ratio",
 )
 
-SWEEP_VARIANTS = ("full-a", "a-plus", "r-plus")
+SWEEP_VARIANTS = (FULL_A, A_PLUS, R_PLUS)
 
 # Brute-force oracle leg of the counts check stays below this n; the walk
 # visits every partition, so it must not scale with the sweep's n_max.
@@ -50,14 +50,12 @@ SQRT_SWEEP_N_MAX = 200
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """What to verify, over which grid, and where to put the rows."""
+    """What to verify, over which grid, with how many worker processes."""
 
     m_max: int = 4
     n_max: int = 300
     variants: tuple[str, ...] = SWEEP_VARIANTS
     checks: tuple[str, ...] = CHECK_NAMES
-    output_format: str = "json"
-    output_path: str | None = None
     workers: int = 1
 
     def validated(self) -> "SweepConfig":
@@ -75,8 +73,6 @@ class SweepConfig:
         for c in self.checks:
             if c not in CHECK_NAMES:
                 raise ValueError(f"unknown check {c!r}; choose from {CHECK_NAMES}")
-        if self.output_format not in ("json", "csv"):
-            raise ValueError(f"unknown output format {self.output_format!r}")
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
         ordered = tuple(c for c in CHECK_NAMES if c in self.checks)
@@ -146,7 +142,7 @@ def _ratio_rows(spec: ResidueSpec, table, n_max: int) -> list[dict]:
                 "check": "ratio",
                 "m": spec.m,
                 "R": list(spec.residues),
-                "variant": "full-a",
+                "variant": FULL_A,
                 "n": n,
                 "count": str(cnt),
                 "log_count": bounds.log_of_count(cnt),
@@ -177,7 +173,7 @@ def oracle_equivalence_rows(
     brute_top = min(n_max, brute_cap, ORACLE_CEILING_DEFAULT)
     for spec in subsets_for_modulus(m, include_empty):
         for label in variants:
-            parts = tuple(parts_up_to(spec, VARIANT_LABELS[label], n_max))
+            parts = tuple(parts_up_to(spec, label, n_max))
             cached = cache.get(parts)
             if cached is None:
                 dp = count_dp(parts, n_max)
@@ -289,23 +285,20 @@ def _margin_of(row: dict) -> float | None:
 
 
 def _summarize(name: str, rows: list[dict]) -> CheckSummary:
+    """A check holds when it produced rows and none of them failed.
+
+    A selected check with no rows checked nothing, so it does not hold.
+    """
     margins = [m for m in (_margin_of(r) for r in rows) if m is not None]
     failures = sum(1 for r in rows if r.get("holds") is False)
-    if name == "remark":
-        # success means the finder produced witnesses; worst = largest violation
-        return CheckSummary(
-            name=name,
-            rows=len(rows),
-            failures=failures,
-            worst_margin=max(margins) if margins else None,
-            holds=len(rows) > 0 and failures == 0,
-        )
+    # remark's rows are witnesses of a violation; its worst is the largest
+    worst = max if name == "remark" else min
     return CheckSummary(
         name=name,
         rows=len(rows),
         failures=failures,
-        worst_margin=min(margins) if margins else None,
-        holds=failures == 0,
+        worst_margin=worst(margins) if margins else None,
+        holds=len(rows) > 0 and failures == 0,
     )
 
 

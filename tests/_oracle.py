@@ -1,6 +1,6 @@
 """Test-side oracle: enumerate partitions explicitly, independent of the library.
 
-Used to freeze expected values and to audit multiplicity-resolved counts.
+Used to freeze expected values and to audit the counting engines.
 Deliberately lists partitions as tuples instead of counting, so it shares
 no structure with any library engine.
 """
@@ -35,10 +35,3 @@ def enumerate_partitions(parts: Iterable[int], n: int) -> Iterator[tuple[int, ..
 def brute_count(parts: Iterable[int], n: int) -> int:
     return sum(1 for _ in enumerate_partitions(parts, n))
 
-
-def brute_count_exact_multiplicity(parts, n: int, s: int, t: int) -> int:
-    return sum(1 for q in enumerate_partitions(parts, n) if q.count(s) == t)
-
-
-def brute_count_min_multiplicity(parts, n: int, s: int, t: int) -> int:
-    return sum(1 for q in enumerate_partitions(parts, n) if q.count(s) >= t)

@@ -52,6 +52,19 @@ class TestCount:
         code, _, _ = run_cli(capsys, ["count", "--bogus", "1"])
         assert code == 2
 
+    def test_unrestricted_p100(self, capsys):
+        # Every positive integer is the full set of m=1, R={0}
+        code, out, _ = run_cli(capsys, ["count", "--m", "1", "--r", "0", "--n", "100"])
+        assert code == 0
+        assert json.loads(out) == {"n": 100, "count": "190569292", "engines_agree": True}
+
+    def test_variant_outside_the_three_sets(self, capsys):
+        code, out, _ = run_cli(
+            capsys, ["count", "--m", "1", "--r", "0", "--variant", "all-naturals", "--n", "5"]
+        )
+        assert code == 2
+        assert out == ""
+
 
 class TestTable:
     def test_p10_row(self, capsys):
@@ -152,6 +165,16 @@ class TestVerify:
         assert out == ""
         assert "verify: OK" not in err
 
+    def test_check_without_rows_fails(self, capsys):
+        # ratio has no checkpoint at n_max = 0, so it checks nothing
+        code, _, err = run_cli(
+            capsys, ["verify", "--checks", "ratio,theorem1", "--m-max", "1", "--n-max", "0"]
+        )
+        assert code == 1
+        assert "check=ratio rows=0 failures=0 worst_margin=- status=FAIL" in err
+        assert "check=theorem1 rows=2 failures=0 worst_margin=0.0 status=ok" in err
+        assert "verify: FAILED" in err
+
     def test_unknown_check(self, capsys):
         code, _, err = run_cli(capsys, ["verify", "--checks", "nonsense"])
         assert code == 2
@@ -206,7 +229,11 @@ class TestDeterminism:
 
 
 class TestGoldens:
-    """stdout digests captured from an earlier, independently built table factory."""
+    """stdout digests captured from earlier builds.
+
+    The table/sweep digests predate the slice-DP table factory; the verify
+    digests predate the single canonicalization pass and the variant labels.
+    """
 
     @pytest.mark.parametrize(
         "argv,digest",
@@ -226,6 +253,14 @@ class TestGoldens:
             (
                 ["sweep", "--m-max", "4", "--n-max", "200", "--format", "csv"],
                 "2d0cc301766dcff972fab292bb20a27cc4d81bef3d690e3ab00e2d91f2be0c45",
+            ),
+            (
+                ["verify", "--m-max", "3", "--n-max", "60"],
+                "9e5f0b3bc907cfdef5d457758bf5f8f2c2d0c78498a802e587b166669f76bb68",
+            ),
+            (
+                ["verify", "--m-max", "3", "--n-max", "60", "--format", "csv"],
+                "95f704441cace8be5530a8730b23ad367530efd6365e6f9e8533d7e303481d83",
             ),
         ],
     )

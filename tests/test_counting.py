@@ -4,23 +4,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracle import (
-    brute_count,
-    brute_count_exact_multiplicity,
-    brute_count_min_multiplicity,
-    enumerate_partitions,
-)
+from _oracle import brute_count, enumerate_partitions
+from partlab import counting
 from partlab.counting import (
     IntegrityError,
-    MultiplicityQuery,
     TableFactory,
     check_eq4,
-    convolution_check,
     convolution_check_range,
     count_bruteforce,
     count_dp,
-    count_exact_multiplicity,
-    count_min_multiplicity,
     count_recurrence,
     eq4_rhs_all,
     eq4_rhs_direct,
@@ -65,6 +57,28 @@ class TestCountRecurrence:
     def test_known_value_p100(self):
         assert count_recurrence(range(1, 101), 100).values[100] == 190569292
 
+    def test_corrupted_divisor_sums_raise(self, monkeypatch):
+        """A wrong sigma breaks the divisibility at some level; it must not pass."""
+        real = counting._divisor_sums
+
+        def corrupted(parts, n):
+            sigma = real(parts, n)
+            sigma[2] += 1
+            return sigma
+
+        monkeypatch.setattr(counting, "_divisor_sums", corrupted)
+        with pytest.raises(IntegrityError):
+            count_recurrence(range(1, 11), 10)
+
+    @given(
+        parts=st.lists(st.integers(1, 300), max_size=12, unique=True),
+        n=st.integers(0, 300),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_matches_dp_on_arbitrary_parts(self, parts, n):
+        parts = sorted(parts)
+        assert count_recurrence(parts, n).values == count_dp(parts, n).values
+
 
 class TestCountBruteforce:
     def test_small_cases(self):
@@ -88,6 +102,7 @@ def test_three_engines_agree(spec, n):
         rec = count_recurrence(parts, n)
         assert dp.values == rec.values
         assert dp.values[n] == count_bruteforce(parts, n)
+        assert dp.values[n] == brute_count(parts, n)
 
 
 @given(spec=spec_strategy(m_max=6), n=st.integers(0, 60))
@@ -110,82 +125,6 @@ def test_monotone_when_one_available(extra, n):
     parts = sorted({1, *extra})
     values = count_dp(parts, n).values
     assert all(values[j] <= values[j + 1] for j in range(n))
-
-
-class TestMultiplicity:
-    @pytest.mark.parametrize(
-        "parts,n,s,t,expected",
-        [
-            ([1, 2], 4, 2, 1, 1),
-            ([1, 2], 4, 2, 2, 1),
-            ([1, 2], 4, 2, 5, 0),
-        ],
-    )
-    def test_exact_examples(self, parts, n, s, t, expected):
-        assert count_exact_multiplicity(parts, n, MultiplicityQuery(s, t)) == expected
-
-    @pytest.mark.parametrize(
-        "parts,n,s,t,expected",
-        [
-            ([1, 2], 4, 2, 1, 2),
-            ([1, 2], 4, 2, 2, 1),
-            ([1, 2], 3, 2, 2, 0),
-        ],
-    )
-    def test_min_examples(self, parts, n, s, t, expected):
-        assert count_min_multiplicity(parts, n, MultiplicityQuery(s, t)) == expected
-
-    def test_requires_member_part(self):
-        with pytest.raises(ValueError):
-            count_exact_multiplicity([1, 3], 4, MultiplicityQuery(2, 1))
-
-    @given(
-        parts=st.lists(st.integers(1, 9), min_size=1, max_size=4, unique=True),
-        n=st.integers(0, 16),
-        t=st.integers(0, 6),
-        data=st.data(),
-    )
-    @settings(max_examples=80, deadline=None)
-    def test_against_enumeration(self, parts, n, t, data):
-        parts = sorted(parts)
-        s = data.draw(st.sampled_from(parts))
-        q = MultiplicityQuery(s, t)
-        assert count_exact_multiplicity(parts, n, q) == brute_count_exact_multiplicity(
-            parts, n, s, t
-        )
-        if t >= 1:
-            assert count_min_multiplicity(parts, n, q) == brute_count_min_multiplicity(
-                parts, n, s, t
-            )
-
-    @given(
-        parts=st.lists(st.integers(1, 8), min_size=1, max_size=4, unique=True),
-        n=st.integers(1, 14),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_multiplicity_chain(self, parts, n):
-        """The double-counting chain, fully expanded through multiplicities."""
-        parts = sorted(parts)
-        table = count_dp(parts, n)
-        total = 0
-        for s in parts:
-            if s > n:
-                break
-            exact_sum = sum(
-                t * count_exact_multiplicity(parts, n, MultiplicityQuery(s, t))
-                for t in range(1, n // s + 1)
-            )
-            min_sum = sum(
-                count_min_multiplicity(parts, n, MultiplicityQuery(s, t))
-                for t in range(1, n // s + 1)
-            )
-            assert exact_sum == min_sum
-            for t in range(1, n // s + 1):
-                assert count_min_multiplicity(
-                    parts, n, MultiplicityQuery(s, t)
-                ) == table.values[n - s * t]
-            total += s * min_sum
-        assert total == n * table.values[n]
 
 
 class TestEq4:
@@ -213,17 +152,18 @@ class TestEq4:
 class TestConvolution:
     def test_odd_parts_example(self):
         spec = make_residue_spec(2, [1])
-        report = convolution_check(spec, 5)
-        assert (report.lhs, report.rhs, report.holds) == (3, 3, True)
+        report = convolution_check_range(spec, 5)[5]
+        assert (report.n, report.lhs, report.rhs, report.holds) == (5, 3, 3, True)
 
     def test_classical_degenerates(self):
         # m=1, R={0}: the head set is empty, so the sum collapses to p(7)
         spec = make_residue_spec(1, [0])
-        report = convolution_check(spec, 7)
+        report = convolution_check_range(spec, 7)[7]
         assert report.lhs == report.rhs == 15
 
     def test_n_zero(self):
-        report = convolution_check(make_residue_spec(5, [2, 3]), 0)
+        (report,) = convolution_check_range(make_residue_spec(5, [2, 3]), 0)
+        assert report.n == 0
         assert report.lhs == report.rhs == 1
 
     @given(spec=spec_strategy(m_max=5), n_max=st.integers(0, 40))

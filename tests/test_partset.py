@@ -6,13 +6,9 @@ from hypothesis import strategies as st
 
 from partlab.partset import (
     A_PLUS,
-    ALL_NATURALS,
     FULL_A,
     R_PLUS,
-    ArPlus,
-    Explicit,
     SpecError,
-    contains,
     make_residue_spec,
     parts_up_to,
 )
@@ -71,46 +67,15 @@ class TestPartsUpTo:
         assert parts_up_to(spec, R_PLUS, 10) == [1, 3]
         assert parts_up_to(spec, R_PLUS, 0) == []
 
-    def test_single_residue_slice(self):
-        spec = make_residue_spec(4, [1, 3])
-        assert parts_up_to(spec, ArPlus(1), 14) == [5, 9, 13]
-        assert parts_up_to(spec, ArPlus(3), 14) == [7, 11]
+    def test_unknown_variant_label(self):
+        spec = make_residue_spec(1, [0])
         with pytest.raises(SpecError):
-            parts_up_to(spec, ArPlus(4), 14)
-
-    def test_explicit_and_naturals(self):
-        spec = make_residue_spec(2, [1])
-        assert parts_up_to(spec, Explicit((9, 2, 5)), 6) == [2, 5]
-        assert parts_up_to(spec, ALL_NATURALS, 4) == [1, 2, 3, 4]
-        with pytest.raises(SpecError):
-            Explicit((2, 2))
-        with pytest.raises(SpecError):
-            Explicit((0,))
+            parts_up_to(spec, "all-naturals", 4)
 
     def test_empty_residues_enumerate_nothing(self):
         spec = make_residue_spec(3, [])
         assert parts_up_to(spec, FULL_A, 20) == []
         assert parts_up_to(spec, A_PLUS, 20) == []
-
-
-class TestContains:
-    @pytest.mark.parametrize(
-        "m,residues,variant,a,expected",
-        [
-            (4, [1, 3], A_PLUS, 4, False),
-            (4, [0], A_PLUS, 4, True),
-            (4, [1], FULL_A, 1, True),
-            (4, [1], A_PLUS, 1, False),
-            (4, [0, 1], R_PLUS, 1, True),
-            (4, [0, 1], R_PLUS, 4, False),
-        ],
-    )
-    def test_membership(self, m, residues, variant, a, expected):
-        assert contains(make_residue_spec(m, residues), variant, a) is expected
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            contains(make_residue_spec(2, [1]), FULL_A, 0)
 
 
 @given(spec=spec_strategy(), bound=st.integers(0, 80))
@@ -127,9 +92,9 @@ def test_full_set_splits_into_head_and_tail(spec, bound):
 @given(spec=spec_strategy(), bound=st.integers(0, 80))
 @settings(max_examples=150)
 def test_tail_set_splits_into_residue_slices(spec, bound):
-    """The tail set partitions into its single-residue slices."""
+    """The tail set partitions into its single-residue slices {r+m, r+2m, ...}."""
     tail = parts_up_to(spec, A_PLUS, bound)
-    slices = [parts_up_to(spec, ArPlus(r), bound) for r in spec.residues]
+    slices = [range(spec.m + r, bound + 1, spec.m) for r in spec.residues]
     combined = [a for sl in slices for a in sl]
     assert sorted(combined) == tail
     assert len(combined) == len(set(combined))
@@ -141,7 +106,6 @@ def test_tail_members_at_least_m_in_class(spec, bound):
     for a in parts_up_to(spec, A_PLUS, bound):
         assert a >= spec.m
         assert a % spec.m in spec.residues
-        assert contains(spec, A_PLUS, a)
 
 
 @given(m=st.integers(1, 8), bound=st.integers(0, 60))
@@ -152,11 +116,20 @@ def test_zero_residue_makes_full_equal_tail(m, bound):
     assert parts_up_to(spec, FULL_A, bound) == parts_up_to(spec, A_PLUS, bound)
 
 
+def _is_member(spec, variant, a):
+    """Membership of a positive integer a, straight from the set definitions."""
+    if variant == FULL_A:
+        return a % spec.m in spec.residues
+    if variant == A_PLUS:
+        return a >= spec.m and a % spec.m in spec.residues
+    return a in spec.residues  # R+: a >= 1 excludes the residue 0
+
+
 @given(spec=spec_strategy(), bound=st.integers(0, 60))
 @settings(max_examples=100)
 def test_enumeration_matches_membership(spec, bound):
     for variant in (FULL_A, A_PLUS, R_PLUS):
         members = parts_up_to(spec, variant, bound)
         assert members == sorted(set(members))
-        expected = [a for a in range(1, bound + 1) if contains(spec, variant, a)]
+        expected = [a for a in range(1, bound + 1) if _is_member(spec, variant, a)]
         assert members == expected
