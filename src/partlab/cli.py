@@ -7,11 +7,16 @@ check name, unwritable output path).
 Worker count for sweeps comes from the PARTLAB_THREADS environment
 variable, defaulting to the number of processors this process may run on;
 output is identical regardless of worker count.
+
+table, verify and sweep stream their report row by row to one output
+stream, stdout or the --output file opened once, through
+``reporting.document_to_json`` (JSON) or ``reporting.rows_to_csv`` (CSV).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -53,12 +58,18 @@ def _resolve_workers() -> int:
     return workers
 
 
-def _emit(text: str, path: str | None) -> None:
-    if path is None or path == "-":
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+def _write_report(
+    args: argparse.Namespace, head: dict, rows: list[dict], fields: tuple[str, ...]
+) -> None:
+    """Stream rows as CSV, or as a JSON document with head, to --output or stdout."""
+    with contextlib.ExitStack() as stack:
+        out = sys.stdout
+        if args.output is not None and args.output != "-":
+            out = stack.enter_context(open(args.output, "w", encoding="utf-8", newline=""))
+        if args.format == "csv":
+            reporting.rows_to_csv(rows, fields, out)
+        else:
+            reporting.document_to_json(head, rows, fields, out)
 
 
 def cmd_count(args: argparse.Namespace) -> int:
@@ -83,17 +94,8 @@ def cmd_table(args: argparse.Namespace) -> int:
         raise SpecError("table requires an explicit residue list, not 'all'")
     spec = make_residue_spec(args.m, residues)
     rows = sweeps.table_rows(spec, args.n_max)
-    if args.format == "csv":
-        text = reporting.rows_to_csv(rows, reporting.TABLE_FIELDS)
-    else:
-        doc = {
-            "command": "table",
-            "m": spec.m,
-            "R": list(spec.residues),
-            "rows": [reporting.canon_row(r, reporting.TABLE_FIELDS) for r in rows],
-        }
-        text = reporting.document_to_json(doc)
-    _emit(text, args.output)
+    head = {"command": "table", "m": spec.m, "R": list(spec.residues)}
+    _write_report(args, head, rows, reporting.TABLE_FIELDS)
     return EXIT_OK
 
 
@@ -108,24 +110,17 @@ def cmd_verify(args: argparse.Namespace) -> int:
         workers=_resolve_workers(),
     ).validated()
     result = sweeps.run_verify(config)
-    if args.format == "csv":
-        text = reporting.rows_to_csv(result.rows, reporting.VERIFY_FIELDS)
-    else:
-        doc = {
-            "command": "verify",
-            "config": {
-                "m_max": config.m_max,
-                "n_max": config.n_max,
-                "variants": list(config.variants),
-                "checks": list(config.checks),
-            },
-            "summaries": [reporting.canon_tree(s.as_row()) for s in result.summaries],
-            "rows": [
-                reporting.canon_row(r, reporting.VERIFY_FIELDS) for r in result.rows
-            ],
-        }
-        text = reporting.document_to_json(doc)
-    _emit(text, args.output)
+    head = {
+        "command": "verify",
+        "config": {
+            "m_max": config.m_max,
+            "n_max": config.n_max,
+            "variants": list(config.variants),
+            "checks": list(config.checks),
+        },
+        "summaries": [reporting.canon_tree(s.as_row()) for s in result.summaries],
+    }
+    _write_report(args, head, result.rows, reporting.VERIFY_FIELDS)
     for s in result.summaries:
         worst = (
             repr(reporting.canon_float(s.worst_margin))
@@ -145,17 +140,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     rows = sweeps.sweep_rows(args.m_max, args.n_max, workers=_resolve_workers())
-    if args.format == "csv":
-        text = reporting.rows_to_csv(rows, reporting.SWEEP_FIELDS)
-    else:
-        doc = {
-            "command": "sweep",
-            "m_max": args.m_max,
-            "n_max": args.n_max,
-            "rows": [reporting.canon_row(r, reporting.SWEEP_FIELDS) for r in rows],
-        }
-        text = reporting.document_to_json(doc)
-    _emit(text, args.output)
+    head = {"command": "sweep", "m_max": args.m_max, "n_max": args.n_max}
+    _write_report(args, head, rows, reporting.SWEEP_FIELDS)
     return EXIT_OK
 
 

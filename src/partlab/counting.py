@@ -6,8 +6,11 @@ All counts are exact Python integers (arbitrary precision, never floats):
 * ``count_recurrence`` - bottom-up evaluation of the double-counting
   identity ``n * p(n) = sum_{s <= n} s * sum_{k >= 1} p(n - s*k)``, grouped
   by d = s*k, with a hard divisibility assertion at every level;
-* ``count_bruteforce`` - exhaustive enumeration of nonincreasing summand
-  sequences, usable up to a configured ceiling.
+* ``count_bruteforce`` - one exhaustive walk over nonincreasing summand
+  sequences that tallies every partition of 0..n at its total, usable up
+  to a configured ceiling.
+
+Each engine returns the whole ``CountTable`` of 0..n.
 
 The engines share no code paths, so agreement among them certifies each.
 Two exact identities are checked here as well: the double-counting
@@ -129,37 +132,32 @@ def count_recurrence(parts: Iterable[int], n: int) -> CountTable:
 
 def count_bruteforce(
     parts: Iterable[int], n: int, *, ceiling: int = ORACLE_CEILING_DEFAULT
-) -> BigCount:
-    """Exact count by exhaustive enumeration of nonincreasing summands.
+) -> CountTable:
+    """Exact counts of 0..n from one exhaustive walk over nonincreasing summands.
 
     Independent oracle: no memoization, no shared state with the other
-    engines.  Rejects n above the ceiling because the walk visits every
-    partition once.
+    engines.  The walk visits every partition of every total up to n once,
+    adding summands no larger than the last, and tallies each at its total.
+    Rejects n above the ceiling because the walk visits every partition.
     """
     ps = _validated_parts(parts)
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     if n > ceiling:
         raise ValueError(f"n={n} exceeds brute-force ceiling {ceiling}")
-    if n == 0:
-        return 1
     usable = [p for p in ps if p <= n]
-    if not usable:
-        return 0
+    tally = [0] * (n + 1)
 
-    def walk(remaining: int, top: int) -> int:
-        total = 0
+    def walk(total: int, top: int) -> None:
+        tally[total] += 1
         for i in range(top + 1):
-            p = usable[i]
-            if p > remaining:
+            reached = total + usable[i]
+            if reached > n:
                 break
-            if p == remaining:
-                total += 1
-            else:
-                total += walk(remaining - p, i)
-        return total
+            walk(reached, i)
 
-    return walk(n, len(usable) - 1)
+    walk(0, len(usable) - 1)
+    return CountTable(parts=ps, values=tuple(tally))
 
 
 # --- identities --------------------------------------------------------------

@@ -3,14 +3,22 @@
 Counts are always decimal strings, never floats.  Floats are canonicalized
 to at most 12 significant digits before serialization, so identical runs
 produce byte-identical output and JSON/CSV carry identical values.
+
+Reports are streamed: each row is canonicalized as it is written to the
+output stream (JSON text in batches of rows), so emission never holds the
+whole report in memory.
 """
 
 from __future__ import annotations
 
 import csv
-import io
 import json
-from typing import Iterable, Sequence
+import math
+from json.encoder import encode_basestring_ascii
+from typing import Iterable, Sequence, TextIO
+
+# document_to_json writes rows to the output stream this many at a time.
+BATCH_ROWS = 1000
 
 # Field orders are fixed; emission never depends on dict iteration quirks.
 BOUND_FIELDS = ("m", "R", "variant", "n", "count", "log_count", "bound", "slack", "holds")
@@ -73,21 +81,72 @@ def _csv_cell(v) -> str:
     return str(v)
 
 
-def rows_to_csv(rows: Iterable[dict], fields: Sequence[str]) -> str:
-    """Render rows as CSV text with the given header, deterministically."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
+def rows_to_csv(rows: Iterable[dict], fields: Sequence[str], out: TextIO) -> None:
+    """Write rows as CSV with the given header to out, deterministically."""
+    writer = csv.writer(out, lineterminator="\n")
     writer.writerow(fields)
     for row in rows:
         canon = canon_row(row, fields)
         writer.writerow([_csv_cell(canon[f]) for f in fields])
-    return buf.getvalue()
 
 
-def document_to_json(doc: dict) -> str:
-    """Render a report document as stable, human-readable JSON.
+def _json_float(x: float) -> str:
+    """json's spelling of a canonicalized float, NaN and infinities included."""
+    x = canon_float(x)
+    if x != x:
+        return "NaN"
+    if x == math.inf:
+        return "Infinity"
+    if x == -math.inf:
+        return "-Infinity"
+    return float.__repr__(x)
 
-    The document is serialized as given: callers canonicalize its rows
-    with ``canon_row`` (and any other floats with ``canon_tree``) first.
+
+def _json_value(v, depth: int) -> str:
+    """Canonical JSON text of one row value nested at depth, as indent=2 writes it."""
+    if v is None:
+        return "null"
+    if v is True:
+        return "true"
+    if v is False:
+        return "false"
+    if isinstance(v, str):
+        return encode_basestring_ascii(v)
+    if isinstance(v, int):
+        return int.__repr__(v)
+    if isinstance(v, float):
+        return _json_float(v)
+    if isinstance(v, (list, tuple)):
+        if not v:
+            return "[]"
+        inner = "\n" + "  " * (depth + 1)
+        items = ("," + inner).join(_json_value(item, depth + 1) for item in v)
+        return "[" + inner + items + "\n" + "  " * depth + "]"
+    raise TypeError(f"row value of type {type(v).__name__} is not JSON serializable")
+
+
+def document_to_json(
+    head: dict, rows: Iterable[dict], fields: Sequence[str], out: TextIO
+) -> None:
+    """Write a report document as stable, human-readable JSON to out.
+
+    The bytes equal ``json.dumps({**head, "rows": [canon_row(r, fields) for
+    r in rows]}, indent=2) + "\\n"``, but no row is copied and no document
+    string is built: ``head`` (everything but the rows, canonicalized by
+    the caller) goes through ``json.dumps``, and each row is canonicalized
+    and encoded as it is written, in batches of BATCH_ROWS rows.
     """
-    return json.dumps(doc, indent=2) + "\n"
+    text = json.dumps({**head, "rows": []}, indent=2)
+    out.write(text[: -len("[]\n}")])  # everything before the rows' value
+    # each row is a dict at depth 2, so its keys sit at depth 3
+    keys = ["\n      " + encode_basestring_ascii(f) + ": " for f in fields]
+    batch: list[str] = []
+    count = 0
+    for count, row in enumerate(rows, 1):
+        cells = ",".join([key + _json_value(row.get(f), 3) for key, f in zip(keys, fields)])
+        batch.append(("[\n    {" if count == 1 else ",\n    {") + cells + "\n    }")
+        if count % BATCH_ROWS == 0:
+            out.write("".join(batch))
+            batch.clear()
+    batch.append("\n  ]\n}\n" if count else "[]\n}\n")
+    out.write("".join(batch))

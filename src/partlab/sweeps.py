@@ -76,7 +76,8 @@ class SweepConfig:
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
         ordered = tuple(c for c in CHECK_NAMES if c in self.checks)
-        return replace(self, checks=ordered)
+        # first-seen order, so a repeated label cannot repeat the counts rows
+        return replace(self, checks=ordered, variants=tuple(dict.fromkeys(self.variants)))
 
 
 @dataclass
@@ -165,8 +166,8 @@ def oracle_equivalence_rows(
     """Three-engine agreement for every subset of {0..m-1} and variant.
 
     Identical part lists across (R, variant) combinations are computed once;
-    the brute-force leg stops at brute_cap, the other two engines run to
-    n_max.  Each row reports one (spec, variant) verdict.
+    the brute-force leg checks every n up to brute_cap, the other two
+    engines run to n_max.  Each row reports one (spec, variant) verdict.
     """
     cache: dict[tuple[int, ...], tuple[bool, int]] = {}
     rows = []
@@ -180,11 +181,8 @@ def oracle_equivalence_rows(
                 rec = count_recurrence(parts, n_max)
                 agree = dp.values == rec.values
                 if agree:
-                    brute_parts = tuple(p for p in parts if p <= brute_top)
-                    agree = all(
-                        count_bruteforce(brute_parts, n) == dp.values[n]
-                        for n in range(brute_top + 1)
-                    )
+                    brute = count_bruteforce(parts, brute_top)
+                    agree = brute.values == dp.values[: brute_top + 1]
                 cached = (agree, dp.values[n_max])
                 cache[parts] = cached
             agree, top_count = cached

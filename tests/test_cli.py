@@ -7,6 +7,7 @@ import pytest
 
 from partlab import cli, sweeps
 from partlab.cli import main
+from partlab.counting import CountTable
 
 
 def run_cli(capsys, argv, env=None, monkeypatch=None):
@@ -175,6 +176,54 @@ class TestVerify:
         assert "check=theorem1 rows=2 failures=0 worst_margin=0.0 status=ok" in err
         assert "verify: FAILED" in err
 
+    def test_zero_row_report_digest(self, capsys):
+        code, out, _ = run_cli(capsys, ["verify", "--checks", "ratio", "--m-max", "1", "--n-max", "0"])
+        assert code == 1
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
+            "948fbc43502e018258350ba0cbe85fa704916bda68838acf7730df54c00bf6d7"
+        )
+
+    def test_output_file_matches_stdout(self, capsys, tmp_path):
+        argv = ["verify", "--m-max", "2", "--n-max", "30"]
+        target = tmp_path / "report.json"
+        code, to_file, _ = run_cli(capsys, argv + ["--output", str(target)])
+        assert (code, to_file) == (0, "")
+        code, out, _ = run_cli(capsys, argv)
+        assert code == 0
+        assert target.read_bytes() == out.encode("utf-8")
+
+    def test_repeated_variant_counted_once(self, capsys):
+        argv = ["verify", "--checks", "counts", "--m-max", "1", "--n-max", "5"]
+        code, out, err = run_cli(capsys, argv + ["--variants", "full-a,full-a"])
+        assert code == 0
+        assert "check=counts rows=2 " in err
+        doc = json.loads(out)
+        assert doc["config"]["variants"] == ["full-a"]
+        _, single, _ = run_cli(capsys, argv + ["--variants", "full-a"])
+        assert out == single
+
+    @pytest.mark.parametrize("wrong_at", [0, 23, 39])
+    def test_oracle_checks_every_n_below_cap(self, capsys, monkeypatch, wrong_at):
+        """dp and recurrence agreeing on a wrong count below the cap still fail the oracle."""
+
+        def corrupted(engine):
+            def run(parts, n):
+                table = engine(parts, n)
+                values = list(table.values)
+                values[wrong_at] += 1
+                return CountTable(parts=table.parts, values=tuple(values))
+
+            return run
+
+        monkeypatch.setattr(sweeps, "count_dp", corrupted(sweeps.count_dp))
+        monkeypatch.setattr(sweeps, "count_recurrence", corrupted(sweeps.count_recurrence))
+        code, out, err = run_cli(capsys, ["verify", "--checks", "counts", "--m-max", "2", "--n-max", "60"])
+        assert code == 1
+        doc = json.loads(out)
+        assert doc["rows"] and all(row["holds"] is False for row in doc["rows"])
+        assert doc["summaries"][0]["holds"] is False
+        assert "verify: FAILED" in err
+
     def test_unknown_check(self, capsys):
         code, _, err = run_cli(capsys, ["verify", "--checks", "nonsense"])
         assert code == 2
@@ -232,7 +281,8 @@ class TestGoldens:
     """stdout digests captured from earlier builds.
 
     The table/sweep digests predate the slice-DP table factory; the verify
-    digests predate the single canonicalization pass and the variant labels.
+    digests predate the single canonicalization pass and the variant labels;
+    the JSON sweep digest predates the streamed report writer.
     """
 
     @pytest.mark.parametrize(
@@ -261,6 +311,10 @@ class TestGoldens:
             (
                 ["verify", "--m-max", "3", "--n-max", "60", "--format", "csv"],
                 "95f704441cace8be5530a8730b23ad367530efd6365e6f9e8533d7e303481d83",
+            ),
+            (
+                ["sweep", "--m-max", "3", "--n-max", "50", "--format", "json"],
+                "80903e8e1a2fc9fe2228979ce32aca46eb5c02a47252f602d49af8aeb36d23e3",
             ),
         ],
     )
@@ -325,10 +379,14 @@ class TestSweep:
         assert len(lines) == 1 + 4 * 3
 
 
-def test_default_verify_is_green(capsys, monkeypatch):
-    """The full default check set on the default grid must pass end to end."""
+def test_default_verify_is_green(capsys, monkeypatch, tmp_path):
+    """The full default check set on the default grid passes, with the pinned report."""
     monkeypatch.setenv("PARTLAB_THREADS", "1")
-    code = main(["verify", "--output", "/dev/null"])
+    target = tmp_path / "verify.json"
+    code = main(["verify", "--output", str(target)])
     err = capsys.readouterr().err
     assert code == 0
     assert "verify: OK" in err
+    assert hashlib.sha256(target.read_bytes()).hexdigest() == (
+        "6ed9da59ec7f95f89a362a1fb822e52d7e0ba164870d916fca1a99fd060d25b8"
+    )

@@ -82,14 +82,25 @@ class TestCountRecurrence:
 
 class TestCountBruteforce:
     def test_small_cases(self):
-        assert count_bruteforce([1, 2, 3, 4], 4) == 5
-        assert count_bruteforce([5], 4) == 0
-        assert count_bruteforce([3, 7], 0) == 1
+        assert count_bruteforce([1, 2, 3, 4], 4).values[4] == 5
+        assert count_bruteforce([5], 4).values[4] == 0
+        assert count_bruteforce([3, 7], 0).values[0] == 1
 
     def test_ceiling_enforced(self):
         with pytest.raises(ValueError):
             count_bruteforce([1], 61)
-        assert count_bruteforce([1], 80, ceiling=100) == 1
+        assert count_bruteforce([1], 80, ceiling=100).values[80] == 1
+
+    @given(
+        parts=st.sets(st.integers(1, 30), max_size=8),
+        n=st.integers(0, 25),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_one_walk_gives_the_whole_table(self, parts, n):
+        parts = sorted(parts)
+        table = count_bruteforce(parts, n)
+        assert table.values == count_dp(parts, n).values
+        assert table.values == tuple(brute_count(parts, k) for k in range(n + 1))
 
 
 @given(spec=spec_strategy(m_max=5), n=st.integers(0, 18))
@@ -101,7 +112,7 @@ def test_three_engines_agree(spec, n):
         dp = count_dp(parts, n)
         rec = count_recurrence(parts, n)
         assert dp.values == rec.values
-        assert dp.values[n] == count_bruteforce(parts, n)
+        assert dp.values[n] == count_bruteforce(parts, n).values[n]
         assert dp.values[n] == brute_count(parts, n)
 
 
