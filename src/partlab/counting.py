@@ -20,8 +20,12 @@ partition into head (R+) and tail (A+) parts (``convolution_check_range``).
 ``TableFactory`` adds a fast exact route for sweeps over many residue
 subsets: each subset's tail table is the table of the subset without its
 highest residue, extended by that residue's slice of parts, with every
-table cached per factory.  It is cross-validated against ``count_dp`` in
-the test suite.
+table cached per factory.  The one exception is the subset of every
+residue, whose tail is all parts >= m: its table starts from p(n) by
+Euler's pentagonal recurrence and takes the parts 1..m-1 back out,
+because adding its n - m + 1 parts one pass at a time costs O(n**2)
+big-integer additions.  It is cross-validated against ``count_dp`` in the
+test suite.
 """
 
 from __future__ import annotations
@@ -237,6 +241,36 @@ def convolution_check_range(spec: ResidueSpec, n_max: int) -> list[ConvolutionRe
 # --- sweep-scale table factory -----------------------------------------------
 
 
+def _partition_numbers(n: int) -> list[int]:
+    """p(0..n) over every positive part, by Euler's pentagonal recurrence.
+
+    ``p(j) = sum_{k >= 1} (-1)**(k+1) * (p(j - k(3k-1)/2) + p(j - k(3k+1)/2))``:
+    about 2*sqrt(2j/3) terms per level, so O(n**1.5) additions in all
+    instead of the O(n**2) of adding the parts 1..n one pass at a time.
+    """
+    # generalized pentagonal numbers 1, 2, 5, 7, 12, 15, ... in increasing
+    # order, split by the sign they carry: + + - - + + - - ...
+    plus: list[int] = []
+    minus: list[int] = []
+    k = 1
+    while (g := k * (3 * k - 1) // 2) <= n:
+        (plus if k % 2 else minus).extend((g, g + k))
+        k += 1
+    values = [1] + [0] * n
+    for j in range(1, n + 1):
+        total = 0
+        for g in plus:
+            if g > j:
+                break
+            total += values[j - g]
+        for g in minus:
+            if g > j:
+                break
+            total -= values[j - g]
+        values[j] = total
+    return values
+
+
 def _add_part(values: list[int], a: int) -> None:
     """Extend a count table in place by the part a (a >= 1).
 
@@ -250,12 +284,25 @@ def _add_part(values: list[int], a: int) -> None:
         values[lo:hi] = map(operator.add, values[lo:hi], values[lo - a : hi - a])
 
 
+def _remove_part(values: list[int], a: int) -> None:
+    """Take the part a (a >= 1) back out of a count table, in place.
+
+    Multiplies the generating function by (1 - q**a) in one pass; both
+    right-hand slices are copies, so every total reads the old table.
+    """
+    values[a:] = map(operator.sub, values[a:], values[: len(values) - a])
+
+
 class TableFactory:
     """Exact count tables for many residue subsets at one fixed n_max.
 
     The tail set of (m, R) is the disjoint union of its single-residue
     slices {r+m, r+2m, ...}, so the tail table for R is the table for R
     without its highest residue r, extended by the parts of r's slice.
+    The table for every residue is built from the other end instead: p(n)
+    from Euler's pentagonal recurrence with the parts 1..m-1 taken out,
+    m - 1 passes where adding the n - m + 1 tail parts one at a time would
+    take O(n) passes (checked: below m only the empty partition remains).
     Every tail table built on the way is cached per (m, R), so a sweep over
     many subsets of one modulus extends each table by one slice only.
     Full-set tables extend the tail table with the small parts of R+.  All
@@ -277,12 +324,27 @@ class TableFactory:
         if values is None:
             if bits == 0:
                 values = [1] + [0] * self.n_max  # only the empty partition
+            elif bits == (1 << m) - 1:
+                values = self._every_residue(m)
             else:
                 r = bits.bit_length() - 1
                 values = list(self._tail_values(m, bits ^ (1 << r)))
                 for a in range(m + r, self.n_max + 1, m):
                     _add_part(values, a)
             self._tails[key] = values
+        return values
+
+    def _every_residue(self, m: int) -> list[int]:
+        """Counts over the parts >= m: p(n) with the parts 1..m-1 removed."""
+        values = _partition_numbers(self.n_max)
+        for a in range(1, m):
+            _remove_part(values, a)
+        # parts >= m cannot sum to 1..m-1; only the empty partition sums to 0
+        if values[:m] != [1] + [0] * min(m - 1, self.n_max):
+            raise IntegrityError(
+                f"m={m}: tail counts below m are {values[:m]}, "
+                "expected the empty partition only"
+            )
         return values
 
     def aplus(self, spec: ResidueSpec) -> CountTable:

@@ -3,16 +3,19 @@
 A verify run walks all residue subsets R of {0..m-1} for each modulus
 m <= m_max (the empty subset rides along vacuously), shares exact count
 tables through a per-modulus TableFactory, and aggregates one summary per
-named check.  Work is split by modulus across processes when a worker
-count above 1 is requested; the pool never starts more workers than there
-are moduli.  Rows are merged in a fixed order either way, so output is
-deterministic.
+named check.  The counts oracle runs in the calling process with one cache
+for the whole run.  The other per-subset checks are split by modulus
+across processes when a worker count above 1 is requested, and run there
+while the counts oracle runs; the pool never starts more workers than
+there are moduli.  Rows are merged in a fixed order either way, so output
+is deterministic.
 """
 
 from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 
 from . import bounds, series
@@ -162,14 +165,18 @@ def oracle_equivalence_rows(
     *,
     brute_cap: int = ORACLE_N_CAP,
     include_empty: bool = True,
+    cache: dict | None = None,
 ) -> list[dict]:
     """Three-engine agreement for every subset of {0..m-1} and variant.
 
-    Identical part lists across (R, variant) combinations are computed once;
-    the brute-force leg checks every n up to brute_cap, the other two
-    engines run to n_max.  Each row reports one (spec, variant) verdict.
+    Identical part lists across (R, variant) combinations are computed once,
+    also across calls that pass the same cache dict (which must keep one
+    n_max and brute_cap); the brute-force leg checks every n up to
+    brute_cap, the other two engines run to n_max.  Each row reports one
+    (spec, variant) verdict.
     """
-    cache: dict[tuple[int, ...], tuple[bool, int]] = {}
+    if cache is None:
+        cache = {}
     rows = []
     brute_top = min(n_max, brute_cap, ORACLE_CEILING_DEFAULT)
     for spec in subsets_for_modulus(m, include_empty):
@@ -202,7 +209,7 @@ def oracle_equivalence_rows(
 
 def _rows_for_modulus(args: tuple) -> dict[str, list[dict]]:
     """All spec-dependent check rows for one modulus (worker entry point)."""
-    m, n_max, checks, variants = args
+    m, n_max, checks = args
     by_check: dict[str, list[dict]] = {name: [] for name in checks}
     factory = TableFactory(n_max)
     x_grid = series.default_x_grid()
@@ -212,9 +219,6 @@ def _rows_for_modulus(args: tuple) -> dict[str, list[dict]]:
         for r in range(m):
             for x in x_grid:
                 by_check["eq2"].append(series.check_eq2_pointwise(r, m, x).as_row())
-
-    if "counts" in by_check:
-        by_check["counts"].extend(oracle_equivalence_rows(m, n_max, variants))
 
     need_aplus = "theorem1" in by_check
     need_full = "chain" in by_check or "ratio" in by_check
@@ -259,11 +263,11 @@ def _helper_rows(m_max: int, n_sqrt_max: int) -> list[dict]:
         worst = math.inf
         ok = True
         root_n = math.sqrt(n)
-        for a in range(1, n + 1):
-            for k in range(1, n // a + 1):
-                ok = ok and series.check_sqrt_inequality(n, a, k)
-                margin = (root_n - a * k / (2.0 * root_n)) - math.sqrt(n - a * k)
-                worst = min(worst, margin)
+        # the check and its margin depend on a and k only through d = a*k
+        for d in range(1, n + 1):
+            ok = ok and series.check_sqrt_inequality(n, d, 1)
+            margin = (root_n - d / (2.0 * root_n)) - math.sqrt(n - d)
+            worst = min(worst, margin)
         rows.append(
             {
                 "check": "sqrt-split",
@@ -306,19 +310,26 @@ def run_verify(config: SweepConfig) -> VerifyResult:
     by_check: dict[str, list[dict]] = {name: [] for name in config.checks}
 
     spec_checks = [
-        c for c in config.checks if c in ("counts", "theorem1", "chain", "rpoly", "eq1", "eq2", "eq3", "ratio")
+        c for c in config.checks if c in ("theorem1", "chain", "rpoly", "eq1", "eq2", "eq3", "ratio")
     ]
-    if spec_checks:
-        tasks = [
-            (m, config.n_max, tuple(spec_checks), config.variants)
-            for m in range(1, config.m_max + 1)
-        ]
-        workers = min(config.workers, len(tasks))
-        if workers > 1:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                partials = list(pool.map(_rows_for_modulus, tasks))
-        else:
-            partials = [_rows_for_modulus(t) for t in tasks]
+    tasks = [
+        (m, config.n_max, tuple(spec_checks)) for m in range(1, config.m_max + 1) if spec_checks
+    ]
+    workers = min(config.workers, len(tasks))
+    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
+        # pool.map queues every task at once, so the workers run the
+        # per-modulus checks while this process runs the counts oracle;
+        # the builtin map runs them one by one after it
+        partials = (pool.map if pool else map)(_rows_for_modulus, tasks)
+
+        if "counts" in by_check:
+            # one cache for the run: part lists such as {1, 2, ...} recur for every m
+            oracle_cache: dict = {}
+            for m in range(1, config.m_max + 1):
+                by_check["counts"].extend(
+                    oracle_equivalence_rows(m, config.n_max, config.variants, cache=oracle_cache)
+                )
+
         for partial in partials:
             for name, rows in partial.items():
                 by_check[name].extend(rows)

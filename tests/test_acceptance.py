@@ -290,17 +290,24 @@ def test_criterion_09_odd_remark_counterexample():
 
 
 def test_criterion_10_asymptotic_diagnostic():
-    """Exact p(10^4) by DP within 60 s; log ratio inside (0.9, 1.0)."""
+    """Exact p(10^4) by DP within 60 s; log ratio inside (0.9, 1.0).
+
+    The table factory's pentagonal p(n) must give the same whole table.
+    """
     spec = make_residue_spec(1, [0])
     start = time.monotonic()
-    count = count_dp(range(1, 10_001), 10_000).values[10_000]
+    table = count_dp(range(1, 10_001), 10_000).values
     elapsed = time.monotonic() - start
+    count = table[10_000]
     ratio = asymptotic_ratio(spec, 10_000, count=count)
-    ok = elapsed < 60 and 0.9 < ratio < 1.0
+    factory_agrees = TableFactory(10_000).full_a(spec).values == table
+    ok = elapsed < 60 and 0.9 < ratio < 1.0 and factory_agrees
     _report(
         10,
         ok,
-        f"DP at n=10^4 in {elapsed:.1f}s; ratio {ratio:.6f} in (0.9, 1.0)",
+        f"DP at n=10^4 in {elapsed:.1f}s; ratio {ratio:.6f} in (0.9, 1.0); "
+        f"table factory {'agrees' if factory_agrees else 'DIFFERS'}",
     )
     assert elapsed < 60
     assert 0.9 < ratio < 1.0
+    assert factory_agrees

@@ -282,7 +282,8 @@ class TestGoldens:
 
     The table/sweep digests predate the slice-DP table factory; the verify
     digests predate the single canonicalization pass and the variant labels;
-    the JSON sweep digest predates the streamed report writer.
+    the JSON sweep digest predates the streamed report writer; the n=10^4
+    table digest predates the pentagonal start of dense tail tables.
     """
 
     @pytest.mark.parametrize(
@@ -315,6 +316,10 @@ class TestGoldens:
             (
                 ["sweep", "--m-max", "3", "--n-max", "50", "--format", "json"],
                 "80903e8e1a2fc9fe2228979ce32aca46eb5c02a47252f602d49af8aeb36d23e3",
+            ),
+            (
+                ["table", "--m", "6", "--r", "0,1,2,3,4,5", "--n-max", "10000", "--format", "csv"],
+                "145d642c1141ab687e5c04611ada4632a0da866508523d61b1faf6b9139a2116",
             ),
         ],
     )

@@ -1,5 +1,7 @@
 """Counting engines, their agreement, and the counting identities."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -210,28 +212,77 @@ class TestTableFactory:
         assert factory.aplus(spec).values == (1,) + (0,) * 10
 
     def test_shared_cache_matches_count_dp(self):
-        """One factory serves every subset of m <= 5 in either bitmask order.
+        """Every subset of m <= 7, built in bitmask, reverse and shuffled order.
 
         Tail tables are cached and extended in place while being built, so
-        full_a must not write through to a cached tail table.
+        full_a must not write through to a cached tail table, and no table
+        may depend on which subsets were built before it.
         """
         n = 150
-        specs = [spec for m in range(1, 6) for spec in subsets_for_modulus(m)]
-        expected = {
-            spec: tuple(
-                count_dp(parts_up_to(spec, variant, n), n).values
-                for variant in (A_PLUS, FULL_A, R_PLUS)
-            )
-            for spec in specs
-        }
-        factory = TableFactory(n)
-        for order in (reversed(specs), specs):
+        specs = [spec for m in range(1, 8) for spec in subsets_for_modulus(m)]
+        expected = {spec: _dp_tables(spec, n) for spec in specs}
+        shuffled = list(specs)
+        random.Random(6).shuffle(shuffled)
+        for order in (specs, list(reversed(specs)), shuffled):
+            factory = TableFactory(n)
             for spec in order:
                 aplus, full, rplus = expected[spec]
                 assert factory.aplus(spec).values == aplus
                 assert factory.full_a(spec).values == full
                 assert factory.rplus(spec).values == rplus
                 assert factory.aplus(spec).values == aplus
+            for spec in specs:
+                assert factory.aplus(spec).values == expected[spec][0]
+
+    @pytest.mark.parametrize("m", range(1, 8))
+    def test_every_n_max_up_to_m(self, m):
+        """Tables shorter than the modulus: no tail part fits, the head may."""
+        for n_max in range(m + 1):
+            factory = TableFactory(n_max)
+            for spec in subsets_for_modulus(m):
+                assert (
+                    factory.aplus(spec).values,
+                    factory.full_a(spec).values,
+                    factory.rplus(spec).values,
+                ) == _dp_tables(spec, n_max)
+
+    @pytest.mark.parametrize("residues", [range(6), [0, 1, 2, 4, 5]])
+    def test_dense_residues_at_scale(self, residues):
+        n = 2000
+        spec = make_residue_spec(6, residues)
+        factory = TableFactory(n)
+        assert factory.aplus(spec).values == count_dp(parts_up_to(spec, A_PLUS, n), n).values
+        assert factory.full_a(spec).values == count_dp(parts_up_to(spec, FULL_A, n), n).values
+
+    @pytest.mark.parametrize("m,wrong_at", [(1, 0), (4, 0), (4, 1), (4, 3), (7, 5)])
+    def test_wrong_partition_numbers_raise(self, monkeypatch, m, wrong_at):
+        """A p(n) table off below m leaves tail counts below m; it must not pass."""
+        real = counting._partition_numbers
+
+        def corrupted(n):
+            values = real(n)
+            values[wrong_at] += 1
+            return values
+
+        monkeypatch.setattr(counting, "_partition_numbers", corrupted)
+        with pytest.raises(IntegrityError):
+            TableFactory(40).aplus(make_residue_spec(m, range(m)))
+
+
+def test_partition_numbers_match_count_dp():
+    """Every n <= 40 (each new pentagonal offset up to 40) and n = 1000."""
+    table = list(count_dp(range(1, 1001), 1000).values)
+    assert counting._partition_numbers(1000) == table
+    for n in range(41):
+        assert counting._partition_numbers(n) == table[: n + 1]
+
+
+def _dp_tables(spec, n):
+    """(a-plus, full-a, r-plus) counts of 0..n from count_dp."""
+    return tuple(
+        count_dp(parts_up_to(spec, variant, n), n).values
+        for variant in (A_PLUS, FULL_A, R_PLUS)
+    )
 
 
 def test_enumeration_oracle_is_sane():

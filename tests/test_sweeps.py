@@ -1,0 +1,64 @@
+"""Sweep drivers: the shared oracle cache and its place beside the pool."""
+
+from dataclasses import replace
+
+from partlab import sweeps
+
+
+def test_one_oracle_walk_per_distinct_part_list(monkeypatch):
+    """Default verify's counts check walks each (part list, n) once, across all m."""
+    walks = []
+    real = sweeps.count_bruteforce
+
+    def recording(parts, n, **kwargs):
+        walks.append((tuple(parts), n))
+        return real(parts, n, **kwargs)
+
+    monkeypatch.setattr(sweeps, "count_bruteforce", recording)
+    result = sweeps.run_verify(sweeps.SweepConfig(checks=("counts",)))
+    assert result.ok
+    assert len(result.rows) == 90
+    assert len(walks) == 51
+    assert len(set(walks)) == 51
+
+
+def test_counts_check_starts_no_pool(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the counts check must run in the calling process")
+
+    monkeypatch.setattr(sweeps, "ProcessPoolExecutor", refuse)
+    config = sweeps.SweepConfig(m_max=3, n_max=20, checks=("counts",), workers=4)
+    assert sweeps.run_verify(config).ok
+
+
+def test_pool_tasks_are_queued_before_the_counts_oracle(monkeypatch):
+    """With workers > 1 the per-modulus tasks start before the oracle runs."""
+    events = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            events.append("map")
+            return [fn(t) for t in tasks]
+
+    real = sweeps.count_bruteforce
+
+    def recording(parts, n, **kwargs):
+        events.append("walk")
+        return real(parts, n, **kwargs)
+
+    config = sweeps.SweepConfig(m_max=3, n_max=20, checks=("counts", "theorem1"))
+    serial = sweeps.run_verify(config)
+    monkeypatch.setattr(sweeps, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(sweeps, "count_bruteforce", recording)
+    pooled = sweeps.run_verify(replace(config, workers=2))
+    assert events[0] == "map" and "walk" in events
+    assert pooled.rows == serial.rows
