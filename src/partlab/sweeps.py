@@ -373,7 +373,7 @@ def table_rows(spec: ResidueSpec, n_max: int, factory: TableFactory | None = Non
         slack = bound - bounds.log_of_count(tail_count) if tail_count > 0 else None
         full_count = full.values[n]
         if n >= 1 and full_count >= 1 and params.c > 0:
-            ratio = bounds.asymptotic_ratio(spec, n, count=full_count)
+            ratio = bounds.log_of_count(full_count) / bound  # asymptotic_ratio's value
         else:
             ratio = None
         rows.append(

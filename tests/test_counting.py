@@ -93,6 +93,35 @@ class TestCountBruteforce:
             count_bruteforce([1], 61)
         assert count_bruteforce([1], 80, ceiling=100).values[80] == 1
 
+    @pytest.mark.parametrize("parts", [[2, 3, 5, 7], [4, 9], [3], [2, 5, 6]])
+    def test_parts_without_one(self, parts):
+        # the smallest part's runs are tallied in strides of that part
+        table = count_bruteforce(parts, 40)
+        assert table.values == count_dp(parts, 40).values
+        assert table.values == tuple(brute_count(parts, k) for k in range(41))
+
+    def test_n_below_the_smallest_part(self):
+        assert count_bruteforce([4, 9], 3).values == (1, 0, 0, 0)
+        assert count_bruteforce([5], 4).values == (1, 0, 0, 0, 0)
+
+    def test_no_parts(self):
+        assert count_bruteforce([], 0).values == (1,)
+        assert count_bruteforce([], 7).values == (1,) + (0,) * 7
+
+    def test_n_zero(self):
+        assert count_bruteforce([1], 0).values == (1,)
+        assert count_bruteforce([2, 3, 5], 0).values == (1,)
+
+    @pytest.mark.parametrize(
+        "parts",
+        [
+            list(range(1, 61, 2)),  # m = 2, R = {1}: the odd parts
+            [p for p in range(1, 61) if p % 4 in (2, 3)],  # m = 4, R = {2, 3}
+        ],
+    )
+    def test_up_to_the_ceiling(self, parts):
+        assert count_bruteforce(parts, 60).values == count_dp(parts, 60).values
+
     @given(
         parts=st.sets(st.integers(1, 30), max_size=8),
         n=st.integers(0, 25),

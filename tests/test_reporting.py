@@ -1,14 +1,19 @@
 """Canonical float formatting and deterministic row serialization."""
 
+import csv
 import io
 import json
 import math
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from partlab import reporting
 from partlab.reporting import (
+    CACHE_SIZE,
     TABLE_FIELDS,
+    _csv_cell,
     canon_float,
     canon_row,
     document_to_json,
@@ -121,3 +126,94 @@ def test_stream_equals_json_dumps_of_canonical_rows(head, rows):
     expected = json.dumps({**head, "rows": [canon_row(r, FIELDS) for r in rows]}, indent=2) + "\n"
     assert json_text(head, rows, FIELDS) == expected
 
+
+@given(rows=rows_strategy)
+@settings(max_examples=150, deadline=None)
+def test_csv_equals_csv_writer_of_canonical_rows(rows):
+    """rows_to_csv writes _csv_cell of each canon_row value, byte for byte."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(FIELDS)
+    for row in rows:
+        canon = canon_row(row, FIELDS)
+        writer.writerow([_csv_cell(canon[f]) for f in FIELDS])
+    assert csv_text(rows, FIELDS) == out.getvalue()
+
+
+def reference_json(head, rows, fields):
+    return json.dumps({**head, "rows": [canon_row(r, fields) for r in rows]}, indent=2) + "\n"
+
+
+class TestRowEncoder:
+    """The per-shape templates and value caches write json.dumps's bytes."""
+
+    def check(self, rows, fields=FIELDS, head=None):
+        head = head or {"command": "verify"}
+        assert json_text(head, rows, fields) == reference_json(head, rows, fields)
+
+    def test_more_distinct_floats_than_the_cache_holds(self):
+        floats = [k / 7 + 0.5 for k in range(CACHE_SIZE + 300)]
+        # repeats both before and after the cache fills and starts over
+        values = floats[:200] + floats + floats[:200] + floats[-200:] + floats[::97]
+        self.check([{"x": x, "lhs": -x} for x in values], fields=("x", "lhs"))
+
+    def test_list_cache_is_bounded_too(self):
+        rows = [{"R": [k, k + 1]} for k in range(CACHE_SIZE + 50)]
+        self.check(rows + rows[:100] + rows[-100:], fields=("R",))
+
+    def test_every_cache_starts_over_when_full(self, monkeypatch):
+        monkeypatch.setattr(reporting, "CACHE_SIZE", 3)
+        shapes = [("x", "m"), ("m", "x"), ("R",), ("R", "x"), ("check", "R", "m"), ()]
+        rows = []
+        for k in range(60):
+            values = ([k % 5], k % 7 / 3, float(k % 4), [k % 3, 0.5], True, k % 2)
+            keys = shapes[k % len(shapes)]
+            rows.append({key: values[(k + i) % len(values)] for i, key in enumerate(keys)})
+        self.check(rows + rows[::-1])
+
+    def test_equal_values_of_other_types_in_one_field(self):
+        values = [1, 1.0, True, 1, False, 0, 0.0, -0.0, 0.0, 0, -0.0]
+        values += [math.nan, math.inf, -math.inf, math.nan, 1e308 * 10, -1e308 * 10]
+        values += [[1], [1.0], [True], (1,), [1], [0.0], [-0.0], [0], [False], [None]]
+        values += [[[1]], [[1.0]], [(1,)], [(True,)], [math.nan], [math.nan], ["1"], "1"]
+        self.check([{"x": v} for v in values])
+
+    def test_float_text_is_canonical(self):
+        values = [1 / 3, 0.1 + 0.2, 0.30000000000000004, 2**0.5, 1e-300, 123456789.0123456]
+        self.check([{"x": v, "count": v} for v in values + values])
+
+    def test_row_shapes(self):
+        rows = [
+            {"x": 0.5, "m": 3, "check": "eq2"},  # key order unlike fields
+            {"check": "eq2", "m": 3, "x": 0.5},
+            {"m": 1, "extra": 9.5, "R": [0, 2], "other": [1.0]},  # extra keys
+            {},  # every field missing
+            {"holds": True},  # one field
+            {"R": (0, 2), "count": "17", "holds": False, "x": None},  # tuple value
+            {"check": "c", "m": 2, "R": [1], "x": 1.25, "count": "3", "holds": True},
+            {"x": 0.5, "m": 3, "check": "eq2"},
+            {"zzz": 1},  # no field present
+        ]
+        self.check(rows)
+        self.check(list(reversed(rows)))
+
+    def test_keys_that_need_escaping(self):
+        fields = ("a%s", "%", 'q"', "\u00e9", "b")
+        rows = [{"a%s": 1.5, "%": "x", 'q"': [1]}, {"b": None, "\u00e9": 2}, {"%": "%s"}]
+        self.check(rows, fields=fields)
+
+    def test_two_documents_in_one_process(self):
+        rows = [{"a": 1, "b": 2.5}, {"b": 0.5}, {"a": [3], "b": 2.5}]
+        self.check(rows, fields=("a", "b"))
+        self.check(rows, fields=("b", "a"))
+        self.check(rows, fields=("a",))
+        self.check(rows, fields=("b", "c", "a"))
+
+    def test_batches(self):
+        batch = reporting.BATCH_ROWS
+        for count in (0, 1, batch - 1, batch, batch + 1, 2 * batch):
+            self.check([{"m": k, "x": k / 3} for k in range(count)])
+
+    def test_unserializable_value_raises(self):
+        with pytest.raises(TypeError):
+            json_text({}, [{"x": {1, 2}}], FIELDS)

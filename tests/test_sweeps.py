@@ -3,6 +3,8 @@
 from dataclasses import replace
 
 from partlab import sweeps
+from partlab.bounds import asymptotic_ratio
+from partlab.partset import make_residue_spec
 
 
 def test_one_oracle_walk_per_distinct_part_list(monkeypatch):
@@ -62,3 +64,14 @@ def test_pool_tasks_are_queued_before_the_counts_oracle(monkeypatch):
     pooled = sweeps.run_verify(replace(config, workers=2))
     assert events[0] == "map" and "walk" in events
     assert pooled.rows == serial.rows
+
+
+def test_table_ratio_is_asymptotic_ratio():
+    """table_rows' ratio column is bit-for-bit asymptotic_ratio of the full count."""
+    for m, residues in [(1, [0]), (2, [1]), (3, [0, 2]), (4, [1, 2, 3])]:
+        spec = make_residue_spec(m, residues)
+        rows = sweeps.table_rows(spec, 120)
+        for row in rows:
+            n, count = row["n"], int(row["p_a"])
+            expected = asymptotic_ratio(spec, n, count=count) if n >= 1 and count >= 1 else None
+            assert row["ratio"] == expected
