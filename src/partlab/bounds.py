@@ -12,6 +12,11 @@ and the head counts obey the exact polynomial bound
 Counts are exact integers; only the final log-vs-bound comparisons use
 floats, guarded by EPS_LOG.  Where both sides are integers the comparison
 is exact, with no floats involved.
+
+Each check returns one report row per n, built once as the dict that is
+emitted: ``{m, R, variant, n, count, log_count, bound, slack, holds}``,
+with the count as a decimal string.  The rows of one call share one
+residue list, so rows are read-only once built.
 """
 
 from __future__ import annotations
@@ -42,34 +47,6 @@ class BoundParams:
         return cls(c=c, m=spec.m, rsize=spec.rsize)
 
 
-@dataclass(frozen=True)
-class BoundReport:
-    """Exact count vs. bound at one n; log fields absent when the count is 0."""
-
-    m: int
-    residues: tuple[int, ...]
-    variant: str
-    n: int
-    count: BigCount
-    log_count: float | None
-    bound: float
-    slack: float | None
-    holds: bool
-
-    def as_row(self) -> dict:
-        return {
-            "m": self.m,
-            "R": list(self.residues),
-            "variant": self.variant,
-            "n": self.n,
-            "count": str(self.count),
-            "log_count": self.log_count,
-            "bound": self.bound,
-            "slack": self.slack,
-            "holds": self.holds,
-        }
-
-
 def log_of_count(c: BigCount) -> float:
     """Natural log of a positive integer count of any size.
 
@@ -95,68 +72,56 @@ def theorem1_rhs(n: int, params: BoundParams) -> float:
     return params.c * math.sqrt(n)
 
 
-def _bound_reports(
-    spec: ResidueSpec,
-    variant: str,
-    values,
-    bound_at,
-) -> list[BoundReport]:
+def _bound_rows(spec: ResidueSpec, variant: str, values, bound_at) -> list[dict]:
     """Compare log(count) against bound_at(n) for every table entry.
 
     Entries with count 0 are vacuous: the bound constrains only realizable
     n, so they are recorded without log fields and hold by convention.
     """
+    m = spec.m
+    residues = list(spec.residues)  # shared by every row; rows are read-only
+    log = math.log
     out = []
     for n, cnt in enumerate(values):
         bound = bound_at(n)
         if cnt == 0:
-            out.append(
-                BoundReport(
-                    m=spec.m,
-                    residues=spec.residues,
-                    variant=variant,
-                    n=n,
-                    count=0,
-                    log_count=None,
-                    bound=bound,
-                    slack=None,
-                    holds=True,
-                )
-            )
-            continue
-        lg = log_of_count(cnt)
-        slack = bound - lg
+            lg = slack = None
+            holds = True
+        else:
+            lg = log(cnt)  # log_of_count's value; cnt >= 1 here
+            slack = bound - lg
+            holds = slack >= -EPS_LOG
         out.append(
-            BoundReport(
-                m=spec.m,
-                residues=spec.residues,
-                variant=variant,
-                n=n,
-                count=cnt,
-                log_count=lg,
-                bound=bound,
-                slack=slack,
-                holds=slack >= -EPS_LOG,
-            )
+            {
+                "m": m,
+                "R": residues,
+                "variant": variant,
+                "n": n,
+                "count": str(cnt),
+                "log_count": lg,
+                "bound": bound,
+                "slack": slack,
+                "holds": holds,
+            }
         )
     return out
 
 
 def check_theorem1(
     spec: ResidueSpec, n_max: int, table: CountTable | None = None
-) -> list[BoundReport]:
+) -> list[dict]:
     """Tail-set bound at every 0 <= n <= n_max; all entries must hold."""
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
     if table is None:
         table = count_dp(parts_up_to(spec, A_PLUS, n_max), n_max)
-    params = BoundParams.from_spec(spec)
-    return _bound_reports(
-        spec, A_PLUS, table.values[: n_max + 1], lambda n: theorem1_rhs(n, params)
-    )
+    c = BoundParams.from_spec(spec).c
+    sqrt = math.sqrt
+    # theorem1_rhs's value, without its per-n argument check
+    return _bound_rows(spec, A_PLUS, table.values[: n_max + 1], lambda n: c * sqrt(n))
 
 
-def check_erdos(n_max: int, table: CountTable | None = None) -> list[BoundReport]:
+def check_erdos(n_max: int, table: CountTable | None = None) -> list[dict]:
     """Classical bound on the unrestricted p(n): the m=1, R={0} special case.
 
     With that spec the tail set is all of N and c = pi*sqrt(2/3), so the
@@ -167,54 +132,56 @@ def check_erdos(n_max: int, table: CountTable | None = None) -> list[BoundReport
 
 def check_rplus_poly_bound(
     spec: ResidueSpec, n_max: int, table: CountTable | None = None
-) -> list[BoundReport]:
+) -> list[dict]:
     """Exact integer check p_{R+}(n') <= (n'+1)**|R| for all n' <= n_max.
 
-    The verdict is an integer comparison (no floats anywhere); the report's
+    The verdict is an integer comparison (no floats anywhere); the row's
     bound/slack fields carry the log-domain values for readability only.
     """
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
     if table is None:
         table = count_dp(parts_up_to(spec, R_PLUS, n_max), n_max)
+    m = spec.m
+    residues = list(spec.residues)
     rsize = spec.rsize
+    log = math.log
     out = []
     for n, cnt in enumerate(table.values[: n_max + 1]):
-        bound_int = (n + 1) ** rsize
-        bound_log = rsize * math.log(n + 1)
-        holds = cnt <= bound_int
-        lg = log_of_count(cnt) if cnt > 0 else None
+        bound_log = rsize * log(n + 1)
+        lg = log(cnt) if cnt > 0 else None
         out.append(
-            BoundReport(
-                m=spec.m,
-                residues=spec.residues,
-                variant=R_PLUS,
-                n=n,
-                count=cnt,
-                log_count=lg,
-                bound=bound_log,
-                slack=bound_log - lg if lg is not None else None,
-                holds=holds,
-            )
+            {
+                "m": m,
+                "R": residues,
+                "variant": R_PLUS,
+                "n": n,
+                "count": str(cnt),
+                "log_count": lg,
+                "bound": bound_log,
+                "slack": bound_log - lg if lg is not None else None,
+                "holds": cnt <= (n + 1) ** rsize,
+            }
         )
     return out
 
 
 def check_nathanson_chain(
     spec: ResidueSpec, n_max: int, table: CountTable | None = None
-) -> list[BoundReport]:
+) -> list[dict]:
     """Full-set bound log p_A(n) <= (|R|+1)*log(n+1) + c*sqrt(n), n <= n_max."""
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
     if table is None:
         table = count_dp(parts_up_to(spec, FULL_A, n_max), n_max)
-    params = BoundParams.from_spec(spec)
+    c = BoundParams.from_spec(spec).c
     rfactor = spec.rsize + 1
+    log, sqrt = math.log, math.sqrt
 
     def bound_at(n: int) -> float:
-        return rfactor * math.log(n + 1) + params.c * math.sqrt(n)
+        return rfactor * log(n + 1) + c * sqrt(n)
 
-    return _bound_reports(spec, FULL_A, table.values[: n_max + 1], bound_at)
+    return _bound_rows(spec, FULL_A, table.values[: n_max + 1], bound_at)
 
 
 def asymptotic_ratio(

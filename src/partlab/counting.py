@@ -25,7 +25,8 @@ residue, whose tail is all parts >= m: its table starts from p(n) by
 Euler's pentagonal recurrence and takes the parts 1..m-1 back out,
 because adding its n - m + 1 parts one pass at a time costs O(n**2)
 big-integer additions.  It is cross-validated against ``count_dp`` in the
-test suite.
+test suite, and at run time by ``partlab verify``'s counts check, which
+compares its tables with ``count_recurrence`` and the brute-force walk.
 """
 
 from __future__ import annotations

@@ -237,11 +237,14 @@ def document_to_json(
 ) -> None:
     """Write a report document as stable, human-readable JSON to out.
 
-    The bytes equal ``json.dumps({**head, "rows": [canon_row(r, fields) for
-    r in rows]}, indent=2) + "\\n"``, but no row is copied and no document
-    string is built: ``head`` (everything but the rows, canonicalized by
-    the caller) goes through ``json.dumps``, and each row is encoded from
-    its shape's template as it is written, in batches of BATCH_ROWS rows.
+    Row values may be None, bool, int, str, float, or a list or tuple of
+    these (nested lists and tuples too); any other value, a dict included,
+    raises TypeError.  For such rows the bytes equal ``json.dumps({**head,
+    "rows": [canon_row(r, fields) for r in rows]}, indent=2) + "\\n"``,
+    but no row is copied and no document string is built: ``head``
+    (everything but the rows, canonicalized by the caller) goes through
+    ``json.dumps``, and each row is encoded from its shape's template as
+    it is written, in batches of BATCH_ROWS rows.
     """
     text = json.dumps({**head, "rows": []}, indent=2)
     out.write(text[: -len("[]\n}")])  # everything before the rows' value

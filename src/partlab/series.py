@@ -16,6 +16,15 @@ Checked numerically at double precision:
 Near-singular denominators always go through expm1, so the two sides of
 each inequality keep ~15 significant digits even as both blow up like
 1/x**2.
+
+Each check returns its report row, built once as the dict that is
+emitted: ``{check, m, R, r, x, t, lhs, rhs, margin, holds}``, with the
+evaluation point both as x > 0 and as t = e**-x in (0, 1) (the envelope's
+x = 0 row has t = 1); fields a check has no value for are None.  The
+margin depends on the check.  For one-sided inequalities margin = rhs -
+lhs (nonnegative means the inequality holds); for identities margin =
+|lhs - rhs|.  The finder for the odd-part counterexample inverts this:
+margin = lhs - rhs measures the violation it is looking for.
 """
 
 from __future__ import annotations
@@ -39,61 +48,6 @@ def one_sided_eps(x: float, rhs: float) -> float:
     if x < 1e-2:
         return EPS_ONE_SIDED * abs(rhs)
     return EPS_ONE_SIDED
-
-
-@dataclass(frozen=True)
-class SeriesPoint:
-    """An evaluation point, carried both as x > 0 and as t = e**-x in (0,1)."""
-
-    x: float
-    t: float
-
-    @classmethod
-    def from_x(cls, x: float) -> "SeriesPoint":
-        if x <= 0:
-            raise ValueError(f"x must be > 0, got {x}")
-        return cls(x=x, t=math.exp(-x))
-
-    @classmethod
-    def from_t(cls, t: float) -> "SeriesPoint":
-        if not 0.0 < t < 1.0:
-            raise ValueError(f"t must lie in (0, 1), got {t}")
-        return cls(x=-math.log(t), t=t)
-
-
-@dataclass(frozen=True)
-class SeriesCheckReport:
-    """One evaluated check; margin semantics depend on the check.
-
-    For one-sided inequalities margin = rhs - lhs (nonnegative means the
-    inequality holds); for identities margin = |lhs - rhs|.  The finder for
-    the odd-part counterexample inverts this: margin = lhs - rhs measures
-    the violation it is looking for.
-    """
-
-    check: str
-    point: SeriesPoint
-    lhs: float
-    rhs: float
-    margin: float
-    holds: bool
-    m: int | None = None
-    residues: tuple[int, ...] | None = None
-    r: int | None = None
-
-    def as_row(self) -> dict:
-        return {
-            "check": self.check,
-            "m": self.m,
-            "R": list(self.residues) if self.residues is not None else None,
-            "r": self.r,
-            "x": self.point.x,
-            "t": self.point.t,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "margin": self.margin,
-            "holds": self.holds,
-        }
 
 
 def default_x_grid(
@@ -222,30 +176,51 @@ def closed_form_exp_arg(spec: ResidueSpec, x: float) -> float:
     return sum(_kernel_term(r, spec.m, x) for r in spec.residues)
 
 
-def check_eq1(spec: ResidueSpec, t: float) -> SeriesCheckReport:
+def _row(
+    check: str,
+    m: int | None,
+    residues: list[int] | None,
+    r: int | None,
+    x: float,
+    t: float,
+    lhs: float,
+    rhs: float,
+    margin: float,
+    holds: bool,
+) -> dict:
+    return {
+        "check": check,
+        "m": m,
+        "R": residues,
+        "r": r,
+        "x": x,
+        "t": t,
+        "lhs": lhs,
+        "rhs": rhs,
+        "margin": margin,
+        "holds": holds,
+    }
+
+
+def check_eq1(spec: ResidueSpec, t: float) -> dict:
     """Truncated tail series vs. closed form, within relative tolerance."""
+    if not 0.0 < t < 1.0:
+        raise ValueError(f"t must lie in (0, 1), got {t}")
     result = series_sum_adaptive(spec, t)
     rhs = rhs_closed_form(spec, t)
     diff = abs(result.value - rhs)
     scale = max(abs(rhs), abs(result.value))
     margin = diff / scale if scale > 0 else 0.0
     holds = result.converged and margin <= SERIES_REL_TOL
-    return SeriesCheckReport(
-        check="eq1",
-        point=SeriesPoint.from_t(t),
-        lhs=result.value,
-        rhs=rhs,
-        margin=margin,
-        holds=holds,
-        m=spec.m,
-        residues=spec.residues,
+    return _row(
+        "eq1", spec.m, list(spec.residues), None, -math.log(t), t, result.value, rhs, margin, holds
     )
 
 
 # --- pointwise inequalities ---------------------------------------------------
 
 
-def check_eq2_pointwise(r: int, m: int, x: float) -> SeriesCheckReport:
+def check_eq2_pointwise(r: int, m: int, x: float) -> dict:
     """Per-residue kernel bound: closed-form term at e**-x vs. 1/(m*x**2)."""
     if m < 1:
         raise ValueError(f"modulus must be >= 1, got {m}")
@@ -256,36 +231,22 @@ def check_eq2_pointwise(r: int, m: int, x: float) -> SeriesCheckReport:
     lhs = _kernel_term(r, m, x)
     rhs = 1.0 / (m * x * x)
     margin = rhs - lhs
-    return SeriesCheckReport(
-        check="eq2",
-        point=SeriesPoint.from_x(x),
-        lhs=lhs,
-        rhs=rhs,
-        margin=margin,
-        holds=margin >= -one_sided_eps(x, rhs),
-        m=m,
-        r=r,
-    )
+    holds = margin >= -one_sided_eps(x, rhs)
+    return _row("eq2", m, None, r, x, math.exp(-x), lhs, rhs, margin, holds)
 
 
-def check_eq3(spec: ResidueSpec, x: float) -> SeriesCheckReport:
+def check_eq3(spec: ResidueSpec, x: float) -> dict:
     """Summed kernel bound: tail series at e**-x vs. |R|/(m*x**2)."""
+    if x <= 0:
+        raise ValueError(f"x must be > 0, got {x}")
     lhs = closed_form_exp_arg(spec, x)
     rhs = spec.rsize / (spec.m * x * x)
     margin = rhs - lhs
-    return SeriesCheckReport(
-        check="eq3",
-        point=SeriesPoint.from_x(x),
-        lhs=lhs,
-        rhs=rhs,
-        margin=margin,
-        holds=margin >= -one_sided_eps(x, rhs),
-        m=spec.m,
-        residues=spec.residues,
-    )
+    holds = margin >= -one_sided_eps(x, rhs)
+    return _row("eq3", spec.m, list(spec.residues), None, x, math.exp(-x), lhs, rhs, margin, holds)
 
 
-def check_sinh_inequality(x: float) -> SeriesCheckReport:
+def check_sinh_inequality(x: float) -> dict:
     """Strict gap e**(x/2) - e**(-x/2) > x, plus its reciprocal consequence.
 
     The equivalent consequence e**-x / (1 - e**-x)**2 < 1/x**2 is evaluated
@@ -301,13 +262,8 @@ def check_sinh_inequality(x: float) -> SeriesCheckReport:
         consequence = True
     else:
         consequence = 1.0 / (gap * gap) < 1.0 / (x * x)
-    return SeriesCheckReport(
-        check="sinh",
-        point=SeriesPoint.from_x(x),
-        lhs=x,
-        rhs=gap,
-        margin=gap - x,
-        holds=primary and consequence,
+    return _row(
+        "sinh", None, None, None, x, math.exp(-x), x, gap, gap - x, primary and consequence
     )
 
 
@@ -321,9 +277,7 @@ def check_sqrt_inequality(n: int, a: int, k: int) -> bool:
     return math.sqrt(n - a * k) <= root_n - (a * k) / (2.0 * root_n) + EPS_ONE_SIDED
 
 
-def check_derivative_nonpositive(
-    r: int, m: int, x_grid: list[float]
-) -> list[SeriesCheckReport]:
+def check_derivative_nonpositive(r: int, m: int, x_grid: list[float]) -> list[dict]:
     """Monotone-envelope facts for (r+m)e**(-rx) - r*e**(-(m+r)x).
 
     Emits, per grid point x >= 0: the derivative value
@@ -338,18 +292,11 @@ def check_derivative_nonpositive(
     for x in x_grid:
         if x < 0:
             raise ValueError(f"grid points must be >= 0, got {x}")
-        point = SeriesPoint.from_x(x) if x > 0 else SeriesPoint(x=0.0, t=1.0)
+        t = math.exp(-x) if x > 0 else 1.0
         deriv = r * (r + m) * (math.exp(-(m + r) * x) - math.exp(-r * x))
         out.append(
-            SeriesCheckReport(
-                check="envelope-derivative",
-                point=point,
-                lhs=deriv,
-                rhs=0.0,
-                margin=-deriv,
-                holds=deriv <= EPS_ONE_SIDED,
-                m=m,
-                r=r,
+            _row(
+                "envelope-derivative", m, None, r, x, t, deriv, 0.0, -deriv, deriv <= EPS_ONE_SIDED
             )
         )
         envelope = (r + m) * math.exp(-r * x) - r * math.exp(-(m + r) * x)
@@ -361,26 +308,15 @@ def check_derivative_nonpositive(
             margin = m - envelope
             holds = margin >= -EPS_ONE_SIDED
             label = "envelope-cap"
-        out.append(
-            SeriesCheckReport(
-                check=label,
-                point=point,
-                lhs=envelope,
-                rhs=float(m),
-                margin=margin,
-                holds=holds,
-                m=m,
-                r=r,
-            )
-        )
+        out.append(_row(label, m, None, r, x, t, envelope, float(m), margin, holds))
     return out
 
 
-def find_counterexample_odd_remark(x_grid: list[float]) -> list[SeriesCheckReport]:
+def find_counterexample_odd_remark(x_grid: list[float]) -> list[dict]:
     """Grid points where (e**-x + e**-3x)/(1 - e**-2x)**2 > 1/(2x**2).
 
     This is the kernel bound one would want for the odd-part FULL set; it
-    is false, and the returned reports are the witnesses.  Margin is the
+    is false, and the returned rows are the witnesses.  Margin is the
     violation lhs - rhs; only genuinely violating points (beyond the
     comparison slack) are reported.
     """
@@ -393,14 +329,6 @@ def find_counterexample_odd_remark(x_grid: list[float]) -> list[SeriesCheckRepor
         rhs = 1.0 / (2.0 * x * x)
         margin = lhs - rhs
         if margin > one_sided_eps(x, rhs):
-            out.append(
-                SeriesCheckReport(
-                    check="odd-remark",
-                    point=SeriesPoint.from_x(x),
-                    lhs=lhs,
-                    rhs=rhs,
-                    margin=margin,
-                    holds=True,
-                )
-            )
+            t = math.exp(-x)
+            out.append(_row("odd-remark", None, None, None, x, t, lhs, rhs, margin, True))
     return out

@@ -3,18 +3,21 @@
 A verify run walks all residue subsets R of {0..m-1} for each modulus
 m <= m_max (the empty subset rides along vacuously), shares exact count
 tables through a per-modulus TableFactory, and aggregates one summary per
-named check.  The counts oracle runs in the calling process with one cache
-for the whole run.  The other per-subset checks are split by modulus
-across processes when a worker count above 1 is requested, and run there
-while the counts oracle runs; the pool never starts more workers than
-there are moduli.  Rows are merged in a fixed order either way, so output
-is deterministic.
+named check in one pass over its rows.  Every check returns the row dicts
+that are emitted, so each row is built once.  The counts oracle runs in
+the calling process with one cache for the whole run: it compares the
+tables a TableFactory builds, the route the bound checks read, with the
+recurrence engine, and the recurrence with a brute-force walk.  The other
+per-subset checks are split by modulus across processes when a worker
+count above 1 is requested, and run there while the counts oracle runs;
+the pool never starts more workers than there are moduli, and its module
+(which loads multiprocessing) is imported only then.  Rows are merged in a
+fixed order either way, so output is deterministic.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 
@@ -23,10 +26,9 @@ from .counting import (
     ORACLE_CEILING_DEFAULT,
     TableFactory,
     count_bruteforce,
-    count_dp,
     count_recurrence,
 )
-from .partset import A_PLUS, FULL_A, R_PLUS, ResidueSpec, parts_up_to
+from .partset import A_PLUS, FULL_A, R_PLUS, ResidueSpec
 
 CHECK_NAMES = (
     "counts",
@@ -167,32 +169,32 @@ def oracle_equivalence_rows(
     include_empty: bool = True,
     cache: dict | None = None,
 ) -> list[dict]:
-    """Three-engine agreement for every subset of {0..m-1} and variant.
+    """Three-way agreement for every subset of {0..m-1} and variant.
 
-    Identical part lists across (R, variant) combinations are computed once,
-    also across calls that pass the same cache dict (which must keep one
-    n_max and brute_cap); the brute-force leg checks every n up to
-    brute_cap, the other two engines run to n_max.  Each row reports one
-    (spec, variant) verdict.
+    The first leg is the table a TableFactory(n_max) builds for the
+    (spec, variant), the same route the bound checks read; it must equal
+    count_recurrence's table to n_max, and the brute-force walk must agree
+    with the recurrence at every n up to brute_cap.  The recurrence and the
+    walk run once per distinct part list, also across calls that pass the
+    same cache dict (which must keep one n_max and brute_cap), while every
+    factory table is compared.  Each row reports one (spec, variant)
+    verdict.
     """
     if cache is None:
         cache = {}
+    factory = TableFactory(n_max)
+    table_of = {FULL_A: factory.full_a, A_PLUS: factory.aplus, R_PLUS: factory.rplus}
     rows = []
     brute_top = min(n_max, brute_cap, ORACLE_CEILING_DEFAULT)
     for spec in subsets_for_modulus(m, include_empty):
         for label in variants:
-            parts = tuple(parts_up_to(spec, label, n_max))
-            cached = cache.get(parts)
+            table = table_of[label](spec)
+            cached = cache.get(table.parts)
             if cached is None:
-                dp = count_dp(parts, n_max)
-                rec = count_recurrence(parts, n_max)
-                agree = dp.values == rec.values
-                if agree:
-                    brute = count_bruteforce(parts, brute_top)
-                    agree = brute.values == dp.values[: brute_top + 1]
-                cached = (agree, dp.values[n_max])
-                cache[parts] = cached
-            agree, top_count = cached
+                rec = count_recurrence(table.parts, n_max).values
+                walked = count_bruteforce(table.parts, brute_top).values == rec[: brute_top + 1]
+                cached = cache[table.parts] = (walked, rec)
+            walked, rec = cached
             rows.append(
                 {
                     "check": "counts",
@@ -200,8 +202,8 @@ def oracle_equivalence_rows(
                     "R": list(spec.residues),
                     "variant": label,
                     "n": n_max,
-                    "count": str(top_count),
-                    "holds": agree,
+                    "count": str(table.values[n_max]),
+                    "holds": walked and table.values == rec,
                 }
             )
     return rows
@@ -218,33 +220,32 @@ def _rows_for_modulus(args: tuple) -> dict[str, list[dict]]:
     if "eq2" in by_check:
         for r in range(m):
             for x in x_grid:
-                by_check["eq2"].append(series.check_eq2_pointwise(r, m, x).as_row())
+                by_check["eq2"].append(series.check_eq2_pointwise(r, m, x))
 
     need_aplus = "theorem1" in by_check
     need_full = "chain" in by_check or "ratio" in by_check
     need_rplus = "rpoly" in by_check
     for spec in subsets_for_modulus(m):
         if need_aplus:
-            table = factory.aplus(spec)
-            for rep in bounds.check_theorem1(spec, n_max, table=table):
-                by_check["theorem1"].append(rep.as_row())
+            by_check["theorem1"].extend(
+                bounds.check_theorem1(spec, n_max, table=factory.aplus(spec))
+            )
         if need_full:
             table = factory.full_a(spec)
             if "chain" in by_check:
-                for rep in bounds.check_nathanson_chain(spec, n_max, table=table):
-                    by_check["chain"].append(rep.as_row())
+                by_check["chain"].extend(bounds.check_nathanson_chain(spec, n_max, table=table))
             if "ratio" in by_check and spec.rsize > 0:
                 by_check["ratio"].extend(_ratio_rows(spec, table, n_max))
         if need_rplus:
-            table = factory.rplus(spec)
-            for rep in bounds.check_rplus_poly_bound(spec, n_max, table=table):
-                by_check["rpoly"].append(rep.as_row())
+            by_check["rpoly"].extend(
+                bounds.check_rplus_poly_bound(spec, n_max, table=factory.rplus(spec))
+            )
         if "eq1" in by_check:
             for t in t_grid:
-                by_check["eq1"].append(series.check_eq1(spec, t).as_row())
+                by_check["eq1"].append(series.check_eq1(spec, t))
         if "eq3" in by_check:
             for x in x_grid:
-                by_check["eq3"].append(series.check_eq3(spec, x).as_row())
+                by_check["eq3"].append(series.check_eq3(spec, x))
     return by_check
 
 
@@ -253,12 +254,11 @@ def _helper_rows(m_max: int, n_sqrt_max: int) -> list[dict]:
     rows = []
     x_grid = series.default_x_grid()
     for x in x_grid:
-        rows.append(series.check_sinh_inequality(x).as_row())
+        rows.append(series.check_sinh_inequality(x))
     envelope_grid = [0.0] + x_grid
     for m in range(1, m_max + 1):
         for r in range(m):
-            for rep in series.check_derivative_nonpositive(r, m, envelope_grid):
-                rows.append(rep.as_row())
+            rows.extend(series.check_derivative_nonpositive(r, m, envelope_grid))
     for n in range(1, n_sqrt_max + 1):
         worst = math.inf
         ok = True
@@ -279,29 +279,47 @@ def _helper_rows(m_max: int, n_sqrt_max: int) -> list[dict]:
     return rows
 
 
-def _margin_of(row: dict) -> float | None:
-    margin = row.get("margin")
-    if margin is None:
-        margin = row.get("slack")
-    return margin
-
-
 def _summarize(name: str, rows: list[dict]) -> CheckSummary:
     """A check holds when it produced rows and none of them failed.
 
     A selected check with no rows checked nothing, so it does not hold.
+    A row's margin is its margin, else its slack; the worst is the smallest
+    (the largest for remark, whose rows are witnesses of a violation), and
+    the first of equal values wins, as with min and max.
     """
-    margins = [m for m in (_margin_of(r) for r in rows) if m is not None]
-    failures = sum(1 for r in rows if r.get("holds") is False)
-    # remark's rows are witnesses of a violation; its worst is the largest
-    worst = max if name == "remark" else min
+    largest = name == "remark"
+    worst = None
+    failures = 0
+    for row in rows:
+        if row.get("holds") is False:
+            failures += 1
+        margin = row.get("margin")
+        if margin is None:
+            margin = row.get("slack")
+            if margin is None:
+                continue
+        if worst is None or (margin > worst if largest else margin < worst):
+            worst = margin
     return CheckSummary(
         name=name,
         rows=len(rows),
         failures=failures,
-        worst_margin=worst(margins) if margins else None,
+        worst_margin=worst,
         holds=len(rows) > 0 and failures == 0,
     )
+
+
+def _pool(workers: int):
+    """A process pool of that many workers, or no pool (None) for one.
+
+    The pool's module loads multiprocessing, so it is imported only here,
+    and a serial run never pays for it.
+    """
+    if workers <= 1:
+        return nullcontext()
+    from concurrent.futures import ProcessPoolExecutor
+
+    return ProcessPoolExecutor(max_workers=workers)
 
 
 def run_verify(config: SweepConfig) -> VerifyResult:
@@ -315,8 +333,7 @@ def run_verify(config: SweepConfig) -> VerifyResult:
     tasks = [
         (m, config.n_max, tuple(spec_checks)) for m in range(1, config.m_max + 1) if spec_checks
     ]
-    workers = min(config.workers, len(tasks))
-    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
+    with _pool(min(config.workers, len(tasks))) as pool:
         # pool.map queues every task at once, so the workers run the
         # per-modulus checks while this process runs the counts oracle;
         # the builtin map runs them one by one after it
@@ -335,16 +352,13 @@ def run_verify(config: SweepConfig) -> VerifyResult:
                 by_check[name].extend(rows)
 
     if "erdos" in by_check:
-        by_check["erdos"] = [rep.as_row() for rep in bounds.check_erdos(config.n_max)]
+        by_check["erdos"] = bounds.check_erdos(config.n_max)
     if "helpers" in by_check:
         by_check["helpers"] = _helper_rows(
             config.m_max, min(config.n_max, SQRT_SWEEP_N_MAX)
         )
     if "remark" in by_check:
-        by_check["remark"] = [
-            rep.as_row()
-            for rep in series.find_counterexample_odd_remark(series.default_x_grid())
-        ]
+        by_check["remark"] = series.find_counterexample_odd_remark(series.default_x_grid())
 
     result = VerifyResult()
     for name in config.checks:
@@ -395,12 +409,8 @@ def sweep_rows(m_max: int, n_max: int, workers: int = 1) -> list[dict]:
     if m_max < 1:
         raise ValueError(f"m_max must be >= 1, got {m_max}")
     tasks = [(m, n_max) for m in range(1, m_max + 1)]
-    workers = min(workers, len(tasks))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            partials = list(pool.map(_sweep_rows_for_modulus, tasks))
-    else:
-        partials = [_sweep_rows_for_modulus(t) for t in tasks]
+    with _pool(min(workers, len(tasks))) as pool:
+        partials = list((pool.map if pool else map)(_sweep_rows_for_modulus, tasks))
     out: list[dict] = []
     for partial in partials:
         out.extend(partial)

@@ -57,10 +57,10 @@ def _report(num: int, ok: bool, detail: str) -> None:
 def _absorb(bucket: dict, reports) -> None:
     for rep in reports:
         bucket["rows"] += 1
-        if not rep.holds:
+        if not rep["holds"]:
             bucket["failures"] += 1
-        if rep.slack is not None:
-            bucket["min_slack"] = min(bucket["min_slack"], rep.slack)
+        if rep["slack"] is not None:
+            bucket["min_slack"] = min(bucket["min_slack"], rep["slack"])
 
 
 @pytest.fixture(scope="module")
@@ -165,7 +165,7 @@ def test_criterion_03_tail_bound_sweep(bound_sweep):
 def test_criterion_04_classical_special_case():
     """log p(n) <= pi*sqrt(2n/3) to n=2000; p(100) agreed by two engines."""
     reports = check_erdos(SWEEP_N_MAX)
-    failures = sum(1 for r in reports if not r.holds)
+    failures = sum(1 for r in reports if not r["holds"])
     dp_value = count_dp(range(1, 101), 100).values[100]
     rec_value = count_recurrence(range(1, 101), 100).values[100]
     ok = failures == 0 and dp_value == rec_value == 190569292
@@ -224,8 +224,8 @@ def test_criterion_07_series_identity():
             for t in default_t_grid():
                 points += 1
                 report = check_eq1(spec, t)
-                worst = max(worst, report.margin)
-                if not report.holds:
+                worst = max(worst, report["margin"])
+                if not report["holds"]:
                     failures += 1
     ok = failures == 0 and worst <= 1e-9
     _report(7, ok, f"{points} (spec, t) points, max relative deviation {worst:.3g}")
@@ -241,19 +241,19 @@ def test_criterion_08_pointwise_inequalities():
         for m in range(1, SWEEP_M_MAX + 1)
         for r in range(m)
         for x in x_grid
-        if not check_eq2_pointwise(r, m, x).holds
+        if not check_eq2_pointwise(r, m, x)["holds"]
     )
     eq3_failures = 0
     for m in range(1, SWEEP_M_MAX + 1):
         for spec in subsets_for_modulus(m, include_empty=False):
-            eq3_failures += sum(1 for x in x_grid if not check_eq3(spec, x).holds)
-    sinh_failures = sum(1 for x in x_grid if not check_sinh_inequality(x).holds)
+            eq3_failures += sum(1 for x in x_grid if not check_eq3(spec, x)["holds"])
+    sinh_failures = sum(1 for x in x_grid if not check_sinh_inequality(x)["holds"])
     envelope_failures = sum(
         1
         for m in range(1, SWEEP_M_MAX + 1)
         for r in range(m)
         for rep in check_derivative_nonpositive(r, m, [0.0] + x_grid)
-        if not rep.holds
+        if not rep["holds"]
     )
     sqrt_failures = sum(
         1
@@ -276,9 +276,9 @@ def test_criterion_08_pointwise_inequalities():
 def test_criterion_09_odd_remark_counterexample():
     """The finder returns witnesses on the default grid, including x = 1."""
     found = find_counterexample_odd_remark(default_x_grid())
-    at_unit = [r for r in found if r.point.x == 1.0]
-    ok = bool(found) and bool(at_unit) and at_unit[0].margin >= 0.05
-    margin = at_unit[0].margin if at_unit else float("nan")
+    at_unit = [r for r in found if r["x"] == 1.0]
+    ok = bool(found) and bool(at_unit) and at_unit[0]["margin"] >= 0.05
+    margin = at_unit[0]["margin"] if at_unit else float("nan")
     _report(
         9,
         ok,
@@ -286,7 +286,7 @@ def test_criterion_09_odd_remark_counterexample():
     )
     assert found
     assert at_unit
-    assert at_unit[0].margin >= 0.05
+    assert at_unit[0]["margin"] >= 0.05
 
 
 def test_criterion_10_asymptotic_diagnostic():

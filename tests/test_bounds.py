@@ -20,6 +20,14 @@ from partlab.bounds import (
 )
 from partlab.counting import TableFactory, count_dp, count_recurrence
 from partlab.partset import FULL_A, make_residue_spec, parts_up_to
+from partlab.series import (
+    check_derivative_nonpositive,
+    check_eq1,
+    check_eq2_pointwise,
+    check_eq3,
+    check_sinh_inequality,
+    find_counterexample_odd_remark,
+)
 from test_partset import spec_strategy
 
 
@@ -80,93 +88,93 @@ class TestTheorem1Check:
     def test_classical_at_100(self):
         reports = check_theorem1(make_residue_spec(1, [0]), 100)
         last = reports[100]
-        assert last.count == 190569292
-        assert last.slack == pytest.approx(6.585470179309901, abs=1e-9)
-        assert last.holds
+        assert last["count"] == "190569292"
+        assert last["slack"] == pytest.approx(6.585470179309901, abs=1e-9)
+        assert last["holds"]
 
     def test_base_case_zero_slack(self):
         report = check_theorem1(make_residue_spec(3, [1, 2]), 0)[0]
-        assert report.count == 1
-        assert report.log_count == 0.0
-        assert report.bound == 0.0
-        assert report.slack == 0.0
-        assert report.holds
+        assert report["count"] == "1"
+        assert report["log_count"] == 0.0
+        assert report["bound"] == 0.0
+        assert report["slack"] == 0.0
+        assert report["holds"]
 
     def test_sparse_tail(self):
         # m=2, R={1}: the only tail partition of 5 is the singleton {5}
         reports = check_theorem1(make_residue_spec(2, [1]), 5)
-        assert reports[5].count == 1
-        assert reports[5].log_count == 0.0
-        assert reports[5].bound == pytest.approx(math.pi * math.sqrt(10 / 6), rel=1e-12)
+        assert reports[5]["count"] == "1"
+        assert reports[5]["log_count"] == 0.0
+        assert reports[5]["bound"] == pytest.approx(math.pi * math.sqrt(10 / 6), rel=1e-12)
 
     def test_vacuous_rows(self):
         # m=2, R={0}: even parts only, odd n unreachable
         reports = check_theorem1(make_residue_spec(2, [0]), 6)
         for n in (1, 3, 5):
-            assert reports[n].count == 0
-            assert reports[n].log_count is None
-            assert reports[n].slack is None
-            assert reports[n].holds
+            assert reports[n]["count"] == "0"
+            assert reports[n]["log_count"] is None
+            assert reports[n]["slack"] is None
+            assert reports[n]["holds"]
 
     @given(spec=spec_strategy(m_max=6, allow_empty=False))
     @settings(max_examples=30, deadline=None)
     def test_small_sweep_holds(self, spec):
-        assert all(r.holds for r in check_theorem1(spec, 150))
+        assert all(r["holds"] for r in check_theorem1(spec, 150))
 
 
 class TestErdosCheck:
     def test_all_hold_to_500(self):
         reports = check_erdos(500)
         assert len(reports) == 501
-        assert all(r.holds for r in reports)
-        assert reports[100].count == 190569292
+        assert all(r["holds"] for r in reports)
+        assert reports[100]["count"] == "190569292"
 
 
 class TestRPlusPolyBound:
     def test_examples(self):
         reports = check_rplus_poly_bound(make_residue_spec(2, [1]), 6)
-        assert reports[6].count == 1  # only 1+1+1+1+1+1
-        assert reports[6].holds
+        assert reports[6]["count"] == "1"  # only 1+1+1+1+1+1
+        assert reports[6]["holds"]
         reports = check_rplus_poly_bound(make_residue_spec(5, [2, 3]), 6)
-        assert reports[6].count == 2  # 2+2+2 and 3+3
-        assert reports[6].holds
+        assert reports[6]["count"] == "2"  # 2+2+2 and 3+3
+        assert reports[6]["holds"]
 
     def test_empty_head_set(self):
         reports = check_rplus_poly_bound(make_residue_spec(3, [0]), 5)
-        assert [r.count for r in reports] == [1, 0, 0, 0, 0, 0]
-        assert all(r.holds for r in reports)
+        assert [r["count"] for r in reports] == ["1", "0", "0", "0", "0", "0"]
+        assert all(r["holds"] for r in reports)
 
     def test_verdict_is_integer_exact(self):
         # At n'=0 the bound is exactly 1 and the count is exactly 1: equality
         report = check_rplus_poly_bound(make_residue_spec(4, [1, 3]), 0)[0]
-        assert report.count == 1
-        assert report.holds
+        assert report["count"] == "1"
+        assert report["holds"]
 
     @given(spec=spec_strategy(m_max=8), n_max=st.integers(0, 200))
     @settings(max_examples=40, deadline=None)
     def test_holds_exactly(self, spec, n_max):
-        assert all(r.holds for r in check_rplus_poly_bound(spec, n_max))
+        assert all(r["holds"] for r in check_rplus_poly_bound(spec, n_max))
 
 
 class TestNathansonChain:
     def test_odd_parts_at_5(self):
         reports = check_nathanson_chain(make_residue_spec(2, [1]), 5)
         r5 = reports[5]
-        assert r5.count == 3
-        assert r5.log_count == pytest.approx(math.log(3), rel=1e-12)
+        assert r5["count"] == "3"
+        assert r5["log_count"] == pytest.approx(math.log(3), rel=1e-12)
         expected = 2 * math.log(6) + math.pi * math.sqrt(10 / 6)
-        assert r5.bound == pytest.approx(expected, rel=1e-12)
-        assert r5.holds
+        assert r5["bound"] == pytest.approx(expected, rel=1e-12)
+        assert r5["holds"]
 
     def test_base_cases(self):
         reports = check_nathanson_chain(make_residue_spec(1, [0]), 1)
-        assert reports[0].slack == 0.0 and reports[0].holds
-        assert reports[1].holds
+        assert reports[0]["slack"] == 0.0 and reports[0]["holds"]
+        assert reports[1]["holds"]
 
     def test_two_class_case(self):
         reports = check_nathanson_chain(make_residue_spec(4, [1, 3]), 10)
-        assert reports[10].holds
-        assert reports[10].slack > 0
+        assert reports[10]["holds"]
+        assert reports[10]["slack"] > 0
 
     @given(spec=spec_strategy(m_max=6, allow_empty=False), n_max=st.integers(0, 120))
     @settings(max_examples=30, deadline=None)
@@ -178,10 +186,10 @@ class TestNathansonChain:
         chain = check_nathanson_chain(spec, n_max, table=full)
         for n in range(n_max + 1):
             if full.values[n] >= 1:
-                assert chain[n].bound >= math.log(full.values[n]) - 1e-9
+                assert chain[n]["bound"] >= math.log(full.values[n]) - 1e-9
             if tail.values[n] >= 1:
                 assert full.values[n] >= tail.values[n]
-                assert chain[n].bound >= math.log(tail.values[n]) - 1e-9
+                assert chain[n]["bound"] >= math.log(tail.values[n]) - 1e-9
 
 
 class TestAsymptoticRatio:
@@ -217,7 +225,7 @@ class TestAsymptoticRatio:
 
 
 def test_report_row_shape():
-    row = check_theorem1(make_residue_spec(2, [1]), 3)[3].as_row()
+    row = check_theorem1(make_residue_spec(2, [1]), 3)[3]
     assert list(row) == [
         "m",
         "R",
@@ -233,3 +241,24 @@ def test_report_row_shape():
     assert isinstance(row["count"], str)
     assert row["variant"] == "a-plus"
     assert row["R"] == [1]
+
+    spec = make_residue_spec(3, [0, 2])
+    analytic = [
+        (check_eq1(spec, 0.5), "eq1", 3, [0, 2], None),
+        (check_eq2_pointwise(1, 3, 0.5), "eq2", 3, None, 1),
+        (check_eq3(spec, 0.5), "eq3", 3, [0, 2], None),
+        (check_sinh_inequality(0.5), "sinh", None, None, None),
+        *[
+            (row, label, 3, None, 1)
+            for row, label in zip(
+                check_derivative_nonpositive(1, 3, [0.0, 0.5]),
+                ["envelope-derivative", "envelope-at-zero", "envelope-derivative", "envelope-cap"],
+            )
+        ],
+        (find_counterexample_odd_remark([1.0])[0], "odd-remark", None, None, None),
+    ]
+    for row, label, m, residues, r in analytic:
+        assert list(row) == ["check", "m", "R", "r", "x", "t", "lhs", "rhs", "margin", "holds"]
+        assert (row["check"], row["m"], row["R"], row["r"]) == (label, m, residues, r)
+        assert all(isinstance(row[k], float) for k in ("x", "t", "lhs", "rhs", "margin"))
+        assert row["holds"] is True

@@ -1,11 +1,12 @@
 """Command-line behavior: subcommands, exit codes, determinism."""
 
+import concurrent.futures
 import hashlib
 import json
 
 import pytest
 
-from partlab import cli, sweeps
+from partlab import cli, counting, sweeps
 from partlab.cli import main
 from partlab.counting import CountTable
 
@@ -204,25 +205,76 @@ class TestVerify:
 
     @pytest.mark.parametrize("wrong_at", [0, 23, 39])
     def test_oracle_checks_every_n_below_cap(self, capsys, monkeypatch, wrong_at):
-        """dp and recurrence agreeing on a wrong count below the cap still fail the oracle."""
+        """Factory tables and recurrence agreeing on a wrong count below the cap still fail the oracle."""
 
-        def corrupted(engine):
-            def run(parts, n):
-                table = engine(parts, n)
-                values = list(table.values)
-                values[wrong_at] += 1
-                return CountTable(parts=table.parts, values=tuple(values))
+        def corrupt(table):
+            values = list(table.values)
+            values[wrong_at] += 1
+            return CountTable(parts=table.parts, values=tuple(values))
 
-            return run
+        class CorruptedFactory:
+            def __init__(self, n_max):
+                self.real = counting.TableFactory(n_max)
 
-        monkeypatch.setattr(sweeps, "count_dp", corrupted(sweeps.count_dp))
-        monkeypatch.setattr(sweeps, "count_recurrence", corrupted(sweeps.count_recurrence))
+            def aplus(self, spec):
+                return corrupt(self.real.aplus(spec))
+
+            def full_a(self, spec):
+                return corrupt(self.real.full_a(spec))
+
+            def rplus(self, spec):
+                return corrupt(self.real.rplus(spec))
+
+        real_recurrence = sweeps.count_recurrence
+        monkeypatch.setattr(sweeps, "TableFactory", CorruptedFactory)
+        monkeypatch.setattr(
+            sweeps, "count_recurrence", lambda parts, n: corrupt(real_recurrence(parts, n))
+        )
         code, out, err = run_cli(capsys, ["verify", "--checks", "counts", "--m-max", "2", "--n-max", "60"])
         assert code == 1
         doc = json.loads(out)
         assert doc["rows"] and all(row["holds"] is False for row in doc["rows"])
         assert doc["summaries"][0]["holds"] is False
         assert "verify: FAILED" in err
+
+    def test_oracle_checks_the_factory_tables(self, capsys, monkeypatch):
+        """p(n) off by one at n = 150 fails the rows whose tables start from it, and only those."""
+        real = counting._partition_numbers
+
+        def off_by_one(n):
+            values = real(n)
+            values[150] += 1
+            return values
+
+        monkeypatch.setattr(counting, "_partition_numbers", off_by_one)
+        code, out, err = run_cli(capsys, ["verify", "--checks", "counts"])
+        assert code == 1
+        doc = json.loads(out)
+        assert len(doc["rows"]) == 90
+        failed = {(row["m"], tuple(row["R"]), row["variant"]) for row in doc["rows"] if not row["holds"]}
+        assert failed == {
+            (m, tuple(range(m)), variant) for m in range(1, 5) for variant in ("full-a", "a-plus")
+        }
+        assert "check=counts rows=90 failures=8 " in err
+        assert "verify: FAILED" in err
+
+    def test_oracle_compares_factory_tables_on_cache_hits(self, capsys, monkeypatch):
+        """A wrong full-R table of m >= 2 fails its full-a row, whose part list m = 1 cached."""
+        real = counting._remove_part
+
+        def off_by_one(values, a):
+            real(values, a)
+            if a == 1:
+                values[150] += 1
+
+        monkeypatch.setattr(counting, "_remove_part", off_by_one)
+        code, out, _ = run_cli(capsys, ["verify", "--checks", "counts"])
+        assert code == 1
+        doc = json.loads(out)
+        failed = {(row["m"], tuple(row["R"]), row["variant"]) for row in doc["rows"] if not row["holds"]}
+        assert failed == {
+            (m, tuple(range(m)), variant) for m in range(2, 5) for variant in ("full-a", "a-plus")
+        }
 
     def test_unknown_check(self, capsys):
         code, _, err = run_cli(capsys, ["verify", "--checks", "nonsense"])
@@ -348,7 +400,7 @@ class TestWorkers:
             def map(self, fn, tasks):
                 return map(fn, tasks)
 
-        monkeypatch.setattr(sweeps, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         return sizes
 
     def test_verify_pool_capped_at_task_count(self, pool_sizes):

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from partlab.series import (
-    SeriesPoint,
     check_derivative_nonpositive,
     check_eq1,
     check_eq2_pointwise,
@@ -41,18 +40,20 @@ class TestGrids:
         assert grid[0] == 0.05 and grid[-1] == 0.95
 
 
-class TestSeriesPoint:
+class TestEvaluationPoint:
+    """Each row carries its point both as x and as t = e**-x."""
+
     def test_roundtrip(self):
-        p = SeriesPoint.from_x(2.0)
-        assert p.t == pytest.approx(math.exp(-2.0), rel=1e-15)
-        q = SeriesPoint.from_t(0.25)
-        assert q.x == pytest.approx(math.log(4.0), rel=1e-15)
+        row = check_eq2_pointwise(0, 1, 2.0)
+        assert row["t"] == pytest.approx(math.exp(-2.0), rel=1e-15)
+        row = check_eq1(make_residue_spec(1, [0]), 0.25)
+        assert row["x"] == pytest.approx(math.log(4.0), rel=1e-15)
 
     def test_domain(self):
         with pytest.raises(ValueError):
-            SeriesPoint.from_x(0.0)
+            check_eq3(make_residue_spec(2, [1]), 0.0)
         with pytest.raises(ValueError):
-            SeriesPoint.from_t(1.0)
+            check_eq1(make_residue_spec(2, [1]), 1.0)
 
 
 class TestClosedForm:
@@ -107,7 +108,7 @@ class TestTruncatedSeries:
     @settings(max_examples=80, deadline=None)
     def test_identity_on_grid(self, spec, t):
         report = check_eq1(spec, t)
-        assert report.holds, (spec, t, report)
+        assert report["holds"], (spec, t, report)
 
     @given(
         spec=spec_strategy(m_max=6, allow_empty=False),
@@ -123,22 +124,22 @@ class TestTruncatedSeries:
 class TestKernelBound:
     def test_unit_point(self):
         report = check_eq2_pointwise(0, 1, 1.0)
-        assert report.lhs == pytest.approx(0.9206735942077924, rel=1e-12)
-        assert report.rhs == 1.0
-        assert report.holds
+        assert report["lhs"] == pytest.approx(0.9206735942077924, rel=1e-12)
+        assert report["rhs"] == 1.0
+        assert report["holds"]
 
     def test_near_zero(self):
         report = check_eq2_pointwise(0, 1, 1e-3)
         # both sides blow up like 1/x^2; the gap stays near 1/12
-        assert report.rhs == pytest.approx(1e6, rel=1e-12)
-        assert report.margin == pytest.approx(1 / 12, abs=1e-4)
-        assert report.holds
+        assert report["rhs"] == pytest.approx(1e6, rel=1e-12)
+        assert report["margin"] == pytest.approx(1 / 12, abs=1e-4)
+        assert report["holds"]
 
     def test_offset_residue(self):
         report = check_eq2_pointwise(1, 2, 0.5)
-        assert report.lhs == pytest.approx(1.4698202409045455, rel=1e-12)
-        assert report.rhs == 2.0
-        assert report.holds
+        assert report["lhs"] == pytest.approx(1.4698202409045455, rel=1e-12)
+        assert report["rhs"] == 2.0
+        assert report["holds"]
 
     def test_domain(self):
         with pytest.raises(ValueError):
@@ -154,32 +155,32 @@ class TestKernelBound:
     @settings(max_examples=120, deadline=None)
     def test_holds_on_grid(self, m, data, x):
         r = data.draw(st.integers(0, m - 1))
-        assert check_eq2_pointwise(r, m, x).holds
+        assert check_eq2_pointwise(r, m, x)["holds"]
 
 
 class TestSummedKernelBound:
     def test_classical_unit_point(self):
         spec = make_residue_spec(1, [0])
         report = check_eq3(spec, 1.0)
-        assert report.lhs == pytest.approx(0.9206735942077924, rel=1e-12)
-        assert report.rhs == 1.0
-        assert report.holds
+        assert report["lhs"] == pytest.approx(0.9206735942077924, rel=1e-12)
+        assert report["rhs"] == 1.0
+        assert report["holds"]
 
     def test_odd_small_x(self):
         report = check_eq3(make_residue_spec(2, [1]), 0.1)
-        assert report.rhs == pytest.approx(50.0, rel=1e-12)
-        assert report.holds
+        assert report["rhs"] == pytest.approx(50.0, rel=1e-12)
+        assert report["holds"]
 
     def test_two_classes_large_x(self):
         report = check_eq3(make_residue_spec(4, [1, 3]), 10.0)
-        assert report.lhs < 1e-20
-        assert report.rhs == pytest.approx(2 / 400, rel=1e-12)
-        assert report.holds
+        assert report["lhs"] < 1e-20
+        assert report["rhs"] == pytest.approx(2 / 400, rel=1e-12)
+        assert report["holds"]
 
     @given(spec=spec_strategy(m_max=8), x=st.sampled_from(default_x_grid()))
     @settings(max_examples=100, deadline=None)
     def test_holds_on_grid(self, spec, x):
-        assert check_eq3(spec, x).holds
+        assert check_eq3(spec, x)["holds"]
 
     @given(
         spec=spec_strategy(m_max=8, allow_empty=False),
@@ -200,24 +201,24 @@ class TestSummedKernelBound:
 class TestSinhGap:
     def test_unit(self):
         report = check_sinh_inequality(1.0)
-        assert report.rhs == pytest.approx(2 * math.sinh(0.5), rel=1e-15)
-        assert report.holds
+        assert report["rhs"] == pytest.approx(2 * math.sinh(0.5), rel=1e-15)
+        assert report["holds"]
 
     def test_tiny_margin_resolved(self):
         report = check_sinh_inequality(1e-6)
-        assert report.holds
-        assert report.margin > 0
-        assert report.margin == pytest.approx((1e-6) ** 3 / 24, rel=0.05)
+        assert report["holds"]
+        assert report["margin"] > 0
+        assert report["margin"] == pytest.approx((1e-6) ** 3 / 24, rel=0.05)
 
     def test_large(self):
         report = check_sinh_inequality(20.0)
-        assert report.rhs == pytest.approx(math.exp(10) - math.exp(-10), rel=1e-12)
-        assert report.holds
+        assert report["rhs"] == pytest.approx(math.exp(10) - math.exp(-10), rel=1e-12)
+        assert report["holds"]
 
     @given(x=st.sampled_from(default_x_grid()))
     @settings(max_examples=60)
     def test_holds_on_grid(self, x):
-        assert check_sinh_inequality(x).holds
+        assert check_sinh_inequality(x)["holds"]
 
 
 class TestSqrtSplit:
@@ -239,33 +240,33 @@ class TestSqrtSplit:
 class TestEnvelope:
     def test_zero_residue_degenerates(self):
         reports = check_derivative_nonpositive(0, 3, [0.0, 0.5, 2.0])
-        assert all(r.holds for r in reports)
-        derivs = [r for r in reports if r.check == "envelope-derivative"]
-        assert all(r.lhs == 0.0 for r in derivs)
-        caps = [r for r in reports if r.check.startswith("envelope-")]
-        assert all(r.rhs == 3.0 for r in caps if r.check != "envelope-derivative")
+        assert all(r["holds"] for r in reports)
+        derivs = [r for r in reports if r["check"] == "envelope-derivative"]
+        assert all(r["lhs"] == 0.0 for r in derivs)
+        caps = [r for r in reports if r["check"].startswith("envelope-")]
+        assert all(r["rhs"] == 3.0 for r in caps if r["check"] != "envelope-derivative")
 
     def test_strictly_decreasing_case(self):
         reports = check_derivative_nonpositive(1, 2, [1.0])
-        deriv = next(r for r in reports if r.check == "envelope-derivative")
+        deriv = next(r for r in reports if r["check"] == "envelope-derivative")
         expected = 3 * (math.exp(-3) - math.exp(-1))
-        assert deriv.lhs == pytest.approx(expected, rel=1e-12)
-        assert deriv.lhs < 0
-        assert deriv.holds
+        assert deriv["lhs"] == pytest.approx(expected, rel=1e-12)
+        assert deriv["lhs"] < 0
+        assert deriv["holds"]
 
     def test_value_at_zero_is_modulus(self):
         reports = check_derivative_nonpositive(1, 2, [0.0])
-        at_zero = next(r for r in reports if r.check == "envelope-at-zero")
-        assert at_zero.lhs == 2.0
-        assert at_zero.margin == 0.0
-        assert at_zero.holds
+        at_zero = next(r for r in reports if r["check"] == "envelope-at-zero")
+        assert at_zero["lhs"] == 2.0
+        assert at_zero["margin"] == 0.0
+        assert at_zero["holds"]
 
     @given(m=st.integers(1, 8), data=st.data())
     @settings(max_examples=60, deadline=None)
     def test_holds_on_grid(self, m, data):
         r = data.draw(st.integers(0, m - 1))
         grid = [0.0] + default_x_grid()
-        assert all(rep.holds for rep in check_derivative_nonpositive(r, m, grid))
+        assert all(rep["holds"] for rep in check_derivative_nonpositive(r, m, grid))
 
 
 class TestOddRemark:
@@ -273,9 +274,9 @@ class TestOddRemark:
         found = find_counterexample_odd_remark([1.0])
         assert len(found) == 1
         report = found[0]
-        assert report.lhs == pytest.approx(0.5586427637246371, rel=1e-12)
-        assert report.rhs == 0.5
-        assert report.margin == pytest.approx(0.05864276372463706, abs=1e-12)
+        assert report["lhs"] == pytest.approx(0.5586427637246371, rel=1e-12)
+        assert report["rhs"] == 0.5
+        assert report["margin"] == pytest.approx(0.05864276372463706, abs=1e-12)
 
     def test_large_x_is_not(self):
         assert find_counterexample_odd_remark([10.0]) == []
@@ -283,12 +284,12 @@ class TestOddRemark:
     def test_small_x_margin_near_one_twelfth(self):
         found = find_counterexample_odd_remark([1e-3])
         assert len(found) == 1
-        assert found[0].margin == pytest.approx(1 / 12, abs=1e-4)
+        assert found[0]["margin"] == pytest.approx(1 / 12, abs=1e-4)
 
     def test_default_grid_finds_failures(self):
         found = find_counterexample_odd_remark(default_x_grid())
         assert found
-        assert any(r.point.x == 1.0 for r in found)
+        assert any(r["x"] == 1.0 for r in found)
 
     def test_rejects_nonpositive_grid(self):
         with pytest.raises(ValueError):

@@ -1,6 +1,10 @@
 """Sweep drivers: the shared oracle cache and its place beside the pool."""
 
+import concurrent.futures
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 from partlab import sweeps
 from partlab.bounds import asymptotic_ratio
@@ -28,9 +32,29 @@ def test_counts_check_starts_no_pool(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the counts check must run in the calling process")
 
-    monkeypatch.setattr(sweeps, "ProcessPoolExecutor", refuse)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
     config = sweeps.SweepConfig(m_max=3, n_max=20, checks=("counts",), workers=4)
     assert sweeps.run_verify(config).ok
+
+
+def test_serial_run_imports_no_pool():
+    """One worker never loads the process pool's module or multiprocessing."""
+    code = (
+        "import sys; from partlab import cli; "
+        "assert cli.main(['verify', '--checks', 'theorem1,remark', '--m-max', '2', "
+        "'--n-max', '10', '--output', '-']) == 0; "
+        "print(sorted(m for m in ('concurrent.futures.process', 'multiprocessing') "
+        "if m in sys.modules))"
+    )
+    src = Path(__file__).resolve().parent.parent / "src"
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env={"PYTHONPATH": str(src), "PARTLAB_THREADS": "1"},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert done.stdout.splitlines()[-1] == "[]"
 
 
 def test_pool_tasks_are_queued_before_the_counts_oracle(monkeypatch):
@@ -59,7 +83,7 @@ def test_pool_tasks_are_queued_before_the_counts_oracle(monkeypatch):
 
     config = sweeps.SweepConfig(m_max=3, n_max=20, checks=("counts", "theorem1"))
     serial = sweeps.run_verify(config)
-    monkeypatch.setattr(sweeps, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(sweeps, "count_bruteforce", recording)
     pooled = sweeps.run_verify(replace(config, workers=2))
     assert events[0] == "map" and "walk" in events
