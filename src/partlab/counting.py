@@ -13,9 +13,11 @@ All counts are exact Python integers (arbitrary precision, never floats):
 Each engine returns the whole ``CountTable`` of 0..n.
 
 The engines share no code paths, so agreement among them certifies each.
-Two exact identities are checked here as well: the double-counting
-identity at every level (``check_eq4``) and the split of each full-set
-partition into head (R+) and tail (A+) parts (``convolution_check_range``).
+The double-counting identity has one implementation, ``count_recurrence``,
+which asserts it at every level it builds; ``eq4_rhs_direct`` evaluates
+its right side literally, as the tests' reference.  The split of each
+full-set partition into head (R+) and tail (A+) parts is checked by
+``convolution_check_range``.
 
 ``TableFactory`` adds a fast exact route for sweeps over many residue
 subsets: each subset's tail table is the table of the subset without its
@@ -26,7 +28,8 @@ Euler's pentagonal recurrence and takes the parts 1..m-1 back out,
 because adding its n - m + 1 parts one pass at a time costs O(n**2)
 big-integer additions.  It is cross-validated against ``count_dp`` in the
 test suite, and at run time by ``partlab verify``'s counts check, which
-compares its tables with ``count_recurrence`` and the brute-force walk.
+compares the very tables the bound checks read with ``count_recurrence``
+and the brute-force walk.
 """
 
 from __future__ import annotations
@@ -188,29 +191,6 @@ def eq4_rhs_direct(table: CountTable, n: int) -> BigCount:
             inner += values[j]
         total += s * inner
     return total
-
-
-def eq4_rhs_all(table: CountTable) -> list[BigCount]:
-    """The double-counting right side at every level 0..n, computed at once.
-
-    Grouping the double sum by the product d = s*k turns it into the
-    convolution of the count table with ``sigma(d) = sum of parts dividing d``:
-    ``rhs[j] = sum_{1 <= d <= j} sigma(d) * p(j - d)``.
-    """
-    n = table.n_max
-    values = table.values
-    sigma = _divisor_sums(table.parts, n)
-    # At j = 0 the sigma slice is empty, so the reversed values slice is unused.
-    return [
-        sum(map(operator.mul, sigma[1 : j + 1], values[j - 1 :: -1]))
-        for j in range(n + 1)
-    ]
-
-
-def check_eq4(table: CountTable) -> bool:
-    """True iff ``n * p(n)`` matches the double-counting sum for all n."""
-    rhs = eq4_rhs_all(table)
-    return all(j * v == rhs[j] for j, v in enumerate(table.values))
 
 
 @dataclass(frozen=True)

@@ -1,18 +1,17 @@
 """Sweep drivers: every checker, over grids of residue families.
 
 A verify run walks all residue subsets R of {0..m-1} for each modulus
-m <= m_max (the empty subset rides along vacuously), shares exact count
-tables through a per-modulus TableFactory, and aggregates one summary per
-named check in one pass over its rows.  Every check returns the row dicts
-that are emitted, so each row is built once.  The counts oracle runs in
-the calling process with one cache for the whole run: it compares the
-tables a TableFactory builds, the route the bound checks read, with the
-recurrence engine, and the recurrence with a brute-force walk.  The other
-per-subset checks are split by modulus across processes when a worker
-count above 1 is requested, and run there while the counts oracle runs;
-the pool never starts more workers than there are moduli, and its module
-(which loads multiprocessing) is imported only then.  Rows are merged in a
-fixed order either way, so output is deterministic.
+m <= m_max (the empty subset rides along vacuously) in one task per
+modulus.  A task builds each exact count table it needs once, through the
+modulus's TableFactory; with the counts check selected it first certifies
+those tables against the recurrence engine, and the recurrence against a
+brute-force walk, then hands the same tables to the bound checks.  One
+summary per named check is aggregated in one pass over its rows, and every
+check returns the row dicts that are emitted, so each row is built once.
+The tasks are split across processes when a worker count above 1 is
+requested; the pool never starts more workers than there are moduli, and
+its module (which loads multiprocessing) is imported only then.  Rows are
+merged in a fixed order either way, so output is deterministic.
 """
 
 from __future__ import annotations
@@ -22,12 +21,7 @@ from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 
 from . import bounds, series
-from .counting import (
-    ORACLE_CEILING_DEFAULT,
-    TableFactory,
-    count_bruteforce,
-    count_recurrence,
-)
+from .counting import TableFactory, count_bruteforce, count_recurrence
 from .partset import A_PLUS, FULL_A, R_PLUS, ResidueSpec
 
 CHECK_NAMES = (
@@ -160,60 +154,44 @@ def _ratio_rows(spec: ResidueSpec, table, n_max: int) -> list[dict]:
     return rows
 
 
-def oracle_equivalence_rows(
-    m: int,
-    n_max: int,
-    variants: tuple[str, ...],
-    *,
-    brute_cap: int = ORACLE_N_CAP,
-    include_empty: bool = True,
-    cache: dict | None = None,
-) -> list[dict]:
-    """Three-way agreement for every subset of {0..m-1} and variant.
+def _counts_row(spec: ResidueSpec, label: str, table, cache: dict) -> dict:
+    """Three-way agreement for one (spec, variant) table that the checks read.
 
-    The first leg is the table a TableFactory(n_max) builds for the
-    (spec, variant), the same route the bound checks read; it must equal
-    count_recurrence's table to n_max, and the brute-force walk must agree
-    with the recurrence at every n up to brute_cap.  The recurrence and the
-    walk run once per distinct part list, also across calls that pass the
-    same cache dict (which must keep one n_max and brute_cap), while every
-    factory table is compared.  Each row reports one (spec, variant)
-    verdict.
+    The table a TableFactory built must equal count_recurrence's table to
+    its n_max, and the brute-force walk must agree with the recurrence at
+    every n up to ORACLE_N_CAP.  The recurrence and the walk run once per
+    distinct part list in the cache (which must keep one n_max), while
+    every factory table is compared.
     """
-    if cache is None:
-        cache = {}
-    factory = TableFactory(n_max)
-    table_of = {FULL_A: factory.full_a, A_PLUS: factory.aplus, R_PLUS: factory.rplus}
-    rows = []
-    brute_top = min(n_max, brute_cap, ORACLE_CEILING_DEFAULT)
-    for spec in subsets_for_modulus(m, include_empty):
-        for label in variants:
-            table = table_of[label](spec)
-            cached = cache.get(table.parts)
-            if cached is None:
-                rec = count_recurrence(table.parts, n_max).values
-                walked = count_bruteforce(table.parts, brute_top).values == rec[: brute_top + 1]
-                cached = cache[table.parts] = (walked, rec)
-            walked, rec = cached
-            rows.append(
-                {
-                    "check": "counts",
-                    "m": spec.m,
-                    "R": list(spec.residues),
-                    "variant": label,
-                    "n": n_max,
-                    "count": str(table.values[n_max]),
-                    "holds": walked and table.values == rec,
-                }
-            )
-    return rows
+    n_max = table.n_max
+    cached = cache.get(table.parts)
+    if cached is None:
+        rec = count_recurrence(table.parts, n_max).values
+        top = min(n_max, ORACLE_N_CAP)
+        walked = count_bruteforce(table.parts, top).values == rec[: top + 1]
+        cached = cache[table.parts] = (walked, rec)
+    walked, rec = cached
+    return {
+        "check": "counts",
+        "m": spec.m,
+        "R": list(spec.residues),
+        "variant": label,
+        "n": n_max,
+        "count": str(table.values[n_max]),
+        "holds": walked and table.values == rec,
+    }
 
 
 def _rows_for_modulus(args: tuple) -> dict[str, list[dict]]:
-    """All spec-dependent check rows for one modulus (worker entry point)."""
-    m, n_max, checks = args
+    """All spec-dependent check rows for one modulus (worker entry point).
+
+    Each table is built once per spec; the counts rows certify the very
+    objects that theorem1, chain, rpoly and ratio then read.
+    """
+    m, n_max, checks, variants, oracle_cache = args
     by_check: dict[str, list[dict]] = {name: [] for name in checks}
     factory = TableFactory(n_max)
+    table_of = {FULL_A: factory.full_a, A_PLUS: factory.aplus, R_PLUS: factory.rplus}
     x_grid = series.default_x_grid()
     t_grid = series.default_t_grid()
 
@@ -222,23 +200,30 @@ def _rows_for_modulus(args: tuple) -> dict[str, list[dict]]:
             for x in x_grid:
                 by_check["eq2"].append(series.check_eq2_pointwise(r, m, x))
 
-    need_aplus = "theorem1" in by_check
-    need_full = "chain" in by_check or "ratio" in by_check
-    need_rplus = "rpoly" in by_check
+    reads = {
+        "counts": variants,
+        "theorem1": (A_PLUS,),
+        "chain": (FULL_A,),
+        "ratio": (FULL_A,),
+        "rpoly": (R_PLUS,),
+    }
+    labels = {label for name in by_check for label in reads.get(name, ())}
     for spec in subsets_for_modulus(m):
-        if need_aplus:
-            by_check["theorem1"].extend(
-                bounds.check_theorem1(spec, n_max, table=factory.aplus(spec))
+        tables = {label: table_of[label](spec) for label in labels}
+        if "counts" in by_check:
+            for label in variants:
+                by_check["counts"].append(_counts_row(spec, label, tables[label], oracle_cache))
+        if "theorem1" in by_check:
+            by_check["theorem1"].extend(bounds.check_theorem1(spec, n_max, table=tables[A_PLUS]))
+        if "chain" in by_check:
+            by_check["chain"].extend(
+                bounds.check_nathanson_chain(spec, n_max, table=tables[FULL_A])
             )
-        if need_full:
-            table = factory.full_a(spec)
-            if "chain" in by_check:
-                by_check["chain"].extend(bounds.check_nathanson_chain(spec, n_max, table=table))
-            if "ratio" in by_check and spec.rsize > 0:
-                by_check["ratio"].extend(_ratio_rows(spec, table, n_max))
-        if need_rplus:
+        if "ratio" in by_check and spec.rsize > 0:
+            by_check["ratio"].extend(_ratio_rows(spec, tables[FULL_A], n_max))
+        if "rpoly" in by_check:
             by_check["rpoly"].extend(
-                bounds.check_rplus_poly_bound(spec, n_max, table=factory.rplus(spec))
+                bounds.check_rplus_poly_bound(spec, n_max, table=tables[R_PLUS])
             )
         if "eq1" in by_check:
             for t in t_grid:
@@ -327,27 +312,20 @@ def run_verify(config: SweepConfig) -> VerifyResult:
     config = config.validated()
     by_check: dict[str, list[dict]] = {name: [] for name in config.checks}
 
-    spec_checks = [
-        c for c in config.checks if c in ("theorem1", "chain", "rpoly", "eq1", "eq2", "eq3", "ratio")
-    ]
+    # every check but these three reads the residue subsets, one task per modulus
+    spec_checks = tuple(c for c in config.checks if c not in ("erdos", "helpers", "remark"))
+    # One recurrence-and-walk cache for the run, keyed by part list: lists
+    # such as {1, 2, ...} recur for every m.  The builtin map shares this
+    # dict across moduli; a pool pickles a copy into each task, so workers
+    # may repeat a walk, and give the same rows.
+    oracle_cache: dict = {}
     tasks = [
-        (m, config.n_max, tuple(spec_checks)) for m in range(1, config.m_max + 1) if spec_checks
+        (m, config.n_max, spec_checks, config.variants, oracle_cache)
+        for m in range(1, config.m_max + 1)
+        if spec_checks
     ]
     with _pool(min(config.workers, len(tasks))) as pool:
-        # pool.map queues every task at once, so the workers run the
-        # per-modulus checks while this process runs the counts oracle;
-        # the builtin map runs them one by one after it
-        partials = (pool.map if pool else map)(_rows_for_modulus, tasks)
-
-        if "counts" in by_check:
-            # one cache for the run: part lists such as {1, 2, ...} recur for every m
-            oracle_cache: dict = {}
-            for m in range(1, config.m_max + 1):
-                by_check["counts"].extend(
-                    oracle_equivalence_rows(m, config.n_max, config.variants, cache=oracle_cache)
-                )
-
-        for partial in partials:
+        for partial in (pool.map if pool else map)(_rows_for_modulus, tasks):
             for name, rows in partial.items():
                 by_check[name].extend(rows)
 

@@ -20,7 +20,6 @@ from partlab.bounds import (
 )
 from partlab.counting import (
     TableFactory,
-    check_eq4,
     convolution_check_range,
     count_dp,
     count_recurrence,
@@ -44,7 +43,7 @@ from partlab.series import (
     default_x_grid,
     find_counterexample_odd_remark,
 )
-from partlab.sweeps import SWEEP_VARIANTS, oracle_equivalence_rows, subsets_for_modulus
+from partlab.sweeps import SweepConfig, run_verify, subsets_for_modulus
 
 SWEEP_M_MAX = 8
 SWEEP_N_MAX = 2000
@@ -96,27 +95,25 @@ def bound_sweep():
 def test_criterion_01_oracle_equivalence():
     """Three engines agree for every m <= 6, nonempty R, variant, n <= 40."""
     start = time.monotonic()
-    rows = []
-    for m in range(1, 7):
-        rows.extend(
-            oracle_equivalence_rows(m, 40, SWEEP_VARIANTS, include_empty=False)
-        )
+    rows = run_verify(SweepConfig(m_max=6, n_max=40, checks=("counts",))).rows
     elapsed = time.monotonic() - start
+    nonempty = [r for r in rows if r["R"]]
     disagreements = [r for r in rows if not r["holds"]]
-    ok = len(rows) == 360 and not disagreements and elapsed < 60
+    ok = len(rows) == 378 and len(nonempty) == 360 and not disagreements and elapsed < 60
     _report(
         1,
         ok,
-        f"{len(rows)} (spec, variant) combos, {len(disagreements)} disagreements, "
-        f"{elapsed:.1f}s",
+        f"{len(nonempty)} nonempty (spec, variant) combos of {len(rows)}, "
+        f"{len(disagreements)} disagreements, {elapsed:.1f}s",
     )
-    assert len(rows) == 360
+    assert len(rows) == 378
+    assert len(nonempty) == 360
     assert not disagreements
     assert elapsed < 60
 
 
 def test_criterion_02_double_counting_integrity():
-    """n * p(n) equals the double-counting sum, n <= 500, all criterion-1 sets."""
+    """The recurrence built from identity (4) equals the dp table, n <= 500."""
     checked = 0
     seen: set[tuple[int, ...]] = set()
     ok = True
@@ -127,16 +124,16 @@ def test_criterion_02_double_counting_integrity():
                 if parts in seen:
                     continue
                 seen.add(parts)
-                table = count_dp(parts, 500)
-                ok = ok and check_eq4(table)
+                ok = ok and count_recurrence(parts, 500).values == count_dp(parts, 500).values
                 checked += 1
     # literal double sum cross-check on a sample
     table = count_dp(parts_up_to(make_residue_spec(3, [1, 2]), FULL_A, 500), 500)
     literal_ok = all(
         eq4_rhs_direct(table, n) == n * table.values[n] for n in (0, 1, 7, 100, 500)
     )
-    ok = ok and literal_ok
+    ok = ok and literal_ok and checked == 251
     _report(2, ok, f"{checked} distinct part sets verified at n <= 500")
+    assert checked == 251
     assert ok
 
 

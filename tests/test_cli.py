@@ -306,7 +306,7 @@ class TestDeterminism:
         assert out1 == out2
 
     def test_workers_do_not_change_output(self, capsys, monkeypatch):
-        argv = ["verify", "--checks", "theorem1,chain", "--m-max", "3", "--n-max", "60"]
+        argv = ["verify", "--checks", "counts,theorem1,chain", "--m-max", "3", "--n-max", "60"]
         _, serial, _ = run_cli(capsys, argv)
         monkeypatch.setenv("PARTLAB_THREADS", "2")
         _, parallel, _ = run_cli(capsys, argv)

@@ -11,12 +11,10 @@ from partlab import counting
 from partlab.counting import (
     IntegrityError,
     TableFactory,
-    check_eq4,
     convolution_check_range,
     count_bruteforce,
     count_dp,
     count_recurrence,
-    eq4_rhs_all,
     eq4_rhs_direct,
 )
 from partlab.partset import A_PLUS, FULL_A, R_PLUS, make_residue_spec, parts_up_to
@@ -172,23 +170,21 @@ def test_monotone_when_one_available(extra, n):
 class TestEq4:
     def test_direct_matches_all_levels(self):
         table = count_dp(range(1, 31), 30)
-        rhs = eq4_rhs_all(table)
         for n in range(31):
-            assert rhs[n] == eq4_rhs_direct(table, n)
-            assert rhs[n] == n * table.values[n]
+            assert eq4_rhs_direct(table, n) == n * table.values[n]
 
-    def test_check_eq4_restricted(self):
+    def test_recurrence_matches_dp_restricted(self):
         spec = make_residue_spec(3, [1, 2])
         for variant in (FULL_A, A_PLUS, R_PLUS):
-            table = count_dp(parts_up_to(spec, variant, 120), 120)
-            assert check_eq4(table)
+            parts = parts_up_to(spec, variant, 120)
+            assert count_recurrence(parts, 120).values == count_dp(parts, 120).values
 
     def test_recurrence_integrity_message(self):
         # A corrupted table must trip the direct identity, not pass silently.
         table = count_dp(range(1, 11), 10)
         bad = table.values[:10] + (table.values[10] + 1,)
         corrupted = type(table)(parts=table.parts, values=bad)
-        assert not check_eq4(corrupted)
+        assert eq4_rhs_direct(corrupted, 10) != 10 * corrupted.values[10]
 
 
 class TestConvolution:

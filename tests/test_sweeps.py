@@ -1,12 +1,13 @@
-"""Sweep drivers: the shared oracle cache and its place beside the pool."""
+"""Sweep drivers: one table per (spec, variant), the shared oracle cache, the pool."""
 
 import concurrent.futures
+import pickle
 import subprocess
 import sys
 from dataclasses import replace
 from pathlib import Path
 
-from partlab import sweeps
+from partlab import counting, sweeps
 from partlab.bounds import asymptotic_ratio
 from partlab.partset import make_residue_spec
 
@@ -28,13 +29,37 @@ def test_one_oracle_walk_per_distinct_part_list(monkeypatch):
     assert len(set(walks)) == 51
 
 
-def test_counts_check_starts_no_pool(monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("the counts check must run in the calling process")
+def test_each_table_is_built_once_per_spec(monkeypatch):
+    """Default verify builds one factory per modulus and each spec's tables once.
 
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
-    config = sweeps.SweepConfig(m_max=3, n_max=20, checks=("counts",), workers=4)
-    assert sweeps.run_verify(config).ok
+    The counts oracle certifies the same full-set and head tables that chain,
+    ratio and rpoly read, so no second factory builds them again.
+    """
+    calls = {"factories": 0, "full_a": [], "rplus": []}
+    real_init = counting.TableFactory.__init__
+
+    def counting_init(self, n_max):
+        calls["factories"] += 1
+        real_init(self, n_max)
+
+    def recording(name):
+        real = getattr(counting.TableFactory, name)
+
+        def method(self, spec):
+            calls[name].append(spec)
+            return real(self, spec)
+
+        return method
+
+    monkeypatch.setattr(counting.TableFactory, "__init__", counting_init)
+    for name in ("full_a", "rplus"):
+        monkeypatch.setattr(counting.TableFactory, name, recording(name))
+    result = sweeps.run_verify(sweeps.SweepConfig())
+    assert result.ok
+    assert calls["factories"] == 4
+    for name in ("full_a", "rplus"):
+        assert len(calls[name]) == 30
+        assert len(set(calls[name])) == 30
 
 
 def test_serial_run_imports_no_pool():
@@ -58,10 +83,11 @@ def test_serial_run_imports_no_pool():
 
 
 def test_pool_tasks_are_queued_before_the_counts_oracle(monkeypatch):
-    """With workers > 1 the per-modulus tasks start before the oracle runs."""
-    events = []
+    """With workers > 1 the per-modulus tasks, counts oracle included, give the serial rows."""
 
-    class RecordingPool:
+    class PicklingPool:
+        """Runs each task on its own pickled copy, as a process pool does."""
+
         def __init__(self, max_workers):
             pass
 
@@ -72,21 +98,12 @@ def test_pool_tasks_are_queued_before_the_counts_oracle(monkeypatch):
             return False
 
         def map(self, fn, tasks):
-            events.append("map")
-            return [fn(t) for t in tasks]
-
-    real = sweeps.count_bruteforce
-
-    def recording(parts, n, **kwargs):
-        events.append("walk")
-        return real(parts, n, **kwargs)
+            return [fn(pickle.loads(pickle.dumps(t))) for t in tasks]
 
     config = sweeps.SweepConfig(m_max=3, n_max=20, checks=("counts", "theorem1"))
     serial = sweeps.run_verify(config)
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-    monkeypatch.setattr(sweeps, "count_bruteforce", recording)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", PicklingPool)
     pooled = sweeps.run_verify(replace(config, workers=2))
-    assert events[0] == "map" and "walk" in events
     assert pooled.rows == serial.rows
 
 
