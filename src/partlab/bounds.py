@@ -13,6 +13,8 @@ Counts are exact integers; only the final log-vs-bound comparisons use
 floats, guarded by EPS_LOG.  Where both sides are integers the comparison
 is exact, with no floats involved.
 
+Every check takes the exact count table it checks (a ``TableFactory``
+table, which the counts check certifies) and builds no table itself.
 Each check returns one report row per n, built once as the dict that is
 emitted: ``{m, R, variant, n, count, log_count, bound, slack, holds}``,
 with the count as a decimal string.  The rows of one call share one
@@ -24,8 +26,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .counting import BigCount, CountTable, count_dp
-from .partset import A_PLUS, FULL_A, R_PLUS, ResidueSpec, parts_up_to
+from .counting import BigCount, CountTable
+from .partset import A_PLUS, FULL_A, R_PLUS, ResidueSpec
 
 # Absolute tolerance for float comparisons of log(count) against a bound.
 # The mathematical slack in every swept case vastly exceeds double-precision
@@ -56,20 +58,6 @@ def log_of_count(c: BigCount) -> float:
     if c <= 0:
         raise ValueError(f"count must be >= 1, got {c}")
     return math.log(c)
-
-
-def erdos_rhs(n: int) -> float:
-    """The classical upper bound pi*sqrt(2n/3) on log p(n)."""
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    return math.pi * math.sqrt(2.0 * n / 3.0)
-
-
-def theorem1_rhs(n: int, params: BoundParams) -> float:
-    """The tail-set bound c*sqrt(n) = pi*sqrt(2*n*|R| / (3*m))."""
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    return params.c * math.sqrt(n)
 
 
 def _bound_rows(spec: ResidueSpec, variant: str, values, bound_at) -> list[dict]:
@@ -107,22 +95,17 @@ def _bound_rows(spec: ResidueSpec, variant: str, values, bound_at) -> list[dict]
     return out
 
 
-def check_theorem1(
-    spec: ResidueSpec, n_max: int, table: CountTable | None = None
-) -> list[dict]:
-    """Tail-set bound at every 0 <= n <= n_max; all entries must hold."""
+def check_theorem1(spec: ResidueSpec, n_max: int, table: CountTable) -> list[dict]:
+    """Tail-set bound c*sqrt(n) at every 0 <= n <= n_max; all entries must hold."""
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
-    if table is None:
-        table = count_dp(parts_up_to(spec, A_PLUS, n_max), n_max)
     c = BoundParams.from_spec(spec).c
     sqrt = math.sqrt
-    # theorem1_rhs's value, without its per-n argument check
     return _bound_rows(spec, A_PLUS, table.values[: n_max + 1], lambda n: c * sqrt(n))
 
 
-def check_erdos(n_max: int, table: CountTable | None = None) -> list[dict]:
-    """Classical bound on the unrestricted p(n): the m=1, R={0} special case.
+def check_erdos(n_max: int, table: CountTable) -> list[dict]:
+    """Classical bound pi*sqrt(2n/3) on the table of p(n): the m=1, R={0} case.
 
     With that spec the tail set is all of N and c = pi*sqrt(2/3), so the
     generic tail-set check specializes to the classical statement exactly.
@@ -130,9 +113,7 @@ def check_erdos(n_max: int, table: CountTable | None = None) -> list[dict]:
     return check_theorem1(ResidueSpec(m=1, residues=(0,)), n_max, table=table)
 
 
-def check_rplus_poly_bound(
-    spec: ResidueSpec, n_max: int, table: CountTable | None = None
-) -> list[dict]:
+def check_rplus_poly_bound(spec: ResidueSpec, n_max: int, table: CountTable) -> list[dict]:
     """Exact integer check p_{R+}(n') <= (n'+1)**|R| for all n' <= n_max.
 
     The verdict is an integer comparison (no floats anywhere); the row's
@@ -140,8 +121,6 @@ def check_rplus_poly_bound(
     """
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
-    if table is None:
-        table = count_dp(parts_up_to(spec, R_PLUS, n_max), n_max)
     m = spec.m
     residues = list(spec.residues)
     rsize = spec.rsize
@@ -166,14 +145,10 @@ def check_rplus_poly_bound(
     return out
 
 
-def check_nathanson_chain(
-    spec: ResidueSpec, n_max: int, table: CountTable | None = None
-) -> list[dict]:
+def check_nathanson_chain(spec: ResidueSpec, n_max: int, table: CountTable) -> list[dict]:
     """Full-set bound log p_A(n) <= (|R|+1)*log(n+1) + c*sqrt(n), n <= n_max."""
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
-    if table is None:
-        table = count_dp(parts_up_to(spec, FULL_A, n_max), n_max)
     c = BoundParams.from_spec(spec).c
     rfactor = spec.rsize + 1
     log, sqrt = math.log, math.sqrt
@@ -184,9 +159,7 @@ def check_nathanson_chain(
     return _bound_rows(spec, FULL_A, table.values[: n_max + 1], bound_at)
 
 
-def asymptotic_ratio(
-    spec: ResidueSpec, n: int, count: BigCount | None = None
-) -> float:
+def asymptotic_ratio(spec: ResidueSpec, n: int, count: BigCount) -> float:
     """Diagnostic ratio log p_A(n) / (c*sqrt(n)); no pass/fail judgement.
 
     The ratio drifts toward 1 from below as n grows; no convergence rate is
@@ -196,8 +169,6 @@ def asymptotic_ratio(
         raise ValueError(f"n must be >= 1, got {n}")
     if spec.rsize == 0:
         raise ValueError("ratio undefined for an empty residue set")
-    if count is None:
-        count = count_dp(parts_up_to(spec, FULL_A, n), n).values[n]
     if count < 1:
         raise ValueError(f"no partitions of {n}; ratio undefined")
     params = BoundParams.from_spec(spec)

@@ -22,8 +22,8 @@ import os
 import sys
 
 from . import reporting, sweeps
-from .counting import IntegrityError, count_dp, count_recurrence
-from .partset import FULL_A, SpecError, make_residue_spec, parts_up_to
+from .counting import IntegrityError, TableFactory, count_recurrence
+from .partset import A_PLUS, FULL_A, R_PLUS, SpecError, make_residue_spec, parts_up_to
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -79,11 +79,13 @@ def cmd_count(args: argparse.Namespace) -> int:
     spec = make_residue_spec(args.m, residues)
     if args.n < 0:
         raise ValueError(f"n must be >= 0, got {args.n}")
-    parts = parts_up_to(spec, args.variant, args.n)
-    dp = count_dp(parts, args.n)
-    rec = count_recurrence(parts, args.n)
-    agree = dp.values == rec.values
-    payload = {"n": args.n, "count": str(dp.values[args.n]), "engines_agree": agree}
+    # the table the other commands read, against an engine sharing no code with it
+    factory = TableFactory(args.n)
+    build = {FULL_A: factory.full_a, A_PLUS: factory.aplus, R_PLUS: factory.rplus}
+    table = build[args.variant](spec)
+    rec = count_recurrence(parts_up_to(spec, args.variant, args.n), args.n)
+    agree = table.values == rec.values
+    payload = {"n": args.n, "count": str(table.values[args.n]), "engines_agree": agree}
     sys.stdout.write(json.dumps(payload) + "\n")
     return EXIT_OK if agree else EXIT_CHECK_FAILED
 

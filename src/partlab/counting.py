@@ -1,8 +1,23 @@
-"""Exact partition counting with three mutually independent engines.
+"""Exact partition counts: one table builder and two independent engines.
 
-All counts are exact Python integers (arbitrary precision, never floats):
+All counts are exact Python integers (arbitrary precision, never floats).
+Each route returns the whole ``CountTable`` of 0..n.
 
-* ``count_dp`` - coin-change style accumulation, the workhorse;
+``TableFactory`` builds every table the commands read, for many residue
+subsets at one n_max, with one coin-change kernel, ``_add_part``: the
+ascending loop ``values[j] += values[j - a]`` for each part a.  Each
+subset's tail table is the table of the subset without its highest
+residue, extended by that residue's slice of parts, with every table
+cached per factory.  The one exception is the subset of every residue,
+whose tail is all parts >= m: its table starts from p(n) by Euler's
+pentagonal recurrence and takes the parts 1..m-1 back out, because adding
+its n - m + 1 parts one pass at a time costs O(n**2) big-integer
+additions.  Full-set tables extend the tail table, and head tables the
+empty table, by the small parts of R+ with the same kernel.
+
+Two engines that share no code with the factory, or with each other,
+certify its tables:
+
 * ``count_recurrence`` - bottom-up evaluation of the double-counting
   identity ``n * p(n) = sum_{s <= n} s * sum_{k >= 1} p(n - s*k)``, grouped
   by d = s*k, with a hard divisibility assertion at every level;
@@ -10,26 +25,9 @@ All counts are exact Python integers (arbitrary precision, never floats):
   sequences that tallies every partition of 0..n at its total (the runs of
   the smallest part in one strided loop), usable up to a configured ceiling.
 
-Each engine returns the whole ``CountTable`` of 0..n.
-
-The engines share no code paths, so agreement among them certifies each.
-The double-counting identity has one implementation, ``count_recurrence``,
-which asserts it at every level it builds; ``eq4_rhs_direct`` evaluates
-its right side literally, as the tests' reference.  The split of each
-full-set partition into head (R+) and tail (A+) parts is checked by
-``convolution_check_range``.
-
-``TableFactory`` adds a fast exact route for sweeps over many residue
-subsets: each subset's tail table is the table of the subset without its
-highest residue, extended by that residue's slice of parts, with every
-table cached per factory.  The one exception is the subset of every
-residue, whose tail is all parts >= m: its table starts from p(n) by
-Euler's pentagonal recurrence and takes the parts 1..m-1 back out,
-because adding its n - m + 1 parts one pass at a time costs O(n**2)
-big-integer additions.  It is cross-validated against ``count_dp`` in the
-test suite, and at run time by ``partlab verify``'s counts check, which
-compares the very tables the bound checks read with ``count_recurrence``
-and the brute-force walk.
+``partlab count`` compares the factory's table with the recurrence's, and
+``partlab verify``'s counts check compares the very tables the bound
+checks read with the recurrence and the brute-force walk.
 """
 
 from __future__ import annotations
@@ -78,25 +76,6 @@ def _validated_parts(parts: Iterable[int]) -> tuple[int, ...]:
             raise ValueError("parts must be strictly increasing")
         prev = p
     return ps
-
-
-def count_dp(parts: Iterable[int], n: int) -> CountTable:
-    """Exact counts of partitions of 0..n via part-by-part accumulation.
-
-    Outer loop over parts, inner ascending loop over totals: unordered
-    multiset semantics, so partitions are counted rather than compositions.
-    """
-    ps = _validated_parts(parts)
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    values = [0] * (n + 1)
-    values[0] = 1
-    for a in ps:
-        if a > n:
-            break
-        for j in range(a, n + 1):
-            values[j] += values[j - a]
-    return CountTable(parts=ps, values=tuple(values))
 
 
 def _divisor_sums(parts: tuple[int, ...], n: int) -> list[int]:
@@ -174,57 +153,6 @@ def count_bruteforce(
     return CountTable(parts=ps, values=tuple(tally))
 
 
-# --- identities --------------------------------------------------------------
-
-
-def eq4_rhs_direct(table: CountTable, n: int) -> BigCount:
-    """Literal evaluation of ``sum_{s <= n} s * sum_{1 <= k <= n/s} p(n - s*k)``."""
-    if not 0 <= n <= table.n_max:
-        raise ValueError(f"n={n} outside table range 0..{table.n_max}")
-    values = table.values
-    total = 0
-    for s in table.parts:
-        if s > n:
-            break
-        inner = 0
-        for j in range(n - s, -1, -s):
-            inner += values[j]
-        total += s * inner
-    return total
-
-
-@dataclass(frozen=True)
-class ConvolutionReport:
-    """One check of splitting partitions into head (R+) and tail (A+) parts."""
-
-    n: int
-    lhs: BigCount
-    rhs: BigCount
-
-    @property
-    def holds(self) -> bool:
-        return self.lhs == self.rhs
-
-
-def convolution_check_range(spec: ResidueSpec, n_max: int) -> list[ConvolutionReport]:
-    """Verify p_A(n) = sum_{n'} p_{R+}(n') * p_{A+}(n - n') for 0 <= n <= n_max.
-
-    Every partition from the full set splits uniquely into its parts below
-    m (members of R+) and its parts at least m (members of A+).  The three
-    count tables are built once and shared by every level.
-    """
-    if n_max < 0:
-        raise ValueError(f"n_max must be >= 0, got {n_max}")
-    full = count_dp(parts_up_to(spec, FULL_A, n_max), n_max).values
-    head = count_dp(parts_up_to(spec, R_PLUS, n_max), n_max).values
-    tail = count_dp(parts_up_to(spec, A_PLUS, n_max), n_max).values
-    out = []
-    for n in range(n_max + 1):
-        rhs = sum(head[k] * tail[n - k] for k in range(n + 1))
-        out.append(ConvolutionReport(n=n, lhs=full[n], rhs=rhs))
-    return out
-
-
 # --- sweep-scale table factory -----------------------------------------------
 
 
@@ -261,14 +189,12 @@ def _partition_numbers(n: int) -> list[int]:
 def _add_part(values: list[int], a: int) -> None:
     """Extend a count table in place by the part a (a >= 1).
 
-    Same result as the ascending loop ``values[j] += values[j - a]``, done a
-    block of a totals at a time: each block reads only the block before it,
-    which is already updated.  The last block may be short; ``map`` stops
-    at the shorter slice.
+    The ascending loop multiplies the generating function by 1/(1 - q**a):
+    each total reads the already updated total a below it, so the part may
+    occur any number of times.
     """
-    for lo in range(a, len(values), a):
-        hi = lo + a
-        values[lo:hi] = map(operator.add, values[lo:hi], values[lo - a : hi - a])
+    for j in range(a, len(values)):
+        values[j] += values[j - a]
 
 
 def _remove_part(values: list[int], a: int) -> None:
@@ -292,9 +218,8 @@ class TableFactory:
     take O(n) passes (checked: below m only the empty partition remains).
     Every tail table built on the way is cached per (m, R), so a sweep over
     many subsets of one modulus extends each table by one slice only.
-    Full-set tables extend the tail table with the small parts of R+.  All
-    results are exact and agree with ``count_dp`` (asserted in the test
-    suite).
+    Full-set tables extend the tail table with the small parts of R+, and
+    head tables extend the empty table with them.
     """
 
     def __init__(self, n_max: int) -> None:
@@ -352,4 +277,8 @@ class TableFactory:
 
     def rplus(self, spec: ResidueSpec) -> CountTable:
         """Counts over the head set R+ (at most m-1 small parts)."""
-        return count_dp(parts_up_to(spec, R_PLUS, self.n_max), self.n_max)
+        parts = tuple(parts_up_to(spec, R_PLUS, self.n_max))
+        values = [1] + [0] * self.n_max
+        for a in parts:
+            _add_part(values, a)
+        return CountTable(parts=parts, values=tuple(values))

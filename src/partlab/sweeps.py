@@ -186,7 +186,7 @@ def _rows_for_modulus(args: tuple) -> dict[str, list[dict]]:
     """All spec-dependent check rows for one modulus (worker entry point).
 
     Each table is built once per spec; the counts rows certify the very
-    objects that theorem1, chain, rpoly and ratio then read.
+    objects that theorem1, chain, rpoly, ratio and (for m = 1) erdos read.
     """
     m, n_max, checks, variants, oracle_cache = args
     by_check: dict[str, list[dict]] = {name: [] for name in checks}
@@ -195,6 +195,9 @@ def _rows_for_modulus(args: tuple) -> dict[str, list[dict]]:
     x_grid = series.default_x_grid()
     t_grid = series.default_t_grid()
 
+    if "erdos" in by_check and m == 1:
+        # p(n) is the tail table of m=1, R={0}: the pentagonal table theorem1 reads
+        by_check["erdos"] = bounds.check_erdos(n_max, factory.aplus(ResidueSpec(1, (0,))))
     if "eq2" in by_check:
         for r in range(m):
             for x in x_grid:
@@ -312,8 +315,9 @@ def run_verify(config: SweepConfig) -> VerifyResult:
     config = config.validated()
     by_check: dict[str, list[dict]] = {name: [] for name in config.checks}
 
-    # every check but these three reads the residue subsets, one task per modulus
-    spec_checks = tuple(c for c in config.checks if c not in ("erdos", "helpers", "remark"))
+    # every check but these two reads the tables or grids of a modulus, one
+    # task per modulus (erdos reads the m = 1 task's table of p(n))
+    spec_checks = tuple(c for c in config.checks if c not in ("helpers", "remark"))
     # One recurrence-and-walk cache for the run, keyed by part list: lists
     # such as {1, 2, ...} recur for every m.  The builtin map shares this
     # dict across moduli; a pool pickles a copy into each task, so workers
@@ -322,15 +326,13 @@ def run_verify(config: SweepConfig) -> VerifyResult:
     tasks = [
         (m, config.n_max, spec_checks, config.variants, oracle_cache)
         for m in range(1, config.m_max + 1)
-        if spec_checks
+        if spec_checks and (m == 1 or spec_checks != ("erdos",))
     ]
     with _pool(min(config.workers, len(tasks))) as pool:
         for partial in (pool.map if pool else map)(_rows_for_modulus, tasks):
             for name, rows in partial.items():
                 by_check[name].extend(rows)
 
-    if "erdos" in by_check:
-        by_check["erdos"] = bounds.check_erdos(config.n_max)
     if "helpers" in by_check:
         by_check["helpers"] = _helper_rows(
             config.m_max, min(config.n_max, SQRT_SWEEP_N_MAX)

@@ -1,13 +1,22 @@
-"""Test-side oracle: enumerate partitions explicitly, independent of the library.
+"""Test-side oracles: the literal definitions the library's tables must equal.
 
-Used to freeze expected values and to audit the counting engines.
-Deliberately lists partitions as tuples instead of counting, so it shares
-no structure with any library engine.
+``enumerate_partitions`` lists partitions as tuples instead of counting,
+so it shares no structure with the library.  ``count_dp`` does share its
+structure with ``TableFactory``: it is the literal coin-change definition
+(one ascending pass per part, from the empty partition), which the
+factory's kernel, its slice cache and its pentagonal start must equal.
+``eq4_rhs_direct`` evaluates the double-counting identity's right side
+term by term, and ``convolution_check_range`` splits full-set counts into
+head and tail counts, both from ``count_dp`` tables.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Iterable, Iterator
+
+from partlab.counting import BigCount, CountTable, _validated_parts
+from partlab.partset import A_PLUS, FULL_A, R_PLUS, ResidueSpec, parts_up_to
 
 
 def enumerate_partitions(parts: Iterable[int], n: int) -> Iterator[tuple[int, ...]]:
@@ -35,3 +44,69 @@ def enumerate_partitions(parts: Iterable[int], n: int) -> Iterator[tuple[int, ..
 def brute_count(parts: Iterable[int], n: int) -> int:
     return sum(1 for _ in enumerate_partitions(parts, n))
 
+
+def count_dp(parts: Iterable[int], n: int) -> CountTable:
+    """Exact counts of partitions of 0..n via part-by-part accumulation.
+
+    Outer loop over parts, inner ascending loop over totals: unordered
+    multiset semantics, so partitions are counted rather than compositions.
+    """
+    ps = _validated_parts(parts)
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
+    values = [0] * (n + 1)
+    values[0] = 1
+    for a in ps:
+        if a > n:
+            break
+        for j in range(a, n + 1):
+            values[j] += values[j - a]
+    return CountTable(parts=ps, values=tuple(values))
+
+
+def eq4_rhs_direct(table: CountTable, n: int) -> BigCount:
+    """Literal evaluation of ``sum_{s <= n} s * sum_{1 <= k <= n/s} p(n - s*k)``."""
+    if not 0 <= n <= table.n_max:
+        raise ValueError(f"n={n} outside table range 0..{table.n_max}")
+    values = table.values
+    total = 0
+    for s in table.parts:
+        if s > n:
+            break
+        inner = 0
+        for j in range(n - s, -1, -s):
+            inner += values[j]
+        total += s * inner
+    return total
+
+
+@dataclass(frozen=True)
+class ConvolutionReport:
+    """One check of splitting partitions into head (R+) and tail (A+) parts."""
+
+    n: int
+    lhs: BigCount
+    rhs: BigCount
+
+    @property
+    def holds(self) -> bool:
+        return self.lhs == self.rhs
+
+
+def convolution_check_range(spec: ResidueSpec, n_max: int) -> list[ConvolutionReport]:
+    """Verify p_A(n) = sum_{n'} p_{R+}(n') * p_{A+}(n - n') for 0 <= n <= n_max.
+
+    Every partition from the full set splits uniquely into its parts below
+    m (members of R+) and its parts at least m (members of A+).  The three
+    count tables are built once and shared by every level.
+    """
+    if n_max < 0:
+        raise ValueError(f"n_max must be >= 0, got {n_max}")
+    full = count_dp(parts_up_to(spec, FULL_A, n_max), n_max).values
+    head = count_dp(parts_up_to(spec, R_PLUS, n_max), n_max).values
+    tail = count_dp(parts_up_to(spec, A_PLUS, n_max), n_max).values
+    out = []
+    for n in range(n_max + 1):
+        rhs = sum(head[k] * tail[n - k] for k in range(n + 1))
+        out.append(ConvolutionReport(n=n, lhs=full[n], rhs=rhs))
+    return out

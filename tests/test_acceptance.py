@@ -11,6 +11,7 @@ import time
 
 import pytest
 
+from _oracle import convolution_check_range, count_dp, eq4_rhs_direct
 from partlab.bounds import (
     asymptotic_ratio,
     check_erdos,
@@ -18,13 +19,7 @@ from partlab.bounds import (
     check_rplus_poly_bound,
     check_theorem1,
 )
-from partlab.counting import (
-    TableFactory,
-    convolution_check_range,
-    count_dp,
-    count_recurrence,
-    eq4_rhs_direct,
-)
+from partlab.counting import TableFactory, count_recurrence
 from partlab.partset import (
     A_PLUS,
     FULL_A,
@@ -161,7 +156,8 @@ def test_criterion_03_tail_bound_sweep(bound_sweep):
 
 def test_criterion_04_classical_special_case():
     """log p(n) <= pi*sqrt(2n/3) to n=2000; p(100) agreed by two engines."""
-    reports = check_erdos(SWEEP_N_MAX)
+    p_table = TableFactory(SWEEP_N_MAX).aplus(make_residue_spec(1, [0]))
+    reports = check_erdos(SWEEP_N_MAX, p_table)
     failures = sum(1 for r in reports if not r["holds"])
     dp_value = count_dp(range(1, 101), 100).values[100]
     rec_value = count_recurrence(range(1, 101), 100).values[100]

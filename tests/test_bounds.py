@@ -14,12 +14,10 @@ from partlab.bounds import (
     check_nathanson_chain,
     check_rplus_poly_bound,
     check_theorem1,
-    erdos_rhs,
     log_of_count,
-    theorem1_rhs,
 )
-from partlab.counting import TableFactory, count_dp, count_recurrence
-from partlab.partset import FULL_A, make_residue_spec, parts_up_to
+from partlab.counting import TableFactory, count_recurrence
+from partlab.partset import make_residue_spec
 from partlab.series import (
     check_derivative_nonpositive,
     check_eq1,
@@ -29,6 +27,11 @@ from partlab.series import (
     find_counterexample_odd_remark,
 )
 from test_partset import spec_strategy
+
+
+def bound_at(spec, n):
+    """The tail-set bound c*sqrt(n) from the spec's constant."""
+    return BoundParams.from_spec(spec).c * math.sqrt(n)
 
 
 class TestLogOfCount:
@@ -63,9 +66,10 @@ class TestLogOfCount:
 
 class TestRhsFormulas:
     def test_erdos_values(self):
-        assert erdos_rhs(0) == 0.0
-        assert erdos_rhs(6) == pytest.approx(2 * math.pi, rel=1e-15)
-        assert erdos_rhs(100) == pytest.approx(25.65099660323728, rel=1e-12)
+        classical = make_residue_spec(1, [0])
+        assert bound_at(classical, 0) == 0.0
+        assert bound_at(classical, 6) == pytest.approx(2 * math.pi, rel=1e-15)
+        assert bound_at(classical, 100) == pytest.approx(25.65099660323728, rel=1e-12)
 
     def test_classical_constant(self):
         params = BoundParams.from_spec(make_residue_spec(1, [0]))
@@ -75,25 +79,27 @@ class TestRhsFormulas:
     @given(st.integers(0, 5000))
     @settings(max_examples=60)
     def test_reduces_to_classical(self, n):
-        params = BoundParams.from_spec(make_residue_spec(1, [0]))
-        assert theorem1_rhs(n, params) == pytest.approx(erdos_rhs(n), rel=1e-12)
+        classical = bound_at(make_residue_spec(1, [0]), n)
+        assert classical == pytest.approx(math.pi * math.sqrt(2.0 * n / 3.0), rel=1e-12)
 
     def test_halved_modulus(self):
-        params = BoundParams.from_spec(make_residue_spec(2, [1]))
-        assert theorem1_rhs(300, params) == pytest.approx(10 * math.pi, rel=1e-12)
-        assert theorem1_rhs(0, params) == 0.0
+        spec = make_residue_spec(2, [1])
+        assert bound_at(spec, 300) == pytest.approx(10 * math.pi, rel=1e-12)
+        assert bound_at(spec, 0) == 0.0
 
 
 class TestTheorem1Check:
     def test_classical_at_100(self):
-        reports = check_theorem1(make_residue_spec(1, [0]), 100)
+        spec = make_residue_spec(1, [0])
+        reports = check_theorem1(spec, 100, TableFactory(100).aplus(spec))
         last = reports[100]
         assert last["count"] == "190569292"
         assert last["slack"] == pytest.approx(6.585470179309901, abs=1e-9)
         assert last["holds"]
 
     def test_base_case_zero_slack(self):
-        report = check_theorem1(make_residue_spec(3, [1, 2]), 0)[0]
+        spec = make_residue_spec(3, [1, 2])
+        report = check_theorem1(spec, 0, TableFactory(0).aplus(spec))[0]
         assert report["count"] == "1"
         assert report["log_count"] == 0.0
         assert report["bound"] == 0.0
@@ -102,14 +108,16 @@ class TestTheorem1Check:
 
     def test_sparse_tail(self):
         # m=2, R={1}: the only tail partition of 5 is the singleton {5}
-        reports = check_theorem1(make_residue_spec(2, [1]), 5)
+        spec = make_residue_spec(2, [1])
+        reports = check_theorem1(spec, 5, TableFactory(5).aplus(spec))
         assert reports[5]["count"] == "1"
         assert reports[5]["log_count"] == 0.0
         assert reports[5]["bound"] == pytest.approx(math.pi * math.sqrt(10 / 6), rel=1e-12)
 
     def test_vacuous_rows(self):
         # m=2, R={0}: even parts only, odd n unreachable
-        reports = check_theorem1(make_residue_spec(2, [0]), 6)
+        spec = make_residue_spec(2, [0])
+        reports = check_theorem1(spec, 6, TableFactory(6).aplus(spec))
         for n in (1, 3, 5):
             assert reports[n]["count"] == "0"
             assert reports[n]["log_count"] is None
@@ -119,12 +127,13 @@ class TestTheorem1Check:
     @given(spec=spec_strategy(m_max=6, allow_empty=False))
     @settings(max_examples=30, deadline=None)
     def test_small_sweep_holds(self, spec):
-        assert all(r["holds"] for r in check_theorem1(spec, 150))
+        table = TableFactory(150).aplus(spec)
+        assert all(r["holds"] for r in check_theorem1(spec, 150, table))
 
 
 class TestErdosCheck:
     def test_all_hold_to_500(self):
-        reports = check_erdos(500)
+        reports = check_erdos(500, TableFactory(500).aplus(make_residue_spec(1, [0])))
         assert len(reports) == 501
         assert all(r["holds"] for r in reports)
         assert reports[100]["count"] == "190569292"
@@ -132,33 +141,39 @@ class TestErdosCheck:
 
 class TestRPlusPolyBound:
     def test_examples(self):
-        reports = check_rplus_poly_bound(make_residue_spec(2, [1]), 6)
+        spec = make_residue_spec(2, [1])
+        reports = check_rplus_poly_bound(spec, 6, TableFactory(6).rplus(spec))
         assert reports[6]["count"] == "1"  # only 1+1+1+1+1+1
         assert reports[6]["holds"]
-        reports = check_rplus_poly_bound(make_residue_spec(5, [2, 3]), 6)
+        spec = make_residue_spec(5, [2, 3])
+        reports = check_rplus_poly_bound(spec, 6, TableFactory(6).rplus(spec))
         assert reports[6]["count"] == "2"  # 2+2+2 and 3+3
         assert reports[6]["holds"]
 
     def test_empty_head_set(self):
-        reports = check_rplus_poly_bound(make_residue_spec(3, [0]), 5)
+        spec = make_residue_spec(3, [0])
+        reports = check_rplus_poly_bound(spec, 5, TableFactory(5).rplus(spec))
         assert [r["count"] for r in reports] == ["1", "0", "0", "0", "0", "0"]
         assert all(r["holds"] for r in reports)
 
     def test_verdict_is_integer_exact(self):
         # At n'=0 the bound is exactly 1 and the count is exactly 1: equality
-        report = check_rplus_poly_bound(make_residue_spec(4, [1, 3]), 0)[0]
+        spec = make_residue_spec(4, [1, 3])
+        report = check_rplus_poly_bound(spec, 0, TableFactory(0).rplus(spec))[0]
         assert report["count"] == "1"
         assert report["holds"]
 
     @given(spec=spec_strategy(m_max=8), n_max=st.integers(0, 200))
     @settings(max_examples=40, deadline=None)
     def test_holds_exactly(self, spec, n_max):
-        assert all(r["holds"] for r in check_rplus_poly_bound(spec, n_max))
+        table = TableFactory(n_max).rplus(spec)
+        assert all(r["holds"] for r in check_rplus_poly_bound(spec, n_max, table))
 
 
 class TestNathansonChain:
     def test_odd_parts_at_5(self):
-        reports = check_nathanson_chain(make_residue_spec(2, [1]), 5)
+        spec = make_residue_spec(2, [1])
+        reports = check_nathanson_chain(spec, 5, TableFactory(5).full_a(spec))
         r5 = reports[5]
         assert r5["count"] == "3"
         assert r5["log_count"] == pytest.approx(math.log(3), rel=1e-12)
@@ -167,12 +182,14 @@ class TestNathansonChain:
         assert r5["holds"]
 
     def test_base_cases(self):
-        reports = check_nathanson_chain(make_residue_spec(1, [0]), 1)
+        spec = make_residue_spec(1, [0])
+        reports = check_nathanson_chain(spec, 1, TableFactory(1).full_a(spec))
         assert reports[0]["slack"] == 0.0 and reports[0]["holds"]
         assert reports[1]["holds"]
 
     def test_two_class_case(self):
-        reports = check_nathanson_chain(make_residue_spec(4, [1, 3]), 10)
+        spec = make_residue_spec(4, [1, 3])
+        reports = check_nathanson_chain(spec, 10, TableFactory(10).full_a(spec))
         assert reports[10]["holds"]
         assert reports[10]["slack"] > 0
 
@@ -195,7 +212,8 @@ class TestNathansonChain:
 class TestAsymptoticRatio:
     def test_classical_at_100(self):
         spec = make_residue_spec(1, [0])
-        assert asymptotic_ratio(spec, 100) == pytest.approx(
+        count = TableFactory(100).full_a(spec).values[100]
+        assert asymptotic_ratio(spec, 100, count=count) == pytest.approx(
             0.7432664983286154, abs=1e-9
         )
 
@@ -207,15 +225,15 @@ class TestAsymptoticRatio:
 
     def test_rejects_unreachable(self):
         with pytest.raises(ValueError):
-            asymptotic_ratio(make_residue_spec(2, [0]), 5)  # odd n, even parts
+            asymptotic_ratio(make_residue_spec(2, [0]), 5, count=0)  # odd n, even parts
         with pytest.raises(ValueError):
-            asymptotic_ratio(make_residue_spec(2, [1]), 0)
+            asymptotic_ratio(make_residue_spec(2, [1]), 0, count=1)
 
     @given(n=st.integers(1, 400))
     @settings(max_examples=40, deadline=None)
     def test_classical_ratio_below_one(self, n):
         spec = make_residue_spec(1, [0])
-        count = count_dp(parts_up_to(spec, FULL_A, n), n).values[n]
+        count = count_recurrence(range(1, n + 1), n).values[n]
         assert asymptotic_ratio(spec, n, count=count) <= 1.0
 
     def test_odd_set_ratio_at_ten_thousand(self):
@@ -225,7 +243,8 @@ class TestAsymptoticRatio:
 
 
 def test_report_row_shape():
-    row = check_theorem1(make_residue_spec(2, [1]), 3)[3]
+    odd = make_residue_spec(2, [1])
+    row = check_theorem1(odd, 3, TableFactory(3).aplus(odd))[3]
     assert list(row) == [
         "m",
         "R",

@@ -6,9 +6,11 @@ import json
 
 import pytest
 
+from _oracle import count_dp
 from partlab import cli, counting, sweeps
 from partlab.cli import main
 from partlab.counting import CountTable
+from partlab.partset import make_residue_spec, parts_up_to
 
 
 def run_cli(capsys, argv, env=None, monkeypatch=None):
@@ -59,6 +61,30 @@ class TestCount:
         code, out, _ = run_cli(capsys, ["count", "--m", "1", "--r", "0", "--n", "100"])
         assert code == 0
         assert json.loads(out) == {"n": 100, "count": "190569292", "engines_agree": True}
+
+    @pytest.mark.parametrize("variant", ["full-a", "a-plus", "r-plus"])
+    def test_each_variant_matches_the_oracle(self, capsys, variant):
+        argv = ["count", "--m", "3", "--r", "0,2", "--variant", variant, "--n", "60"]
+        code, out, _ = run_cli(capsys, argv)
+        parts = parts_up_to(make_residue_spec(3, [0, 2]), variant, 60)
+        assert code == 0
+        assert json.loads(out) == {
+            "n": 60,
+            "count": str(count_dp(parts, 60).values[60]),
+            "engines_agree": True,
+        }
+
+    def test_wrong_factory_kernel_fails(self, capsys, monkeypatch):
+        """count's first engine is the factory: a kernel that skips the last total disagrees."""
+
+        def skip_last(values, a):
+            for j in range(a, len(values) - 1):
+                values[j] += values[j - a]
+
+        monkeypatch.setattr(counting, "_add_part", skip_last)
+        code, out, _ = run_cli(capsys, ["count", "--m", "2", "--r", "1", "--n", "50"])
+        assert code == 1
+        assert json.loads(out)["engines_agree"] is False
 
     def test_variant_outside_the_three_sets(self, capsys):
         code, out, _ = run_cli(
@@ -276,6 +302,21 @@ class TestVerify:
             (m, tuple(range(m)), variant) for m in range(2, 5) for variant in ("full-a", "a-plus")
         }
 
+    def test_erdos_reads_the_factory_table(self, capsys, monkeypatch):
+        """A p(n) table over the classical bound at its last n fails erdos (and theorem1)."""
+        real = counting._partition_numbers
+
+        def too_large(n):
+            values = real(n)
+            values[n] = 10**20  # log is 46.1, above pi*sqrt(2*150/3) = 31.4
+            return values
+
+        monkeypatch.setattr(counting, "_partition_numbers", too_large)
+        argv = ["verify", "--checks", "erdos", "--m-max", "1", "--n-max", "150"]
+        code, _, err = run_cli(capsys, argv)
+        assert code == 1
+        assert "check=erdos rows=151 failures=1 " in err
+
     def test_unknown_check(self, capsys):
         code, _, err = run_cli(capsys, ["verify", "--checks", "nonsense"])
         assert code == 2
@@ -407,6 +448,12 @@ class TestWorkers:
         config = sweeps.SweepConfig(m_max=3, n_max=20, checks=("theorem1",), workers=64)
         assert sweeps.run_verify(config).ok
         assert pool_sizes == [3]
+
+    def test_erdos_alone_starts_no_pool(self, pool_sizes):
+        # erdos reads the m = 1 task's table only, so it makes one task
+        config = sweeps.SweepConfig(m_max=3, n_max=20, checks=("erdos",), workers=64)
+        assert [r["n"] for r in sweeps.run_verify(config).rows] == list(range(21))
+        assert pool_sizes == []
 
     def test_sweep_pool_capped_at_task_count(self, pool_sizes):
         assert len(sweeps.sweep_rows(2, 3, workers=64)) == 4 * 4

@@ -6,42 +6,51 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracle import brute_count, enumerate_partitions
-from partlab import counting
-from partlab.counting import (
-    IntegrityError,
-    TableFactory,
+from _oracle import (
+    brute_count,
     convolution_check_range,
-    count_bruteforce,
     count_dp,
-    count_recurrence,
+    enumerate_partitions,
     eq4_rhs_direct,
 )
+from partlab import counting
+from partlab.counting import IntegrityError, TableFactory, count_bruteforce, count_recurrence
 from partlab.partset import A_PLUS, FULL_A, R_PLUS, make_residue_spec, parts_up_to
 from partlab.sweeps import subsets_for_modulus
 from test_partset import spec_strategy
 
 
 class TestCountDP:
+    """The coin-change definition's known values, pinned on the library's two
+    table engines: the factory (which shares the definition's kernel) and
+    the recurrence (which shares nothing with it)."""
+
     def test_unrestricted_small(self):
-        table = count_dp([1, 2, 3, 4, 5], 5)
-        assert table.values[5] == 7
-        assert table.values == (1, 1, 2, 3, 5, 7)
+        expected = (1, 1, 2, 3, 5, 7)
+        assert TableFactory(5).full_a(make_residue_spec(1, [0])).values == expected
+        assert count_recurrence([1, 2, 3, 4, 5], 5).values == expected
 
     def test_tail_of_odd_parts(self):
         # m=2, R={1}: tail parts up to 5 are [3, 5]; only 5 itself works
-        assert count_dp([3, 5], 5).values[5] == 1
+        spec = make_residue_spec(2, [1])
+        assert TableFactory(5).aplus(spec).values[5] == 1
+        assert count_recurrence([3, 5], 5).values[5] == 1
 
     def test_empty_parts(self):
-        assert count_dp([], 3).values == (1, 0, 0, 0)
+        # R={} has no parts at all; R={0} has no head part
+        assert TableFactory(3).aplus(make_residue_spec(4, [])).values == (1, 0, 0, 0)
+        assert TableFactory(3).rplus(make_residue_spec(5, [0])).values == (1, 0, 0, 0)
+        assert count_recurrence([], 3).values == (1, 0, 0, 0)
 
     def test_rejects_bad_parts(self):
-        with pytest.raises(ValueError):
-            count_dp([2, 2], 5)
-        with pytest.raises(ValueError):
-            count_dp([3, 1], 5)
-        with pytest.raises(ValueError):
-            count_dp([0, 1], 5)
+        # both engines take a part list through the one shared validator
+        for engine in (count_recurrence, count_bruteforce):
+            with pytest.raises(ValueError):
+                engine([2, 2], 5)
+            with pytest.raises(ValueError):
+                engine([3, 1], 5)
+            with pytest.raises(ValueError):
+                engine([0, 1], 5)
 
 
 class TestCountRecurrence:
