@@ -10,13 +10,14 @@ and the head counts obey the exact polynomial bound
 ``p_{R+}(n') <= (n'+1)**|R|``.
 
 Counts are exact integers; only the final log-vs-bound comparisons use
-floats, guarded by EPS_LOG.  Where both sides are integers the comparison
-is exact, with no floats involved.
+floats, guarded by EPS_LOG.  Where both sides are integers (the head-count
+bound) the comparison is exact, with no floats involved.  The constant c
+comes from ``tail_constant`` alone.
 
 Every check takes the exact count table it checks (a ``TableFactory``
 table, which the counts check certifies) and builds no table itself.
-Each check returns one report row per n, built once as the dict that is
-emitted: ``{m, R, variant, n, count, log_count, bound, slack, holds}``,
+Each check returns one report row per n, built once by ``_bound_rows``
+as the dict that is emitted: ``{m, R, variant, n, count, log_count, bound, slack, holds}``,
 with the count as a decimal string.  The rows of one call share one
 residue list, so rows are read-only once built.
 """
@@ -24,7 +25,6 @@ residue list, so rows are read-only once built.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .counting import BigCount, CountTable
 from .partset import A_PLUS, FULL_A, R_PLUS, ResidueSpec
@@ -35,36 +35,20 @@ from .partset import A_PLUS, FULL_A, R_PLUS, ResidueSpec
 EPS_LOG = 1e-9
 
 
-@dataclass(frozen=True)
-class BoundParams:
-    """The bound constant c = pi*sqrt(2*|R| / (3*m)) with its ingredients."""
-
-    c: float
-    m: int
-    rsize: int
-
-    @classmethod
-    def from_spec(cls, spec: ResidueSpec) -> "BoundParams":
-        c = math.pi * math.sqrt(2.0 * spec.rsize / (3.0 * spec.m))
-        return cls(c=c, m=spec.m, rsize=spec.rsize)
+def tail_constant(spec: ResidueSpec) -> float:
+    """The bound constant c = pi*sqrt(2*|R| / (3*m))."""
+    return math.pi * math.sqrt(2.0 * spec.rsize / (3.0 * spec.m))
 
 
-def log_of_count(c: BigCount) -> float:
-    """Natural log of a positive integer count of any size.
-
-    Splits off the binary exponent internally (ln c = ln mant + e*ln 2), so
-    counts far beyond float range are fine; relative error is ~1 ulp.
-    """
-    if c <= 0:
-        raise ValueError(f"count must be >= 1, got {c}")
-    return math.log(c)
-
-
-def _bound_rows(spec: ResidueSpec, variant: str, values, bound_at) -> list[dict]:
+def _bound_rows(
+    spec: ResidueSpec, variant: str, values, bound_at, exact=None
+) -> list[dict]:
     """Compare log(count) against bound_at(n) for every table entry.
 
     Entries with count 0 are vacuous: the bound constrains only realizable
     n, so they are recorded without log fields and hold by convention.
+    With ``exact``, the verdict of every entry is instead ``exact(n,
+    count)``, an integer comparison, and the log fields are for reading.
     """
     m = spec.m
     residues = list(spec.residues)  # shared by every row; rows are read-only
@@ -74,11 +58,13 @@ def _bound_rows(spec: ResidueSpec, variant: str, values, bound_at) -> list[dict]
         bound = bound_at(n)
         if cnt == 0:
             lg = slack = None
-            holds = True
         else:
-            lg = log(cnt)  # log_of_count's value; cnt >= 1 here
+            lg = log(cnt)
             slack = bound - lg
-            holds = slack >= -EPS_LOG
+        if exact is not None:
+            holds = exact(n, cnt)
+        else:
+            holds = slack is None or slack >= -EPS_LOG
         out.append(
             {
                 "m": m,
@@ -99,7 +85,7 @@ def check_theorem1(spec: ResidueSpec, n_max: int, table: CountTable) -> list[dic
     """Tail-set bound c*sqrt(n) at every 0 <= n <= n_max; all entries must hold."""
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
-    c = BoundParams.from_spec(spec).c
+    c = tail_constant(spec)
     sqrt = math.sqrt
     return _bound_rows(spec, A_PLUS, table.values[: n_max + 1], lambda n: c * sqrt(n))
 
@@ -121,35 +107,22 @@ def check_rplus_poly_bound(spec: ResidueSpec, n_max: int, table: CountTable) -> 
     """
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
-    m = spec.m
-    residues = list(spec.residues)
     rsize = spec.rsize
     log = math.log
-    out = []
-    for n, cnt in enumerate(table.values[: n_max + 1]):
-        bound_log = rsize * log(n + 1)
-        lg = log(cnt) if cnt > 0 else None
-        out.append(
-            {
-                "m": m,
-                "R": residues,
-                "variant": R_PLUS,
-                "n": n,
-                "count": str(cnt),
-                "log_count": lg,
-                "bound": bound_log,
-                "slack": bound_log - lg if lg is not None else None,
-                "holds": cnt <= (n + 1) ** rsize,
-            }
-        )
-    return out
+    return _bound_rows(
+        spec,
+        R_PLUS,
+        table.values[: n_max + 1],
+        lambda n: rsize * log(n + 1),
+        exact=lambda n, cnt: cnt <= (n + 1) ** rsize,
+    )
 
 
 def check_nathanson_chain(spec: ResidueSpec, n_max: int, table: CountTable) -> list[dict]:
     """Full-set bound log p_A(n) <= (|R|+1)*log(n+1) + c*sqrt(n), n <= n_max."""
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
-    c = BoundParams.from_spec(spec).c
+    c = tail_constant(spec)
     rfactor = spec.rsize + 1
     log, sqrt = math.log, math.sqrt
 
@@ -171,5 +144,4 @@ def asymptotic_ratio(spec: ResidueSpec, n: int, count: BigCount) -> float:
         raise ValueError("ratio undefined for an empty residue set")
     if count < 1:
         raise ValueError(f"no partitions of {n}; ratio undefined")
-    params = BoundParams.from_spec(spec)
-    return log_of_count(count) / (params.c * math.sqrt(n))
+    return math.log(count) / (tail_constant(spec) * math.sqrt(n))

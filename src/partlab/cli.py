@@ -31,9 +31,7 @@ EXIT_CONFIG = 2
 
 
 def _parse_residues(text: str):
-    """Comma-separated residues; '' means empty R; 'all' is a sweep sentinel."""
-    if text == "all":
-        return None
+    """Comma-separated residues; '' means empty R."""
     if text.strip() == "":
         return []
     try:
@@ -73,10 +71,7 @@ def _write_report(
 
 
 def cmd_count(args: argparse.Namespace) -> int:
-    residues = _parse_residues(args.r)
-    if residues is None:
-        raise SpecError("count requires an explicit residue list, not 'all'")
-    spec = make_residue_spec(args.m, residues)
+    spec = make_residue_spec(args.m, _parse_residues(args.r))
     if args.n < 0:
         raise ValueError(f"n must be >= 0, got {args.n}")
     # the table the other commands read, against an engine sharing no code with it
@@ -91,10 +86,7 @@ def cmd_count(args: argparse.Namespace) -> int:
 
 
 def cmd_table(args: argparse.Namespace) -> int:
-    residues = _parse_residues(args.r)
-    if residues is None:
-        raise SpecError("table requires an explicit residue list, not 'all'")
-    spec = make_residue_spec(args.m, residues)
+    spec = make_residue_spec(args.m, _parse_residues(args.r))
     rows = sweeps.table_rows(spec, args.n_max)
     head = {"command": "table", "m": spec.m, "R": list(spec.residues)}
     _write_report(args, head, rows, reporting.TABLE_FIELDS)

@@ -259,16 +259,18 @@ class TableFactory:
             )
         return values
 
+    def _tail_of(self, spec: ResidueSpec) -> list[int]:
+        """The cached tail-set counts of spec; callers copy before changing them."""
+        return self._tail_values(spec.m, sum(1 << r for r in spec.residues))
+
     def aplus(self, spec: ResidueSpec) -> CountTable:
         """Counts over the tail set (all members >= m)."""
-        bits = sum(1 << r for r in spec.residues)
-        values = self._tail_values(spec.m, bits)
         parts = tuple(parts_up_to(spec, A_PLUS, self.n_max))
-        return CountTable(parts=parts, values=tuple(values))
+        return CountTable(parts=parts, values=tuple(self._tail_of(spec)))
 
     def full_a(self, spec: ResidueSpec) -> CountTable:
         """Counts over the full set: tail table extended by the R+ parts."""
-        values = list(self.aplus(spec).values)
+        values = list(self._tail_of(spec))
         for r in spec.residues:
             if r >= 1:
                 _add_part(values, r)

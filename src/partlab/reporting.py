@@ -31,8 +31,6 @@ BATCH_ROWS = 1000
 CACHE_SIZE = 16_384
 
 # Field orders are fixed; emission never depends on dict iteration quirks.
-BOUND_FIELDS = ("m", "R", "variant", "n", "count", "log_count", "bound", "slack", "holds")
-SERIES_FIELDS = ("check", "m", "R", "r", "x", "t", "lhs", "rhs", "margin", "holds")
 TABLE_FIELDS = ("n", "p_a", "p_a_plus", "p_r_plus", "bound", "slack", "ratio")
 SWEEP_FIELDS = ("m", "R") + TABLE_FIELDS
 VERIFY_FIELDS = (

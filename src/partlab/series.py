@@ -3,12 +3,13 @@
 Checked numerically at double precision:
 
 * the weighted tail series ``sum_{a in A+} a*t**a`` against its closed form
-  ``sum_r ((r+m)*t**(r+m) - r*t**(2m+r)) / (1 - t**m)**2``;
+  ``sum_r ((r+m)*t**(r+m) - r*t**(2m+r)) / (1 - t**m)**2``; the series is
+  summed once, in increasing a, and read at doubling cutoffs;
 * the per-residue kernel bound (lhs of the closed form at t = e**-x is at
   most ``1/(m*x**2)``) and its summed version (at most ``|R|/(m*x**2)``);
 * the helper facts ``e**(x/2) - e**(-x/2) > x``, the monotone envelope
   ``(r+m)e**(-rx) - r*e**(-(m+r)x) <= m`` with equality at 0, and
-  ``sqrt(n-ak) <= sqrt(n) - ak/(2*sqrt(n))``;
+  ``sqrt(n-d) <= sqrt(n) - d/(2*sqrt(n))`` for every d = a*k <= n;
 * the failure of the analogous kernel bound for the odd-part full set,
   ``(e**-x + e**-3x)/(1 - e**-2x)**2 <= 1/(2x**2)``, which is false: the
   finder reports every grid point where it breaks.
@@ -24,13 +25,14 @@ x = 0 row has t = 1); fields a check has no value for are None.  The
 margin depends on the check.  For one-sided inequalities margin = rhs -
 lhs (nonnegative means the inequality holds); for identities margin =
 |lhs - rhs|.  The finder for the odd-part counterexample inverts this:
-margin = lhs - rhs measures the violation it is looking for.
+margin = lhs - rhs measures the violation it is looking for.  The sqrt
+split returns one ``{check, n, margin, holds}`` row per n, whose margin is
+the least over d.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .partset import ResidueSpec
 
@@ -75,75 +77,46 @@ def default_t_grid() -> list[float]:
 # --- the weighted tail series and its closed form ----------------------------
 
 
-def lhs_series_truncated(spec: ResidueSpec, t: float, cutoff: int) -> float:
-    """Partial sum of ``a * t**a`` over tail-set members a <= cutoff.
+def series_sum_adaptive(spec: ResidueSpec, t: float) -> tuple[float, bool]:
+    """Sum the tail series by the doubling rule, in one pass: (value, converged).
 
-    Terms are accumulated in increasing a; powers advance by repeated
-    multiplication with t**m within each residue class.
+    Adds ``a * t**a`` in increasing a, powers advancing by repeated
+    multiplication with t**m within each residue class, and reads the
+    partial sum at the cutoffs TAIL_RULE_START, 2*TAIL_RULE_START, ...,
+    TAIL_RULE_CAP.  Returns at the first doubling that changes the partial
+    sum by less than TAIL_RULE_REL relatively (or leaves it 0.0), a
+    certified truncation without symbolic tail bounds; gives up
+    (converged=False) at the cap, which occurs only as t approaches 1.
+    Each partial sum is the float that summing from scratch to its cutoff
+    gives, because the terms and their order are the same.
     """
     if not 0.0 < t < 1.0:
         raise ValueError(f"t must lie in (0, 1), got {t}")
-    if cutoff < 1:
-        raise ValueError(f"cutoff must be >= 1, got {cutoff}")
-    m = spec.m
-    residues = spec.residues
+    m, residues = spec.m, spec.residues
     if not residues:
-        return 0.0
+        return 0.0, True
     tm = t**m
     powers = [t ** (m + r) for r in residues]
     total = 0.0
+    previous = None  # the partial sum at the last cutoff
+    cutoff = TAIL_RULE_START
     k = 1
-    while m * k + residues[0] <= cutoff:
+    while True:
         base = m * k
         for i, r in enumerate(residues):
             a = base + r
-            if a > cutoff:
-                break
+            while a > cutoff:  # total is the partial sum over a <= cutoff
+                if previous is not None and (
+                    total == 0.0 or total - previous <= TAIL_RULE_REL * total
+                ):
+                    return total, True
+                if cutoff > TAIL_RULE_CAP // 2:
+                    return total, False
+                previous = total
+                cutoff *= 2
             total += a * powers[i]
             powers[i] *= tm
         k += 1
-    return total
-
-
-@dataclass(frozen=True)
-class TruncationResult:
-    """Outcome of the doubling tail rule for the truncated series."""
-
-    value: float
-    cutoff: int
-    converged: bool
-
-
-def series_sum_adaptive(
-    spec: ResidueSpec,
-    t: float,
-    *,
-    start: int = TAIL_RULE_START,
-    cap: int = TAIL_RULE_CAP,
-    rel_tol: float = TAIL_RULE_REL,
-) -> TruncationResult:
-    """Sum the tail series with cutoff doubling until the increment is tiny.
-
-    Doubles the cutoff from ``start`` until the last doubling changes the
-    partial sum by less than ``rel_tol`` relatively, giving a certified
-    truncation without symbolic tail bounds.  Gives up (converged=False)
-    past ``cap`` terms, which occurs only as t approaches 1.
-    """
-    if not 0.0 < t < 1.0:
-        raise ValueError(f"t must lie in (0, 1), got {t}")
-    if not spec.residues:
-        return TruncationResult(value=0.0, cutoff=start, converged=True)
-    cutoff = start
-    value = lhs_series_truncated(spec, t, cutoff)
-    while cutoff <= cap // 2:
-        cutoff *= 2
-        extended = lhs_series_truncated(spec, t, cutoff)
-        if extended == 0.0:
-            return TruncationResult(value=extended, cutoff=cutoff, converged=True)
-        if (extended - value) <= rel_tol * extended:
-            return TruncationResult(value=extended, cutoff=cutoff, converged=True)
-        value = extended
-    return TruncationResult(value=value, cutoff=cutoff, converged=False)
 
 
 def rhs_closed_form(spec: ResidueSpec, t: float) -> float:
@@ -204,16 +177,14 @@ def _row(
 
 def check_eq1(spec: ResidueSpec, t: float) -> dict:
     """Truncated tail series vs. closed form, within relative tolerance."""
-    if not 0.0 < t < 1.0:
-        raise ValueError(f"t must lie in (0, 1), got {t}")
-    result = series_sum_adaptive(spec, t)
+    value, converged = series_sum_adaptive(spec, t)
     rhs = rhs_closed_form(spec, t)
-    diff = abs(result.value - rhs)
-    scale = max(abs(rhs), abs(result.value))
+    diff = abs(value - rhs)
+    scale = max(abs(rhs), abs(value))
     margin = diff / scale if scale > 0 else 0.0
-    holds = result.converged and margin <= SERIES_REL_TOL
+    holds = converged and margin <= SERIES_REL_TOL
     return _row(
-        "eq1", spec.m, list(spec.residues), None, -math.log(t), t, result.value, rhs, margin, holds
+        "eq1", spec.m, list(spec.residues), None, -math.log(t), t, value, rhs, margin, holds
     )
 
 
@@ -267,14 +238,25 @@ def check_sinh_inequality(x: float) -> dict:
     )
 
 
-def check_sqrt_inequality(n: int, a: int, k: int) -> bool:
-    """sqrt(n - a*k) <= sqrt(n) - a*k/(2*sqrt(n)), for 1 <= a*k <= n."""
-    if n < 1 or a < 1 or k < 1:
-        raise ValueError("n, a, k must all be >= 1")
-    if a * k > n:
-        raise ValueError(f"a*k = {a * k} exceeds n = {n}")
+def check_sqrt_split(n: int) -> dict:
+    """sqrt(n - d) <= sqrt(n) - d/(2*sqrt(n)) for every 1 <= d <= n.
+
+    The split of sqrt(n - a*k) depends on a and k only through d = a*k.
+    The row holds when every d does, and its margin is the smallest gap
+    (sqrt(n) - d/(2*sqrt(n))) - sqrt(n - d) over d.
+    """
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
     root_n = math.sqrt(n)
-    return math.sqrt(n - a * k) <= root_n - (a * k) / (2.0 * root_n) + EPS_ONE_SIDED
+    sqrt = math.sqrt
+    worst = math.inf
+    ok = True
+    for d in range(1, n + 1):
+        split = root_n - d / (2.0 * root_n)
+        root = sqrt(n - d)
+        ok = ok and root <= split + EPS_ONE_SIDED
+        worst = min(worst, split - root)
+    return {"check": "sqrt-split", "n": n, "margin": worst, "holds": ok}
 
 
 def check_derivative_nonpositive(r: int, m: int, x_grid: list[float]) -> list[dict]:

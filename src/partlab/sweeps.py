@@ -8,16 +8,16 @@ those tables against the recurrence engine, and the recurrence against a
 brute-force walk, then hands the same tables to the bound checks.  One
 summary per named check is aggregated in one pass over its rows, and every
 check returns the row dicts that are emitted, so each row is built once.
-The tasks are split across processes when a worker count above 1 is
-requested; the pool never starts more workers than there are moduli, and
-its module (which loads multiprocessing) is imported only then.  Rows are
-merged in a fixed order either way, so output is deterministic.
+Both verify and sweep run their per-modulus tasks through one function,
+``_per_modulus``: in this process for one worker, else over a process
+pool that never starts more workers than there are moduli, and whose
+module (which loads multiprocessing) is imported only then.  Results
+arrive in task order either way, so output is deterministic.
 """
 
 from __future__ import annotations
 
 import math
-from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 
 from . import bounds, series
@@ -131,7 +131,7 @@ def ratio_checkpoints(n_max: int) -> list[int]:
 
 
 def _ratio_rows(spec: ResidueSpec, table, n_max: int) -> list[dict]:
-    params = bounds.BoundParams.from_spec(spec)
+    c = bounds.tail_constant(spec)
     rows = []
     for n in ratio_checkpoints(n_max):
         cnt = table.values[n]
@@ -145,8 +145,8 @@ def _ratio_rows(spec: ResidueSpec, table, n_max: int) -> list[dict]:
                 "variant": FULL_A,
                 "n": n,
                 "count": str(cnt),
-                "log_count": bounds.log_of_count(cnt),
-                "bound": params.c * math.sqrt(n),
+                "log_count": math.log(cnt),
+                "bound": c * math.sqrt(n),
                 "ratio": bounds.asymptotic_ratio(spec, n, count=cnt),
                 "holds": True,
             }
@@ -247,23 +247,7 @@ def _helper_rows(m_max: int, n_sqrt_max: int) -> list[dict]:
     for m in range(1, m_max + 1):
         for r in range(m):
             rows.extend(series.check_derivative_nonpositive(r, m, envelope_grid))
-    for n in range(1, n_sqrt_max + 1):
-        worst = math.inf
-        ok = True
-        root_n = math.sqrt(n)
-        # the check and its margin depend on a and k only through d = a*k
-        for d in range(1, n + 1):
-            ok = ok and series.check_sqrt_inequality(n, d, 1)
-            margin = (root_n - d / (2.0 * root_n)) - math.sqrt(n - d)
-            worst = min(worst, margin)
-        rows.append(
-            {
-                "check": "sqrt-split",
-                "n": n,
-                "margin": worst,
-                "holds": ok,
-            }
-        )
+    rows.extend(series.check_sqrt_split(n) for n in range(1, n_sqrt_max + 1))
     return rows
 
 
@@ -297,17 +281,22 @@ def _summarize(name: str, rows: list[dict]) -> CheckSummary:
     )
 
 
-def _pool(workers: int):
-    """A process pool of that many workers, or no pool (None) for one.
+def _per_modulus(fn, tasks: list, workers: int):
+    """Yield fn(task) for every task, in order.
 
-    The pool's module loads multiprocessing, so it is imported only here,
-    and a serial run never pays for it.
+    One worker, or one task, runs them here with the builtin map.  Otherwise
+    a process pool of at most one worker per task maps them; its module
+    loads multiprocessing, so it is imported only then, and a serial run
+    never pays for it.
     """
+    workers = min(workers, len(tasks))
     if workers <= 1:
-        return nullcontext()
+        yield from map(fn, tasks)
+        return
     from concurrent.futures import ProcessPoolExecutor
 
-    return ProcessPoolExecutor(max_workers=workers)
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        yield from pool.map(fn, tasks)
 
 
 def run_verify(config: SweepConfig) -> VerifyResult:
@@ -328,10 +317,9 @@ def run_verify(config: SweepConfig) -> VerifyResult:
         for m in range(1, config.m_max + 1)
         if spec_checks and (m == 1 or spec_checks != ("erdos",))
     ]
-    with _pool(min(config.workers, len(tasks))) as pool:
-        for partial in (pool.map if pool else map)(_rows_for_modulus, tasks):
-            for name, rows in partial.items():
-                by_check[name].extend(rows)
+    for partial in _per_modulus(_rows_for_modulus, tasks, config.workers):
+        for name, rows in partial.items():
+            by_check[name].extend(rows)
 
     if "helpers" in by_check:
         by_check["helpers"] = _helper_rows(
@@ -359,15 +347,15 @@ def table_rows(spec: ResidueSpec, n_max: int, factory: TableFactory | None = Non
     full = factory.full_a(spec)
     tail = factory.aplus(spec)
     head = factory.rplus(spec)
-    params = bounds.BoundParams.from_spec(spec)
+    c = bounds.tail_constant(spec)
     rows = []
     for n in range(n_max + 1):
-        bound = params.c * math.sqrt(n)
+        bound = c * math.sqrt(n)
         tail_count = tail.values[n]
-        slack = bound - bounds.log_of_count(tail_count) if tail_count > 0 else None
+        slack = bound - math.log(tail_count) if tail_count > 0 else None
         full_count = full.values[n]
-        if n >= 1 and full_count >= 1 and params.c > 0:
-            ratio = bounds.log_of_count(full_count) / bound  # asymptotic_ratio's value
+        if n >= 1 and full_count >= 1 and c > 0:
+            ratio = math.log(full_count) / bound  # asymptotic_ratio's value
         else:
             ratio = None
         rows.append(
@@ -389,10 +377,8 @@ def sweep_rows(m_max: int, n_max: int, workers: int = 1) -> list[dict]:
     if m_max < 1:
         raise ValueError(f"m_max must be >= 1, got {m_max}")
     tasks = [(m, n_max) for m in range(1, m_max + 1)]
-    with _pool(min(workers, len(tasks))) as pool:
-        partials = list((pool.map if pool else map)(_sweep_rows_for_modulus, tasks))
     out: list[dict] = []
-    for partial in partials:
+    for partial in _per_modulus(_sweep_rows_for_modulus, tasks, workers):
         out.extend(partial)
     return out
 

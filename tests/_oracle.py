@@ -8,6 +8,11 @@ factory's kernel, its slice cache and its pentagonal start must equal.
 ``eq4_rhs_direct`` evaluates the double-counting identity's right side
 term by term, and ``convolution_check_range`` splits full-set counts into
 head and tail counts, both from ``count_dp`` tables.
+
+``lhs_series_truncated`` is the weighted tail series summed from scratch
+to one cutoff, and ``series_sum_reference`` is the doubling tail rule
+that re-sums it at every doubled cutoff: the reference that the
+library's one-pass ``series_sum_adaptive`` must equal bit for bit.
 """
 
 from __future__ import annotations
@@ -17,6 +22,7 @@ from typing import Iterable, Iterator
 
 from partlab.counting import BigCount, CountTable, _validated_parts
 from partlab.partset import A_PLUS, FULL_A, R_PLUS, ResidueSpec, parts_up_to
+from partlab.series import TAIL_RULE_CAP, TAIL_RULE_REL, TAIL_RULE_START
 
 
 def enumerate_partitions(parts: Iterable[int], n: int) -> Iterator[tuple[int, ...]]:
@@ -110,3 +116,55 @@ def convolution_check_range(spec: ResidueSpec, n_max: int) -> list[ConvolutionRe
         rhs = sum(head[k] * tail[n - k] for k in range(n + 1))
         out.append(ConvolutionReport(n=n, lhs=full[n], rhs=rhs))
     return out
+
+
+def lhs_series_truncated(spec: ResidueSpec, t: float, cutoff: int) -> float:
+    """Partial sum of ``a * t**a`` over tail-set members a <= cutoff.
+
+    Terms are accumulated in increasing a; powers advance by repeated
+    multiplication with t**m within each residue class.
+    """
+    if not 0.0 < t < 1.0:
+        raise ValueError(f"t must lie in (0, 1), got {t}")
+    if cutoff < 1:
+        raise ValueError(f"cutoff must be >= 1, got {cutoff}")
+    m = spec.m
+    residues = spec.residues
+    if not residues:
+        return 0.0
+    tm = t**m
+    powers = [t ** (m + r) for r in residues]
+    total = 0.0
+    k = 1
+    while m * k + residues[0] <= cutoff:
+        base = m * k
+        for i, r in enumerate(residues):
+            a = base + r
+            if a > cutoff:
+                break
+            total += a * powers[i]
+            powers[i] *= tm
+        k += 1
+    return total
+
+
+def series_sum_reference(spec: ResidueSpec, t: float) -> tuple[float, bool]:
+    """The doubling tail rule, re-summing from scratch at every cutoff.
+
+    Doubles the cutoff from TAIL_RULE_START until the last doubling
+    changes the partial sum by less than TAIL_RULE_REL relatively (or the
+    sum is 0.0); gives up (converged=False) past TAIL_RULE_CAP.
+    """
+    if not 0.0 < t < 1.0:
+        raise ValueError(f"t must lie in (0, 1), got {t}")
+    if not spec.residues:
+        return 0.0, True
+    cutoff = TAIL_RULE_START
+    value = lhs_series_truncated(spec, t, cutoff)
+    while cutoff <= TAIL_RULE_CAP // 2:
+        cutoff *= 2
+        extended = lhs_series_truncated(spec, t, cutoff)
+        if extended == 0.0 or (extended - value) <= TAIL_RULE_REL * extended:
+            return extended, True
+        value = extended
+    return value, False

@@ -1,6 +1,7 @@
-"""Log evaluation and the bound checkers."""
+"""The bound checkers and the log values their rows carry."""
 
 import math
+import sys
 
 import mpmath
 import pytest
@@ -8,15 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from partlab.bounds import (
-    BoundParams,
     asymptotic_ratio,
     check_erdos,
     check_nathanson_chain,
     check_rplus_poly_bound,
     check_theorem1,
-    log_of_count,
+    tail_constant,
 )
-from partlab.counting import TableFactory, count_recurrence
+from partlab.counting import CountTable, TableFactory, count_recurrence
 from partlab.partset import make_residue_spec
 from partlab.series import (
     check_derivative_nonpositive,
@@ -31,37 +31,49 @@ from test_partset import spec_strategy
 
 def bound_at(spec, n):
     """The tail-set bound c*sqrt(n) from the spec's constant."""
-    return BoundParams.from_spec(spec).c * math.sqrt(n)
+    return tail_constant(spec) * math.sqrt(n)
+
+
+def log_count(c):
+    """The log_count field a bound row carries for the count c (a one-entry table)."""
+    table = CountTable(parts=(), values=(c,))
+    return check_theorem1(make_residue_spec(1, [0]), 0, table)[0]["log_count"]
 
 
 class TestLogOfCount:
     def test_one(self):
-        assert log_of_count(1) == 0.0
+        assert log_count(1) == 0.0
 
-    def test_rejects_zero(self):
-        with pytest.raises(ValueError):
-            log_of_count(0)
+    def test_zero_has_no_log(self):
+        row = check_theorem1(make_residue_spec(1, [0]), 0, CountTable(parts=(), values=(0,)))[0]
+        assert row["log_count"] is None and row["slack"] is None
 
     def test_power_of_two(self):
-        assert log_of_count(2**1000) == pytest.approx(1000 * math.log(2), rel=1e-12)
+        assert log_count(2**1000) == pytest.approx(1000 * math.log(2), rel=1e-12)
 
     def test_p100(self):
         # p(100), independently certified by the recurrence engine below
         assert count_recurrence(range(1, 101), 100).values[100] == 190569292
-        assert log_of_count(190569292) == pytest.approx(19.06552642392738, abs=1e-6)
+        assert log_count(190569292) == pytest.approx(19.06552642392738, abs=1e-6)
 
     @given(st.integers(1, 10**40))
     @settings(max_examples=80)
     def test_against_mpmath(self, c):
         with mpmath.workdps(40):
             reference = float(mpmath.log(c))
-        assert log_of_count(c) == pytest.approx(reference, rel=1e-12)
+        assert log_count(c) == pytest.approx(reference, rel=1e-12)
 
     def test_huge_count_against_mpmath(self):
         c = 3**12345 + 17
         with mpmath.workdps(60):
             reference = float(mpmath.log(mpmath.mpf(3) ** 12345))
-        assert log_of_count(c) == pytest.approx(reference, rel=1e-12)
+        # the row also writes the count's 5,891 digits, above str()'s default cap
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            assert log_count(c) == pytest.approx(reference, rel=1e-12)
+        finally:
+            sys.set_int_max_str_digits(limit)
 
 
 class TestRhsFormulas:
@@ -72,9 +84,9 @@ class TestRhsFormulas:
         assert bound_at(classical, 100) == pytest.approx(25.65099660323728, rel=1e-12)
 
     def test_classical_constant(self):
-        params = BoundParams.from_spec(make_residue_spec(1, [0]))
-        assert params.c == pytest.approx(math.pi * math.sqrt(2.0 / 3.0), rel=1e-15)
-        assert params.c == pytest.approx(2.565099660323728, rel=1e-12)
+        c = tail_constant(make_residue_spec(1, [0]))
+        assert c == pytest.approx(math.pi * math.sqrt(2.0 / 3.0), rel=1e-15)
+        assert c == pytest.approx(2.565099660323728, rel=1e-12)
 
     @given(st.integers(0, 5000))
     @settings(max_examples=60)
@@ -162,6 +174,17 @@ class TestRPlusPolyBound:
         report = check_rplus_poly_bound(spec, 0, TableFactory(0).rplus(spec))[0]
         assert report["count"] == "1"
         assert report["holds"]
+
+    def test_one_over_the_bound_fails_below_float_resolution(self):
+        # |R| = 40 and n' = 1: the bound is 2**40, and 2**40 + 1 is within
+        # EPS_LOG of it in logs, so only the integer verdict sees it
+        spec = make_residue_spec(41, range(1, 41))
+        table = CountTable(parts=(), values=(1, 2**40 + 1))
+        row = check_rplus_poly_bound(spec, 1, table)[1]
+        assert -1e-9 < row["slack"] < 0
+        assert not row["holds"]
+        at_bound = CountTable(parts=(), values=(1, 2**40))
+        assert check_rplus_poly_bound(spec, 1, at_bound)[1]["holds"]
 
     @given(spec=spec_strategy(m_max=8), n_max=st.integers(0, 200))
     @settings(max_examples=40, deadline=None)

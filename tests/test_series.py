@@ -12,16 +12,16 @@ from partlab.series import (
     check_eq2_pointwise,
     check_eq3,
     check_sinh_inequality,
-    check_sqrt_inequality,
+    check_sqrt_split,
     closed_form_exp_arg,
     default_t_grid,
     default_x_grid,
     find_counterexample_odd_remark,
-    lhs_series_truncated,
     rhs_closed_form,
     series_sum_adaptive,
 )
 from partlab.partset import make_residue_spec
+from _oracle import lhs_series_truncated, series_sum_reference
 from test_partset import spec_strategy
 
 
@@ -79,9 +79,29 @@ class TestClosedForm:
 class TestTruncatedSeries:
     def test_classical_converges_to_two(self):
         spec = make_residue_spec(1, [0])
-        result = series_sum_adaptive(spec, 0.5)
-        assert result.converged
-        assert result.value == pytest.approx(2.0, rel=1e-11)
+        value, converged = series_sum_adaptive(spec, 0.5)
+        assert converged
+        assert value == pytest.approx(2.0, rel=1e-11)
+
+    @given(
+        spec=spec_strategy(m_max=8),
+        t=st.one_of(st.sampled_from(default_t_grid()), st.floats(0.01, 0.99)),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_one_pass_equals_from_scratch_reference(self, spec, t):
+        """The one-pass sum reads the partial sums the doubling rule re-sums."""
+        value, converged = series_sum_adaptive(spec, t)
+        ref_value, ref_converged = series_sum_reference(spec, t)
+        assert value.hex() == ref_value.hex()
+        assert converged is ref_converged
+
+    def test_gives_up_at_the_cap(self):
+        # t = 1 - 2**-53: the terms barely decay, so no doubling settles by 2**20
+        spec = make_residue_spec(8, [0])
+        t = 1.0 - 2.0**-53
+        value, converged = series_sum_adaptive(spec, t)
+        assert converged is False
+        assert (value, converged) == series_sum_reference(spec, t)
 
     def test_leading_term_dominates_near_zero(self):
         # smallest tail part of (m=2, R={1}) is 3, so the series opens as 3t^3
@@ -103,6 +123,9 @@ class TestTruncatedSeries:
             lhs_series_truncated(spec, 1.0, 64)
         with pytest.raises(ValueError):
             lhs_series_truncated(spec, 0.5, 0)
+        for bad in (0.0, 1.0):
+            with pytest.raises(ValueError):
+                series_sum_adaptive(spec, bad)
 
     @given(spec=spec_strategy(m_max=8), t=st.sampled_from(default_t_grid()))
     @settings(max_examples=80, deadline=None)
@@ -224,17 +247,29 @@ class TestSinhGap:
 class TestSqrtSplit:
     @pytest.mark.parametrize("n,a,k", [(100, 10, 1), (4, 4, 1), (9, 1, 9)])
     def test_examples(self, n, a, k):
-        assert check_sqrt_inequality(n, a, k)
+        row = check_sqrt_split(n)
+        assert list(row) == ["check", "n", "margin", "holds"]
+        assert row["check"] == "sqrt-split" and row["n"] == n
+        assert row["holds"]
+        root_n = math.sqrt(n)
+        assert row["margin"] <= (root_n - a * k / (2.0 * root_n)) - math.sqrt(n - a * k)
 
-    def test_rejects_overshoot(self):
+    def test_rejects_nonpositive_n(self):
         with pytest.raises(ValueError):
-            check_sqrt_inequality(5, 3, 2)
+            check_sqrt_split(0)
 
     def test_exhaustive_small(self):
-        for n in range(1, 61):
-            for a in range(1, n + 1):
-                for k in range(1, n // a + 1):
-                    assert check_sqrt_inequality(n, a, k)
+        """Each (a, k) with a*k <= n splits; the margin is the least over them."""
+        for n in range(1, 201):
+            row = check_sqrt_split(n)
+            assert row["holds"]
+            root_n = math.sqrt(n)
+            least = min(
+                (root_n - a * k / (2.0 * root_n)) - math.sqrt(n - a * k)
+                for a in range(1, n + 1)
+                for k in range(1, n // a + 1)
+            )
+            assert row["margin"] == least
 
 
 class TestEnvelope:

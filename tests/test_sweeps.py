@@ -33,9 +33,11 @@ def test_each_table_is_built_once_per_spec(monkeypatch):
     """Default verify builds one factory per modulus and each spec's tables once.
 
     The counts oracle certifies the same full-set and head tables that chain,
-    ratio and rpoly read, so no second factory builds them again.
+    ratio and rpoly read, so no second factory builds them again.  The tail
+    table is asked for by theorem1 for each spec and by erdos for m = 1;
+    the full-set table reads the cached tail values, not the tail table.
     """
-    calls = {"factories": 0, "full_a": [], "rplus": []}
+    calls = {"factories": 0, "aplus": [], "full_a": [], "rplus": []}
     real_init = counting.TableFactory.__init__
 
     def counting_init(self, n_max):
@@ -52,11 +54,13 @@ def test_each_table_is_built_once_per_spec(monkeypatch):
         return method
 
     monkeypatch.setattr(counting.TableFactory, "__init__", counting_init)
-    for name in ("full_a", "rplus"):
+    for name in ("aplus", "full_a", "rplus"):
         monkeypatch.setattr(counting.TableFactory, name, recording(name))
     result = sweeps.run_verify(sweeps.SweepConfig())
     assert result.ok
     assert calls["factories"] == 4
+    assert len(calls["aplus"]) == 31
+    assert len(set(calls["aplus"])) == 30
     for name in ("full_a", "rplus"):
         assert len(calls[name]) == 30
         assert len(set(calls[name])) == 30
