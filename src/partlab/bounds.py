@@ -14,19 +14,23 @@ floats, guarded by EPS_LOG.  Where both sides are integers (the head-count
 bound) the comparison is exact, with no floats involved.  The constant c
 comes from ``tail_constant`` alone.
 
-Every check takes the exact count table it checks (a ``TableFactory``
-table, which the counts check certifies) and builds no table itself.
-Each check returns one report row per n, built once by ``_bound_rows``
-as the dict that is emitted: ``{m, R, variant, n, count, log_count, bound, slack, holds}``,
-with the count as a decimal string.  The rows of one call share one
-residue list, so rows are read-only once built.
+Every check takes the exact count table it checks, alone (a
+``TableFactory`` table, which the counts check certifies), and builds no
+table itself.  The spec, the variant and the n range all come from the
+table: a check raises ``IntegrityError`` on a table of another variant
+than the one its statement is about, and erdos also on a spec other than
+m=1, R={0}.  Each check returns one report row per n of the table, built
+once by ``_bound_rows`` as the dict that is emitted:
+``{m, R, variant, n, count, log_count, bound, slack, holds}``, with the
+count as a decimal string.  The rows of one call share one residue list,
+so rows are read-only once built.
 """
 
 from __future__ import annotations
 
 import math
 
-from .counting import BigCount, CountTable
+from .counting import CountTable, IntegrityError
 from .partset import A_PLUS, FULL_A, R_PLUS, ResidueSpec
 
 # Absolute tolerance for float comparisons of log(count) against a bound.
@@ -40,21 +44,20 @@ def tail_constant(spec: ResidueSpec) -> float:
     return math.pi * math.sqrt(2.0 * spec.rsize / (3.0 * spec.m))
 
 
-def _bound_rows(
-    spec: ResidueSpec, variant: str, values, bound_at, exact=None
-) -> list[dict]:
-    """Compare log(count) against bound_at(n) for every table entry.
+def _bound_rows(table: CountTable, variant: str, bound_at, exact=None) -> list[dict]:
+    """Compare log(count) against bound_at(n) for every entry of a variant table.
 
     Entries with count 0 are vacuous: the bound constrains only realizable
     n, so they are recorded without log fields and hold by convention.
     With ``exact``, the verdict of every entry is instead ``exact(n,
     count)``, an integer comparison, and the log fields are for reading.
     """
-    m = spec.m
-    residues = list(spec.residues)  # shared by every row; rows are read-only
+    table.require(variant)
+    m = table.spec.m
+    residues = list(table.spec.residues)  # shared by every row; rows are read-only
     log = math.log
     out = []
-    for n, cnt in enumerate(values):
+    for n, cnt in enumerate(table.values):
         bound = bound_at(n)
         if cnt == 0:
             lg = slack = None
@@ -81,67 +84,50 @@ def _bound_rows(
     return out
 
 
-def check_theorem1(spec: ResidueSpec, n_max: int, table: CountTable) -> list[dict]:
-    """Tail-set bound c*sqrt(n) at every 0 <= n <= n_max; all entries must hold."""
-    if n_max < 0:
-        raise ValueError(f"n_max must be >= 0, got {n_max}")
-    c = tail_constant(spec)
+def check_theorem1(table: CountTable) -> list[dict]:
+    """Tail-set bound c*sqrt(n) at every n of an a-plus table; all entries must hold."""
+    c = tail_constant(table.spec)
     sqrt = math.sqrt
-    return _bound_rows(spec, A_PLUS, table.values[: n_max + 1], lambda n: c * sqrt(n))
+    return _bound_rows(table, A_PLUS, lambda n: c * sqrt(n))
 
 
-def check_erdos(n_max: int, table: CountTable) -> list[dict]:
+def check_erdos(table: CountTable) -> list[dict]:
     """Classical bound pi*sqrt(2n/3) on the table of p(n): the m=1, R={0} case.
 
     With that spec the tail set is all of N and c = pi*sqrt(2/3), so the
     generic tail-set check specializes to the classical statement exactly.
     """
-    return check_theorem1(ResidueSpec(m=1, residues=(0,)), n_max, table=table)
+    if table.spec != ResidueSpec(m=1, residues=(0,)):
+        raise IntegrityError(
+            f"erdos reads the table of p(n) (m=1, R=[0]), got m={table.spec.m}, "
+            f"R={list(table.spec.residues)}"
+        )
+    return check_theorem1(table)
 
 
-def check_rplus_poly_bound(spec: ResidueSpec, n_max: int, table: CountTable) -> list[dict]:
-    """Exact integer check p_{R+}(n') <= (n'+1)**|R| for all n' <= n_max.
+def check_rplus_poly_bound(table: CountTable) -> list[dict]:
+    """Exact integer check p_{R+}(n') <= (n'+1)**|R| at every n' of an r-plus table.
 
     The verdict is an integer comparison (no floats anywhere); the row's
     bound/slack fields carry the log-domain values for readability only.
     """
-    if n_max < 0:
-        raise ValueError(f"n_max must be >= 0, got {n_max}")
-    rsize = spec.rsize
+    rsize = table.spec.rsize
     log = math.log
     return _bound_rows(
-        spec,
+        table,
         R_PLUS,
-        table.values[: n_max + 1],
         lambda n: rsize * log(n + 1),
         exact=lambda n, cnt: cnt <= (n + 1) ** rsize,
     )
 
 
-def check_nathanson_chain(spec: ResidueSpec, n_max: int, table: CountTable) -> list[dict]:
-    """Full-set bound log p_A(n) <= (|R|+1)*log(n+1) + c*sqrt(n), n <= n_max."""
-    if n_max < 0:
-        raise ValueError(f"n_max must be >= 0, got {n_max}")
-    c = tail_constant(spec)
-    rfactor = spec.rsize + 1
+def check_nathanson_chain(table: CountTable) -> list[dict]:
+    """Full-set bound log p_A(n) <= (|R|+1)*log(n+1) + c*sqrt(n) on a full-a table."""
+    c = tail_constant(table.spec)
+    rfactor = table.spec.rsize + 1
     log, sqrt = math.log, math.sqrt
 
     def bound_at(n: int) -> float:
         return rfactor * log(n + 1) + c * sqrt(n)
 
-    return _bound_rows(spec, FULL_A, table.values[: n_max + 1], bound_at)
-
-
-def asymptotic_ratio(spec: ResidueSpec, n: int, count: BigCount) -> float:
-    """Diagnostic ratio log p_A(n) / (c*sqrt(n)); no pass/fail judgement.
-
-    The ratio drifts toward 1 from below as n grows; no convergence rate is
-    asserted because none is quantified for it.
-    """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if spec.rsize == 0:
-        raise ValueError("ratio undefined for an empty residue set")
-    if count < 1:
-        raise ValueError(f"no partitions of {n}; ratio undefined")
-    return math.log(count) / (tail_constant(spec) * math.sqrt(n))
+    return _bound_rows(table, FULL_A, bound_at)

@@ -22,8 +22,8 @@ import os
 import sys
 
 from . import reporting, sweeps
-from .counting import IntegrityError, TableFactory, count_recurrence
-from .partset import A_PLUS, FULL_A, R_PLUS, SpecError, make_residue_spec, parts_up_to
+from .counting import IntegrityError, TableFactory, certify
+from .partset import FULL_A, SpecError, make_residue_spec
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -74,12 +74,9 @@ def cmd_count(args: argparse.Namespace) -> int:
     spec = make_residue_spec(args.m, _parse_residues(args.r))
     if args.n < 0:
         raise ValueError(f"n must be >= 0, got {args.n}")
-    # the table the other commands read, against an engine sharing no code with it
-    factory = TableFactory(args.n)
-    build = {FULL_A: factory.full_a, A_PLUS: factory.aplus, R_PLUS: factory.rplus}
-    table = build[args.variant](spec)
-    rec = count_recurrence(parts_up_to(spec, args.variant, args.n), args.n)
-    agree = table.values == rec.values
+    # the table the other commands read, certified as verify's counts check does
+    table = TableFactory(args.n).table(spec, args.variant)
+    agree = certify(table, {})
     payload = {"n": args.n, "count": str(table.values[args.n]), "engines_agree": agree}
     sys.stdout.write(json.dumps(payload) + "\n")
     return EXIT_OK if agree else EXIT_CHECK_FAILED
@@ -95,11 +92,9 @@ def cmd_table(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     checks = tuple(tok for tok in args.checks.split(",") if tok)
-    variants = tuple(tok for tok in args.variants.split(",") if tok)
     config = sweeps.SweepConfig(
         m_max=args.m_max,
         n_max=args.n_max,
-        variants=variants,
         checks=checks,
         workers=_resolve_workers(),
     ).validated()
@@ -109,7 +104,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         "config": {
             "m_max": config.m_max,
             "n_max": config.n_max,
-            "variants": list(config.variants),
+            "variants": list(sweeps.SWEEP_VARIANTS),
             "checks": list(config.checks),
         },
         "summaries": [reporting.canon_tree(s.as_row()) for s in result.summaries],
@@ -175,11 +170,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_verify.add_argument("--m-max", type=int, default=4)
     p_verify.add_argument("--n-max", type=int, default=300)
-    p_verify.add_argument(
-        "--variants",
-        default=",".join(sweeps.SWEEP_VARIANTS),
-        help="variants for the counts check",
-    )
     p_verify.add_argument("--format", choices=("json", "csv"), default="json")
     p_verify.add_argument("--output", default=None)
     p_verify.set_defaults(func=cmd_verify)

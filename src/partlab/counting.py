@@ -1,33 +1,35 @@
-"""Exact partition counts: one table builder and two independent engines.
+"""Exact partition counts: one table builder, two independent engines, one certifier.
 
 All counts are exact Python integers (arbitrary precision, never floats).
-Each route returns the whole ``CountTable`` of 0..n.
+A ``CountTable`` is the counts of 0..n_max over one variant set of one
+residue spec (the full set A, the tail set A+ or the head set R+), and it
+carries that spec and variant, so a table always says what it counts.
 
-``TableFactory`` builds every table the commands read, for many residue
-subsets at one n_max, with one coin-change kernel, ``_add_part``: the
-ascending loop ``values[j] += values[j - a]`` for each part a.  Each
-subset's tail table is the table of the subset without its highest
-residue, extended by that residue's slice of parts, with every table
-cached per factory.  The one exception is the subset of every residue,
-whose tail is all parts >= m: its table starts from p(n) by Euler's
-pentagonal recurrence and takes the parts 1..m-1 back out, because adding
-its n - m + 1 parts one pass at a time costs O(n**2) big-integer
-additions.  Full-set tables extend the tail table, and head tables the
-empty table, by the small parts of R+ with the same kernel.
+``TableFactory.table(spec, variant)`` builds every table the commands
+read, for many residue subsets at one n_max, with one coin-change kernel,
+``_add_part``: the ascending loop ``values[j] += values[j - a]`` for each
+part a.  Each subset's tail table is the table of the subset without its
+highest residue, extended by that residue's slice of parts, with every
+tail table cached per factory.  The one exception is the subset of every
+residue, whose tail is all parts >= m: its table starts from p(n) by
+Euler's pentagonal recurrence and takes the parts 1..m-1 back out,
+because adding its n - m + 1 parts one pass at a time costs O(n**2)
+big-integer additions.  Full-set tables extend the tail table, and head
+tables the empty table, by the small parts of R+ with the same kernel.
 
 Two engines that share no code with the factory, or with each other,
-certify its tables:
+return the plain tuple of counts of 0..n over a part list:
 
 * ``count_recurrence`` - bottom-up evaluation of the double-counting
   identity ``n * p(n) = sum_{s <= n} s * sum_{k >= 1} p(n - s*k)``, grouped
   by d = s*k, with a hard divisibility assertion at every level;
 * ``count_bruteforce`` - one exhaustive walk over nonincreasing summand
   sequences that tallies every partition of 0..n at its total (the runs of
-  the smallest part in one strided loop), usable up to a configured ceiling.
+  the smallest part in one strided loop), refused above ``ORACLE_CEILING``.
 
-``partlab count`` compares the factory's table with the recurrence's, and
-``partlab verify``'s counts check compares the very tables the bound
-checks read with the recurrence and the brute-force walk.
+``certify`` runs both over the parts of the variant a table claims, so a
+table is certified against the definition of what it says it counts.
+``partlab count`` and ``partlab verify``'s counts check both call it.
 """
 
 from __future__ import annotations
@@ -41,13 +43,18 @@ from .partset import (
     FULL_A,
     R_PLUS,
     ResidueSpec,
+    SpecError,
     parts_up_to,
 )
 
 # Partition counts are plain ints; the alias marks contract boundaries.
 BigCount = int
 
-ORACLE_CEILING_DEFAULT = 60
+# The brute-force walk visits every partition, so it refuses any n above
+# ORACLE_CEILING, and certify runs it only up to ORACLE_N_CAP: it must not
+# scale with a table's n_max.
+ORACLE_CEILING = 60
+ORACLE_N_CAP = 40
 
 
 class IntegrityError(RuntimeError):
@@ -56,14 +63,28 @@ class IntegrityError(RuntimeError):
 
 @dataclass(frozen=True)
 class CountTable:
-    """Counts of partitions of 0..n from a fixed part list; immutable."""
+    """Counts of partitions of 0..n_max over one variant set of spec; immutable."""
 
-    parts: tuple[int, ...]
+    spec: ResidueSpec
+    variant: str
     values: tuple[BigCount, ...]
 
     @property
     def n_max(self) -> int:
         return len(self.values) - 1
+
+    @property
+    def parts(self) -> tuple[int, ...]:
+        """The members <= n_max of the variant set that the table counts over."""
+        return tuple(parts_up_to(self.spec, self.variant, self.n_max))
+
+    def require(self, variant: str) -> None:
+        """Raise IntegrityError unless the table counts over the variant set."""
+        if self.variant != variant:
+            raise IntegrityError(
+                f"m={self.spec.m}, R={list(self.spec.residues)}: "
+                f"a check of the {variant} counts was handed the {self.variant} table"
+            )
 
 
 def _validated_parts(parts: Iterable[int]) -> tuple[int, ...]:
@@ -89,7 +110,7 @@ def _divisor_sums(parts: tuple[int, ...], n: int) -> list[int]:
     return sigma
 
 
-def count_recurrence(parts: Iterable[int], n: int) -> CountTable:
+def count_recurrence(parts: Iterable[int], n: int) -> tuple[BigCount, ...]:
     """Exact counts built bottom-up from the double-counting identity.
 
     Grouping ``sum_{s <= j} s * sum_{k >= 1} p(j - s*k)`` by the product
@@ -114,12 +135,10 @@ def count_recurrence(parts: Iterable[int], n: int) -> CountTable:
                 f"level {j}: weighted tail sum {acc} not divisible by {j}"
             )
         values[j] = acc // j
-    return CountTable(parts=ps, values=tuple(values))
+    return tuple(values)
 
 
-def count_bruteforce(
-    parts: Iterable[int], n: int, *, ceiling: int = ORACLE_CEILING_DEFAULT
-) -> CountTable:
+def count_bruteforce(parts: Iterable[int], n: int) -> tuple[BigCount, ...]:
     """Exact counts of 0..n from one exhaustive walk over nonincreasing summands.
 
     Independent oracle: no memoization, no shared state with the other
@@ -127,14 +146,14 @@ def count_bruteforce(
     only over the parts above the smallest.  Each partition it reaches is
     tallied at its total, and so is each extension of it by 1, 2, ...
     copies of the smallest part, in one strided loop.  So every partition
-    of every total up to n is tallied once.  Rejects n above the ceiling
-    because the walk visits every partition.
+    of every total up to n is tallied once.  Rejects n above
+    ORACLE_CEILING because the walk visits every partition.
     """
     ps = _validated_parts(parts)
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    if n > ceiling:
-        raise ValueError(f"n={n} exceeds brute-force ceiling {ceiling}")
+    if n > ORACLE_CEILING:
+        raise ValueError(f"n={n} exceeds brute-force ceiling {ORACLE_CEILING}")
     usable = [p for p in ps if p <= n]
     # with no usable part the stride n + 1 tallies only the empty partition
     smallest = usable[0] if usable else n + 1
@@ -150,7 +169,27 @@ def count_bruteforce(
             walk(reached, i)
 
     walk(0, len(usable) - 1)
-    return CountTable(parts=ps, values=tuple(tally))
+    return tuple(tally)
+
+
+def certify(table: CountTable, cache: dict) -> bool:
+    """Whether the table holds the counts of the variant set it claims.
+
+    Its values must equal count_recurrence's over ``table.parts`` to its
+    n_max, and the brute-force walk must agree with the recurrence at every
+    n up to ORACLE_N_CAP.  Both engines run once per (part list, n_max) in
+    the cache, which callers share across the tables of a run; every table
+    is compared, also where its part list was seen before.
+    """
+    key = (table.parts, table.n_max)
+    cached = cache.get(key)
+    if cached is None:
+        parts, n_max = key
+        rec = count_recurrence(parts, n_max)
+        top = min(n_max, ORACLE_N_CAP)
+        cached = cache[key] = (count_bruteforce(parts, top) == rec[: top + 1], rec)
+    walked, rec = cached
+    return walked and table.values == rec
 
 
 # --- sweep-scale table factory -----------------------------------------------
@@ -218,8 +257,6 @@ class TableFactory:
     take O(n) passes (checked: below m only the empty partition remains).
     Every tail table built on the way is cached per (m, R), so a sweep over
     many subsets of one modulus extends each table by one slice only.
-    Full-set tables extend the tail table with the small parts of R+, and
-    head tables extend the empty table with them.
     """
 
     def __init__(self, n_max: int) -> None:
@@ -259,28 +296,23 @@ class TableFactory:
             )
         return values
 
-    def _tail_of(self, spec: ResidueSpec) -> list[int]:
-        """The cached tail-set counts of spec; callers copy before changing them."""
-        return self._tail_values(spec.m, sum(1 << r for r in spec.residues))
+    def table(self, spec: ResidueSpec, variant: str) -> CountTable:
+        """The counts of 0..n_max over the variant set of spec.
 
-    def aplus(self, spec: ResidueSpec) -> CountTable:
-        """Counts over the tail set (all members >= m)."""
-        parts = tuple(parts_up_to(spec, A_PLUS, self.n_max))
-        return CountTable(parts=parts, values=tuple(self._tail_of(spec)))
-
-    def full_a(self, spec: ResidueSpec) -> CountTable:
-        """Counts over the full set: tail table extended by the R+ parts."""
-        values = list(self._tail_of(spec))
+        The tail set (a-plus) reads the cached tail table.  The full set
+        (full-a) extends a copy of it by the parts of R+ = R minus {0}, and
+        the head set (r-plus) extends the empty table by them.
+        """
+        bits = sum(1 << r for r in spec.residues)
+        if variant == A_PLUS:
+            return CountTable(spec, variant, tuple(self._tail_values(spec.m, bits)))
+        if variant == FULL_A:
+            values = list(self._tail_values(spec.m, bits))
+        elif variant == R_PLUS:
+            values = [1] + [0] * self.n_max
+        else:
+            raise SpecError(f"unknown variant {variant!r}")
         for r in spec.residues:
             if r >= 1:
                 _add_part(values, r)
-        parts = tuple(parts_up_to(spec, FULL_A, self.n_max))
-        return CountTable(parts=parts, values=tuple(values))
-
-    def rplus(self, spec: ResidueSpec) -> CountTable:
-        """Counts over the head set R+ (at most m-1 small parts)."""
-        parts = tuple(parts_up_to(spec, R_PLUS, self.n_max))
-        values = [1] + [0] * self.n_max
-        for a in parts:
-            _add_part(values, a)
-        return CountTable(parts=parts, values=tuple(values))
+        return CountTable(spec, variant, tuple(values))

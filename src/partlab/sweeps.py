@@ -2,10 +2,11 @@
 
 A verify run walks all residue subsets R of {0..m-1} for each modulus
 m <= m_max (the empty subset rides along vacuously) in one task per
-modulus.  A task builds each exact count table it needs once, through the
-modulus's TableFactory; with the counts check selected it first certifies
-those tables against the recurrence engine, and the recurrence against a
-brute-force walk, then hands the same tables to the bound checks.  One
+modulus.  A task asks the modulus's TableFactory for each (spec, variant)
+table it needs once; with the counts check selected it first certifies
+all three tables of every spec with ``counting.certify``, then hands the
+same table objects to the bound checks, which read the spec and the n
+range from the table itself.  One
 summary per named check is aggregated in one pass over its rows, and every
 check returns the row dicts that are emitted, so each row is built once.
 Both verify and sweep run their per-modulus tasks through one function,
@@ -21,7 +22,7 @@ import math
 from dataclasses import dataclass, field, replace
 
 from . import bounds, series
-from .counting import TableFactory, count_bruteforce, count_recurrence
+from .counting import CountTable, TableFactory, certify
 from .partset import A_PLUS, FULL_A, R_PLUS, ResidueSpec
 
 CHECK_NAMES = (
@@ -40,10 +41,6 @@ CHECK_NAMES = (
 
 SWEEP_VARIANTS = (FULL_A, A_PLUS, R_PLUS)
 
-# Brute-force oracle leg of the counts check stays below this n; the walk
-# visits every partition, so it must not scale with the sweep's n_max.
-ORACLE_N_CAP = 40
-
 SQRT_SWEEP_N_MAX = 200
 
 
@@ -53,30 +50,23 @@ class SweepConfig:
 
     m_max: int = 4
     n_max: int = 300
-    variants: tuple[str, ...] = SWEEP_VARIANTS
     checks: tuple[str, ...] = CHECK_NAMES
     workers: int = 1
 
     def validated(self) -> "SweepConfig":
         if not self.checks:
             raise ValueError(f"no checks selected; choose from {CHECK_NAMES}")
-        if "counts" in self.checks and not self.variants:
-            raise ValueError(f"the counts check needs a variant from {SWEEP_VARIANTS}")
         if self.m_max < 1:
             raise ValueError(f"m_max must be >= 1, got {self.m_max}")
         if self.n_max < 0:
             raise ValueError(f"n_max must be >= 0, got {self.n_max}")
-        for v in self.variants:
-            if v not in SWEEP_VARIANTS:
-                raise ValueError(f"unknown variant {v!r}; choose from {SWEEP_VARIANTS}")
         for c in self.checks:
             if c not in CHECK_NAMES:
                 raise ValueError(f"unknown check {c!r}; choose from {CHECK_NAMES}")
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
         ordered = tuple(c for c in CHECK_NAMES if c in self.checks)
-        # first-seen order, so a repeated label cannot repeat the counts rows
-        return replace(self, checks=ordered, variants=tuple(dict.fromkeys(self.variants)))
+        return replace(self, checks=ordered)
 
 
 @dataclass
@@ -130,13 +120,22 @@ def ratio_checkpoints(n_max: int) -> list[int]:
 # --- per-spec row builders ----------------------------------------------------
 
 
-def _ratio_rows(spec: ResidueSpec, table, n_max: int) -> list[dict]:
+def _ratio_rows(table: CountTable) -> list[dict]:
+    """log p_A(n) / (c*sqrt(n)) at the checkpoints of a full-a table; no verdict.
+
+    The ratio drifts toward 1 from below as n grows; no convergence rate is
+    asserted because none is quantified for it.  Unreachable n are skipped.
+    """
+    table.require(FULL_A)
+    spec = table.spec
     c = bounds.tail_constant(spec)
     rows = []
-    for n in ratio_checkpoints(n_max):
+    for n in ratio_checkpoints(table.n_max):
         cnt = table.values[n]
         if cnt < 1:
             continue
+        log_count = math.log(cnt)
+        bound = c * math.sqrt(n)
         rows.append(
             {
                 "check": "ratio",
@@ -145,89 +144,72 @@ def _ratio_rows(spec: ResidueSpec, table, n_max: int) -> list[dict]:
                 "variant": FULL_A,
                 "n": n,
                 "count": str(cnt),
-                "log_count": math.log(cnt),
-                "bound": c * math.sqrt(n),
-                "ratio": bounds.asymptotic_ratio(spec, n, count=cnt),
+                "log_count": log_count,
+                "bound": bound,
+                "ratio": log_count / bound,
                 "holds": True,
             }
         )
     return rows
 
 
-def _counts_row(spec: ResidueSpec, label: str, table, cache: dict) -> dict:
-    """Three-way agreement for one (spec, variant) table that the checks read.
-
-    The table a TableFactory built must equal count_recurrence's table to
-    its n_max, and the brute-force walk must agree with the recurrence at
-    every n up to ORACLE_N_CAP.  The recurrence and the walk run once per
-    distinct part list in the cache (which must keep one n_max), while
-    every factory table is compared.
-    """
+def _counts_row(table: CountTable, oracle_cache: dict) -> dict:
+    """The counts row of one table the checks read: does ``certify`` pass it?"""
     n_max = table.n_max
-    cached = cache.get(table.parts)
-    if cached is None:
-        rec = count_recurrence(table.parts, n_max).values
-        top = min(n_max, ORACLE_N_CAP)
-        walked = count_bruteforce(table.parts, top).values == rec[: top + 1]
-        cached = cache[table.parts] = (walked, rec)
-    walked, rec = cached
     return {
         "check": "counts",
-        "m": spec.m,
-        "R": list(spec.residues),
-        "variant": label,
+        "m": table.spec.m,
+        "R": list(table.spec.residues),
+        "variant": table.variant,
         "n": n_max,
         "count": str(table.values[n_max]),
-        "holds": walked and table.values == rec,
+        "holds": certify(table, oracle_cache),
     }
 
 
 def _rows_for_modulus(args: tuple) -> dict[str, list[dict]]:
     """All spec-dependent check rows for one modulus (worker entry point).
 
-    Each table is built once per spec; the counts rows certify the very
-    objects that theorem1, chain, rpoly, ratio and (for m = 1) erdos read.
+    Each (spec, variant) table is asked for once; the counts rows certify
+    the very objects that theorem1, chain, rpoly, ratio and (for m = 1)
+    erdos read.
     """
-    m, n_max, checks, variants, oracle_cache = args
+    m, n_max, checks, oracle_cache = args
     by_check: dict[str, list[dict]] = {name: [] for name in checks}
     factory = TableFactory(n_max)
-    table_of = {FULL_A: factory.full_a, A_PLUS: factory.aplus, R_PLUS: factory.rplus}
     x_grid = series.default_x_grid()
     t_grid = series.default_t_grid()
 
-    if "erdos" in by_check and m == 1:
-        # p(n) is the tail table of m=1, R={0}: the pentagonal table theorem1 reads
-        by_check["erdos"] = bounds.check_erdos(n_max, factory.aplus(ResidueSpec(1, (0,))))
     if "eq2" in by_check:
         for r in range(m):
             for x in x_grid:
                 by_check["eq2"].append(series.check_eq2_pointwise(r, m, x))
 
     reads = {
-        "counts": variants,
+        "counts": SWEEP_VARIANTS,
         "theorem1": (A_PLUS,),
+        # p(n) is the tail table of m=1, R={0}: the pentagonal table theorem1 reads
+        "erdos": (A_PLUS,) if m == 1 else (),
         "chain": (FULL_A,),
         "ratio": (FULL_A,),
         "rpoly": (R_PLUS,),
     }
-    labels = {label for name in by_check for label in reads.get(name, ())}
+    labels = [v for v in SWEEP_VARIANTS if any(v in reads.get(name, ()) for name in by_check)]
     for spec in subsets_for_modulus(m):
-        tables = {label: table_of[label](spec) for label in labels}
+        tables = {label: factory.table(spec, label) for label in labels}
         if "counts" in by_check:
-            for label in variants:
-                by_check["counts"].append(_counts_row(spec, label, tables[label], oracle_cache))
+            for label in SWEEP_VARIANTS:
+                by_check["counts"].append(_counts_row(tables[label], oracle_cache))
         if "theorem1" in by_check:
-            by_check["theorem1"].extend(bounds.check_theorem1(spec, n_max, table=tables[A_PLUS]))
+            by_check["theorem1"].extend(bounds.check_theorem1(tables[A_PLUS]))
+        if "erdos" in by_check and m == 1 and spec.residues == (0,):
+            by_check["erdos"] = bounds.check_erdos(tables[A_PLUS])
         if "chain" in by_check:
-            by_check["chain"].extend(
-                bounds.check_nathanson_chain(spec, n_max, table=tables[FULL_A])
-            )
-        if "ratio" in by_check and spec.rsize > 0:
-            by_check["ratio"].extend(_ratio_rows(spec, tables[FULL_A], n_max))
+            by_check["chain"].extend(bounds.check_nathanson_chain(tables[FULL_A]))
+        if "ratio" in by_check:
+            by_check["ratio"].extend(_ratio_rows(tables[FULL_A]))
         if "rpoly" in by_check:
-            by_check["rpoly"].extend(
-                bounds.check_rplus_poly_bound(spec, n_max, table=tables[R_PLUS])
-            )
+            by_check["rpoly"].extend(bounds.check_rplus_poly_bound(tables[R_PLUS]))
         if "eq1" in by_check:
             for t in t_grid:
                 by_check["eq1"].append(series.check_eq1(spec, t))
@@ -313,7 +295,7 @@ def run_verify(config: SweepConfig) -> VerifyResult:
     # may repeat a walk, and give the same rows.
     oracle_cache: dict = {}
     tasks = [
-        (m, config.n_max, spec_checks, config.variants, oracle_cache)
+        (m, config.n_max, spec_checks, oracle_cache)
         for m in range(1, config.m_max + 1)
         if spec_checks and (m == 1 or spec_checks != ("erdos",))
     ]
@@ -344,9 +326,9 @@ def table_rows(spec: ResidueSpec, n_max: int, factory: TableFactory | None = Non
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
     factory = factory or TableFactory(n_max)
-    full = factory.full_a(spec)
-    tail = factory.aplus(spec)
-    head = factory.rplus(spec)
+    full = factory.table(spec, FULL_A)
+    tail = factory.table(spec, A_PLUS)
+    head = factory.table(spec, R_PLUS)
     c = bounds.tail_constant(spec)
     rows = []
     for n in range(n_max + 1):
@@ -355,7 +337,7 @@ def table_rows(spec: ResidueSpec, n_max: int, factory: TableFactory | None = Non
         slack = bound - math.log(tail_count) if tail_count > 0 else None
         full_count = full.values[n]
         if n >= 1 and full_count >= 1 and c > 0:
-            ratio = math.log(full_count) / bound  # asymptotic_ratio's value
+            ratio = math.log(full_count) / bound  # log_count / bound, as in _ratio_rows
         else:
             ratio = None
         rows.append(

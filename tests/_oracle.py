@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from partlab.counting import BigCount, CountTable, _validated_parts
+from partlab.counting import BigCount, _validated_parts
 from partlab.partset import A_PLUS, FULL_A, R_PLUS, ResidueSpec, parts_up_to
 from partlab.series import TAIL_RULE_CAP, TAIL_RULE_REL, TAIL_RULE_START
 
@@ -51,7 +51,7 @@ def brute_count(parts: Iterable[int], n: int) -> int:
     return sum(1 for _ in enumerate_partitions(parts, n))
 
 
-def count_dp(parts: Iterable[int], n: int) -> CountTable:
+def count_dp(parts: Iterable[int], n: int) -> tuple[BigCount, ...]:
     """Exact counts of partitions of 0..n via part-by-part accumulation.
 
     Outer loop over parts, inner ascending loop over totals: unordered
@@ -67,16 +67,18 @@ def count_dp(parts: Iterable[int], n: int) -> CountTable:
             break
         for j in range(a, n + 1):
             values[j] += values[j - a]
-    return CountTable(parts=ps, values=tuple(values))
+    return tuple(values)
 
 
-def eq4_rhs_direct(table: CountTable, n: int) -> BigCount:
-    """Literal evaluation of ``sum_{s <= n} s * sum_{1 <= k <= n/s} p(n - s*k)``."""
-    if not 0 <= n <= table.n_max:
-        raise ValueError(f"n={n} outside table range 0..{table.n_max}")
-    values = table.values
+def eq4_rhs_direct(parts: Iterable[int], values: tuple[BigCount, ...], n: int) -> BigCount:
+    """Literal evaluation of ``sum_{s <= n} s * sum_{1 <= k <= n/s} p(n - s*k)``.
+
+    ``values`` are the counts of 0..n_max over the increasing part list.
+    """
+    if not 0 <= n < len(values):
+        raise ValueError(f"n={n} outside table range 0..{len(values) - 1}")
     total = 0
-    for s in table.parts:
+    for s in parts:
         if s > n:
             break
         inner = 0
@@ -108,9 +110,9 @@ def convolution_check_range(spec: ResidueSpec, n_max: int) -> list[ConvolutionRe
     """
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
-    full = count_dp(parts_up_to(spec, FULL_A, n_max), n_max).values
-    head = count_dp(parts_up_to(spec, R_PLUS, n_max), n_max).values
-    tail = count_dp(parts_up_to(spec, A_PLUS, n_max), n_max).values
+    full = count_dp(parts_up_to(spec, FULL_A, n_max), n_max)
+    head = count_dp(parts_up_to(spec, R_PLUS, n_max), n_max)
+    tail = count_dp(parts_up_to(spec, A_PLUS, n_max), n_max)
     out = []
     for n in range(n_max + 1):
         rhs = sum(head[k] * tail[n - k] for k in range(n + 1))

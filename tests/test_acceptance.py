@@ -13,7 +13,6 @@ import pytest
 
 from _oracle import convolution_check_range, count_dp, eq4_rhs_direct
 from partlab.bounds import (
-    asymptotic_ratio,
     check_erdos,
     check_nathanson_chain,
     check_rplus_poly_bound,
@@ -72,15 +71,15 @@ def bound_sweep():
             specs += 1
             _absorb(
                 stats["theorem1"],
-                check_theorem1(spec, SWEEP_N_MAX, table=factory.aplus(spec)),
+                check_theorem1(factory.table(spec, A_PLUS)),
             )
             _absorb(
                 stats["chain"],
-                check_nathanson_chain(spec, SWEEP_N_MAX, table=factory.full_a(spec)),
+                check_nathanson_chain(factory.table(spec, FULL_A)),
             )
             _absorb(
                 stats["rpoly"],
-                check_rplus_poly_bound(spec, SWEEP_N_MAX, table=factory.rplus(spec)),
+                check_rplus_poly_bound(factory.table(spec, R_PLUS)),
             )
     stats["specs"] = specs
     stats["elapsed"] = time.monotonic() - start
@@ -119,12 +118,13 @@ def test_criterion_02_double_counting_integrity():
                 if parts in seen:
                     continue
                 seen.add(parts)
-                ok = ok and count_recurrence(parts, 500).values == count_dp(parts, 500).values
+                ok = ok and count_recurrence(parts, 500) == count_dp(parts, 500)
                 checked += 1
     # literal double sum cross-check on a sample
-    table = count_dp(parts_up_to(make_residue_spec(3, [1, 2]), FULL_A, 500), 500)
+    parts = parts_up_to(make_residue_spec(3, [1, 2]), FULL_A, 500)
+    table = count_dp(parts, 500)
     literal_ok = all(
-        eq4_rhs_direct(table, n) == n * table.values[n] for n in (0, 1, 7, 100, 500)
+        eq4_rhs_direct(parts, table, n) == n * table[n] for n in (0, 1, 7, 100, 500)
     )
     ok = ok and literal_ok and checked == 251
     _report(2, ok, f"{checked} distinct part sets verified at n <= 500")
@@ -156,11 +156,11 @@ def test_criterion_03_tail_bound_sweep(bound_sweep):
 
 def test_criterion_04_classical_special_case():
     """log p(n) <= pi*sqrt(2n/3) to n=2000; p(100) agreed by two engines."""
-    p_table = TableFactory(SWEEP_N_MAX).aplus(make_residue_spec(1, [0]))
-    reports = check_erdos(SWEEP_N_MAX, p_table)
+    p_table = TableFactory(SWEEP_N_MAX).table(make_residue_spec(1, [0]), A_PLUS)
+    reports = check_erdos(p_table)
     failures = sum(1 for r in reports if not r["holds"])
-    dp_value = count_dp(range(1, 101), 100).values[100]
-    rec_value = count_recurrence(range(1, 101), 100).values[100]
+    dp_value = count_dp(range(1, 101), 100)[100]
+    rec_value = count_recurrence(range(1, 101), 100)[100]
     ok = failures == 0 and dp_value == rec_value == 190569292
     _report(
         4,
@@ -285,11 +285,11 @@ def test_criterion_10_asymptotic_diagnostic():
     """
     spec = make_residue_spec(1, [0])
     start = time.monotonic()
-    table = count_dp(range(1, 10_001), 10_000).values
+    table = count_dp(range(1, 10_001), 10_000)
     elapsed = time.monotonic() - start
     count = table[10_000]
-    ratio = asymptotic_ratio(spec, 10_000, count=count)
-    factory_agrees = TableFactory(10_000).full_a(spec).values == table
+    ratio = math.log(count) / (math.pi * math.sqrt(2 * 10_000 / 3))
+    factory_agrees = TableFactory(10_000).table(spec, FULL_A).values == table
     ok = elapsed < 60 and 0.9 < ratio < 1.0 and factory_agrees
     _report(
         10,

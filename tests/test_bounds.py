@@ -9,15 +9,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from partlab.bounds import (
-    asymptotic_ratio,
     check_erdos,
     check_nathanson_chain,
     check_rplus_poly_bound,
     check_theorem1,
     tail_constant,
 )
-from partlab.counting import CountTable, TableFactory, count_recurrence
-from partlab.partset import make_residue_spec
+from partlab.counting import CountTable, IntegrityError, TableFactory, count_recurrence
+from partlab.partset import A_PLUS, FULL_A, R_PLUS, make_residue_spec
+from partlab.sweeps import _ratio_rows, table_rows
 from partlab.series import (
     check_derivative_nonpositive,
     check_eq1,
@@ -36,8 +36,8 @@ def bound_at(spec, n):
 
 def log_count(c):
     """The log_count field a bound row carries for the count c (a one-entry table)."""
-    table = CountTable(parts=(), values=(c,))
-    return check_theorem1(make_residue_spec(1, [0]), 0, table)[0]["log_count"]
+    table = CountTable(make_residue_spec(1, [0]), A_PLUS, (c,))
+    return check_theorem1(table)[0]["log_count"]
 
 
 class TestLogOfCount:
@@ -45,7 +45,7 @@ class TestLogOfCount:
         assert log_count(1) == 0.0
 
     def test_zero_has_no_log(self):
-        row = check_theorem1(make_residue_spec(1, [0]), 0, CountTable(parts=(), values=(0,)))[0]
+        row = check_theorem1(CountTable(make_residue_spec(1, [0]), A_PLUS, (0,)))[0]
         assert row["log_count"] is None and row["slack"] is None
 
     def test_power_of_two(self):
@@ -53,7 +53,7 @@ class TestLogOfCount:
 
     def test_p100(self):
         # p(100), independently certified by the recurrence engine below
-        assert count_recurrence(range(1, 101), 100).values[100] == 190569292
+        assert count_recurrence(range(1, 101), 100)[100] == 190569292
         assert log_count(190569292) == pytest.approx(19.06552642392738, abs=1e-6)
 
     @given(st.integers(1, 10**40))
@@ -103,7 +103,7 @@ class TestRhsFormulas:
 class TestTheorem1Check:
     def test_classical_at_100(self):
         spec = make_residue_spec(1, [0])
-        reports = check_theorem1(spec, 100, TableFactory(100).aplus(spec))
+        reports = check_theorem1(TableFactory(100).table(spec, A_PLUS))
         last = reports[100]
         assert last["count"] == "190569292"
         assert last["slack"] == pytest.approx(6.585470179309901, abs=1e-9)
@@ -111,7 +111,7 @@ class TestTheorem1Check:
 
     def test_base_case_zero_slack(self):
         spec = make_residue_spec(3, [1, 2])
-        report = check_theorem1(spec, 0, TableFactory(0).aplus(spec))[0]
+        report = check_theorem1(TableFactory(0).table(spec, A_PLUS))[0]
         assert report["count"] == "1"
         assert report["log_count"] == 0.0
         assert report["bound"] == 0.0
@@ -121,7 +121,7 @@ class TestTheorem1Check:
     def test_sparse_tail(self):
         # m=2, R={1}: the only tail partition of 5 is the singleton {5}
         spec = make_residue_spec(2, [1])
-        reports = check_theorem1(spec, 5, TableFactory(5).aplus(spec))
+        reports = check_theorem1(TableFactory(5).table(spec, A_PLUS))
         assert reports[5]["count"] == "1"
         assert reports[5]["log_count"] == 0.0
         assert reports[5]["bound"] == pytest.approx(math.pi * math.sqrt(10 / 6), rel=1e-12)
@@ -129,7 +129,7 @@ class TestTheorem1Check:
     def test_vacuous_rows(self):
         # m=2, R={0}: even parts only, odd n unreachable
         spec = make_residue_spec(2, [0])
-        reports = check_theorem1(spec, 6, TableFactory(6).aplus(spec))
+        reports = check_theorem1(TableFactory(6).table(spec, A_PLUS))
         for n in (1, 3, 5):
             assert reports[n]["count"] == "0"
             assert reports[n]["log_count"] is None
@@ -139,13 +139,13 @@ class TestTheorem1Check:
     @given(spec=spec_strategy(m_max=6, allow_empty=False))
     @settings(max_examples=30, deadline=None)
     def test_small_sweep_holds(self, spec):
-        table = TableFactory(150).aplus(spec)
-        assert all(r["holds"] for r in check_theorem1(spec, 150, table))
+        table = TableFactory(150).table(spec, A_PLUS)
+        assert all(r["holds"] for r in check_theorem1(table))
 
 
 class TestErdosCheck:
     def test_all_hold_to_500(self):
-        reports = check_erdos(500, TableFactory(500).aplus(make_residue_spec(1, [0])))
+        reports = check_erdos(TableFactory(500).table(make_residue_spec(1, [0]), A_PLUS))
         assert len(reports) == 501
         assert all(r["holds"] for r in reports)
         assert reports[100]["count"] == "190569292"
@@ -154,24 +154,24 @@ class TestErdosCheck:
 class TestRPlusPolyBound:
     def test_examples(self):
         spec = make_residue_spec(2, [1])
-        reports = check_rplus_poly_bound(spec, 6, TableFactory(6).rplus(spec))
+        reports = check_rplus_poly_bound(TableFactory(6).table(spec, R_PLUS))
         assert reports[6]["count"] == "1"  # only 1+1+1+1+1+1
         assert reports[6]["holds"]
         spec = make_residue_spec(5, [2, 3])
-        reports = check_rplus_poly_bound(spec, 6, TableFactory(6).rplus(spec))
+        reports = check_rplus_poly_bound(TableFactory(6).table(spec, R_PLUS))
         assert reports[6]["count"] == "2"  # 2+2+2 and 3+3
         assert reports[6]["holds"]
 
     def test_empty_head_set(self):
         spec = make_residue_spec(3, [0])
-        reports = check_rplus_poly_bound(spec, 5, TableFactory(5).rplus(spec))
+        reports = check_rplus_poly_bound(TableFactory(5).table(spec, R_PLUS))
         assert [r["count"] for r in reports] == ["1", "0", "0", "0", "0", "0"]
         assert all(r["holds"] for r in reports)
 
     def test_verdict_is_integer_exact(self):
         # At n'=0 the bound is exactly 1 and the count is exactly 1: equality
         spec = make_residue_spec(4, [1, 3])
-        report = check_rplus_poly_bound(spec, 0, TableFactory(0).rplus(spec))[0]
+        report = check_rplus_poly_bound(TableFactory(0).table(spec, R_PLUS))[0]
         assert report["count"] == "1"
         assert report["holds"]
 
@@ -179,24 +179,24 @@ class TestRPlusPolyBound:
         # |R| = 40 and n' = 1: the bound is 2**40, and 2**40 + 1 is within
         # EPS_LOG of it in logs, so only the integer verdict sees it
         spec = make_residue_spec(41, range(1, 41))
-        table = CountTable(parts=(), values=(1, 2**40 + 1))
-        row = check_rplus_poly_bound(spec, 1, table)[1]
+        table = CountTable(spec, R_PLUS, (1, 2**40 + 1))
+        row = check_rplus_poly_bound(table)[1]
         assert -1e-9 < row["slack"] < 0
         assert not row["holds"]
-        at_bound = CountTable(parts=(), values=(1, 2**40))
-        assert check_rplus_poly_bound(spec, 1, at_bound)[1]["holds"]
+        at_bound = CountTable(spec, R_PLUS, (1, 2**40))
+        assert check_rplus_poly_bound(at_bound)[1]["holds"]
 
     @given(spec=spec_strategy(m_max=8), n_max=st.integers(0, 200))
     @settings(max_examples=40, deadline=None)
     def test_holds_exactly(self, spec, n_max):
-        table = TableFactory(n_max).rplus(spec)
-        assert all(r["holds"] for r in check_rplus_poly_bound(spec, n_max, table))
+        table = TableFactory(n_max).table(spec, R_PLUS)
+        assert all(r["holds"] for r in check_rplus_poly_bound(table))
 
 
 class TestNathansonChain:
     def test_odd_parts_at_5(self):
         spec = make_residue_spec(2, [1])
-        reports = check_nathanson_chain(spec, 5, TableFactory(5).full_a(spec))
+        reports = check_nathanson_chain(TableFactory(5).table(spec, FULL_A))
         r5 = reports[5]
         assert r5["count"] == "3"
         assert r5["log_count"] == pytest.approx(math.log(3), rel=1e-12)
@@ -206,13 +206,13 @@ class TestNathansonChain:
 
     def test_base_cases(self):
         spec = make_residue_spec(1, [0])
-        reports = check_nathanson_chain(spec, 1, TableFactory(1).full_a(spec))
+        reports = check_nathanson_chain(TableFactory(1).table(spec, FULL_A))
         assert reports[0]["slack"] == 0.0 and reports[0]["holds"]
         assert reports[1]["holds"]
 
     def test_two_class_case(self):
         spec = make_residue_spec(4, [1, 3])
-        reports = check_nathanson_chain(spec, 10, TableFactory(10).full_a(spec))
+        reports = check_nathanson_chain(TableFactory(10).table(spec, FULL_A))
         assert reports[10]["holds"]
         assert reports[10]["slack"] > 0
 
@@ -221,9 +221,9 @@ class TestNathansonChain:
     def test_chain_consistency(self, spec, n_max):
         """Chain bound >= log p_A >= log p_{A+} wherever counts are positive."""
         factory = TableFactory(n_max)
-        full = factory.full_a(spec)
-        tail = factory.aplus(spec)
-        chain = check_nathanson_chain(spec, n_max, table=full)
+        full = factory.table(spec, FULL_A)
+        tail = factory.table(spec, A_PLUS)
+        chain = check_nathanson_chain(full)
         for n in range(n_max + 1):
             if full.values[n] >= 1:
                 assert chain[n]["bound"] >= math.log(full.values[n]) - 1e-9
@@ -232,42 +232,76 @@ class TestNathansonChain:
                 assert chain[n]["bound"] >= math.log(tail.values[n]) - 1e-9
 
 
+def ratio_at(table, n):
+    """The ratio of verify's ratio row at n for a full-set table, or None without one."""
+    return next((row["ratio"] for row in _ratio_rows(table) if row["n"] == n), None)
+
+
 class TestAsymptoticRatio:
+    """The diagnostic ratio log p_A(n) / (c*sqrt(n)) of the ratio rows."""
+
     def test_classical_at_100(self):
         spec = make_residue_spec(1, [0])
-        count = TableFactory(100).full_a(spec).values[100]
-        assert asymptotic_ratio(spec, 100, count=count) == pytest.approx(
-            0.7432664983286154, abs=1e-9
-        )
+        table = TableFactory(100).table(spec, FULL_A)
+        assert ratio_at(table, 100) == pytest.approx(0.7432664983286154, abs=1e-9)
 
     def test_accepts_precomputed_count(self):
         spec = make_residue_spec(1, [0])
-        assert asymptotic_ratio(spec, 100, count=190569292) == pytest.approx(
-            0.7432664983286154, abs=1e-9
-        )
+        table = CountTable(spec, FULL_A, count_recurrence(range(1, 101), 100))
+        assert table.values[100] == 190569292
+        assert ratio_at(table, 100) == pytest.approx(0.7432664983286154, abs=1e-9)
 
     def test_rejects_unreachable(self):
-        with pytest.raises(ValueError):
-            asymptotic_ratio(make_residue_spec(2, [0]), 5, count=0)  # odd n, even parts
-        with pytest.raises(ValueError):
-            asymptotic_ratio(make_residue_spec(2, [1]), 0, count=1)
+        # odd n has no partition into even parts; n = 0 has no ratio at all
+        even = make_residue_spec(2, [0])
+        assert _ratio_rows(TableFactory(5).table(even, FULL_A)) == []
+        ratios = [row["ratio"] for row in table_rows(even, 5)]
+        assert ratios[0] is None and ratios[1::2] == [None] * 3
+        assert None not in ratios[2::2]
 
     @given(n=st.integers(1, 400))
     @settings(max_examples=40, deadline=None)
     def test_classical_ratio_below_one(self, n):
         spec = make_residue_spec(1, [0])
-        count = count_recurrence(range(1, n + 1), n).values[n]
-        assert asymptotic_ratio(spec, n, count=count) <= 1.0
+        table = CountTable(spec, FULL_A, count_recurrence(range(1, n + 1), n))
+        assert ratio_at(table, n) <= 1.0
 
     def test_odd_set_ratio_at_ten_thousand(self):
-        spec = make_residue_spec(2, [1])
-        count = TableFactory(10_000).full_a(spec).values[10_000]
-        assert 0.85 < asymptotic_ratio(spec, 10_000, count=count) < 1.0
+        table = TableFactory(10_000).table(make_residue_spec(2, [1]), FULL_A)
+        assert 0.85 < ratio_at(table, 10_000) < 1.0
+
+
+# each check and the variant set its statement is about
+READS = [
+    (check_theorem1, A_PLUS),
+    (check_erdos, A_PLUS),
+    (check_nathanson_chain, FULL_A),
+    (check_rplus_poly_bound, R_PLUS),
+    (_ratio_rows, FULL_A),
+]
+
+
+@pytest.mark.parametrize("check,reads", READS)
+def test_each_check_refuses_every_other_variant(check, reads):
+    """For m=1, R={0} the full and tail counts are both p(n): only the label differs."""
+    factory = TableFactory(20)
+    spec = make_residue_spec(1, [0])
+    assert check(factory.table(spec, reads))
+    for variant in (FULL_A, A_PLUS, R_PLUS):
+        if variant != reads:
+            with pytest.raises(IntegrityError, match=f"handed the {variant} table"):
+                check(factory.table(spec, variant))
+
+
+@pytest.mark.parametrize("m,residues", [(1, []), (2, [1]), (2, [0, 1])])
+def test_erdos_refuses_other_specs(m, residues):
+    with pytest.raises(IntegrityError, match="table of p"):
+        check_erdos(TableFactory(20).table(make_residue_spec(m, residues), A_PLUS))
 
 
 def test_report_row_shape():
     odd = make_residue_spec(2, [1])
-    row = check_theorem1(odd, 3, TableFactory(3).aplus(odd))[3]
+    row = check_theorem1(TableFactory(3).table(odd, A_PLUS))[3]
     assert list(row) == [
         "m",
         "R",

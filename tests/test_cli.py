@@ -7,10 +7,10 @@ import json
 import pytest
 
 from _oracle import count_dp
-from partlab import cli, counting, sweeps
+from partlab import bounds, cli, counting, sweeps
 from partlab.cli import main
 from partlab.counting import CountTable
-from partlab.partset import make_residue_spec, parts_up_to
+from partlab.partset import A_PLUS, FULL_A, make_residue_spec, parts_up_to
 
 
 def run_cli(capsys, argv, env=None, monkeypatch=None):
@@ -70,7 +70,7 @@ class TestCount:
         assert code == 0
         assert json.loads(out) == {
             "n": 60,
-            "count": str(count_dp(parts, 60).values[60]),
+            "count": str(count_dp(parts, 60)[60]),
             "engines_agree": True,
         }
 
@@ -85,6 +85,20 @@ class TestCount:
         code, out, _ = run_cli(capsys, ["count", "--m", "2", "--r", "1", "--n", "50"])
         assert code == 1
         assert json.loads(out)["engines_agree"] is False
+
+    def test_walk_certifies_below_the_cap(self, capsys, monkeypatch):
+        """count runs verify's certification: a walk off at n = 40 fails it."""
+        real = counting.count_bruteforce
+
+        def off_at_cap(parts, n):
+            values = list(real(parts, n))
+            values[40] += 1
+            return tuple(values)
+
+        monkeypatch.setattr(counting, "count_bruteforce", off_at_cap)
+        code, out, _ = run_cli(capsys, ["count", "--m", "1", "--r", "0", "--n", "100"])
+        assert code == 1
+        assert json.loads(out) == {"n": 100, "count": "190569292", "engines_agree": False}
 
     def test_variant_outside_the_three_sets(self, capsys):
         code, out, _ = run_cli(
@@ -180,13 +194,7 @@ class TestVerify:
         # registry order is fixed regardless of the order given on the command line
         assert names == ["counts", "erdos", "chain", "rpoly", "eq2", "eq3", "helpers", "ratio"]
 
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["verify", "--checks", ""],
-            ["verify", "--checks", "counts", "--variants", ""],
-        ],
-    )
+    @pytest.mark.parametrize("argv", [["verify", "--checks", ""]])
     def test_empty_selection_is_config_error(self, capsys, argv):
         code, out, err = run_cli(capsys, argv)
         assert code == 2
@@ -219,42 +227,27 @@ class TestVerify:
         assert code == 0
         assert target.read_bytes() == out.encode("utf-8")
 
-    def test_repeated_variant_counted_once(self, capsys):
-        argv = ["verify", "--checks", "counts", "--m-max", "1", "--n-max", "5"]
-        code, out, err = run_cli(capsys, argv + ["--variants", "full-a,full-a"])
-        assert code == 0
-        assert "check=counts rows=2 " in err
-        doc = json.loads(out)
-        assert doc["config"]["variants"] == ["full-a"]
-        _, single, _ = run_cli(capsys, argv + ["--variants", "full-a"])
-        assert out == single
-
     @pytest.mark.parametrize("wrong_at", [0, 23, 39])
     def test_oracle_checks_every_n_below_cap(self, capsys, monkeypatch, wrong_at):
         """Factory tables and recurrence agreeing on a wrong count below the cap still fail the oracle."""
 
-        def corrupt(table):
-            values = list(table.values)
+        def corrupt(values):
+            values = list(values)
             values[wrong_at] += 1
-            return CountTable(parts=table.parts, values=tuple(values))
+            return tuple(values)
 
         class CorruptedFactory:
             def __init__(self, n_max):
                 self.real = counting.TableFactory(n_max)
 
-            def aplus(self, spec):
-                return corrupt(self.real.aplus(spec))
+            def table(self, spec, variant):
+                table = self.real.table(spec, variant)
+                return CountTable(spec, variant, corrupt(table.values))
 
-            def full_a(self, spec):
-                return corrupt(self.real.full_a(spec))
-
-            def rplus(self, spec):
-                return corrupt(self.real.rplus(spec))
-
-        real_recurrence = sweeps.count_recurrence
+        real_recurrence = counting.count_recurrence
         monkeypatch.setattr(sweeps, "TableFactory", CorruptedFactory)
         monkeypatch.setattr(
-            sweeps, "count_recurrence", lambda parts, n: corrupt(real_recurrence(parts, n))
+            counting, "count_recurrence", lambda parts, n: corrupt(real_recurrence(parts, n))
         )
         code, out, err = run_cli(capsys, ["verify", "--checks", "counts", "--m-max", "2", "--n-max", "60"])
         assert code == 1
@@ -316,6 +309,46 @@ class TestVerify:
         code, _, err = run_cli(capsys, argv)
         assert code == 1
         assert "check=erdos rows=151 failures=1 " in err
+
+    def test_theorem1_given_the_full_set_table_fails(self, capsys, monkeypatch):
+        """Wiring theorem1 to the full-a table is an integrity failure, not a pass.
+
+        The full set obeys the tail bound on the default grid too, so only
+        the table's own label can tell that theorem1 read the wrong counts.
+        """
+        real = bounds.check_theorem1
+        factory = counting.TableFactory(300)
+        monkeypatch.setattr(
+            bounds, "check_theorem1", lambda table: real(factory.table(table.spec, FULL_A))
+        )
+        code, out, err = run_cli(capsys, ["verify"])
+        assert code == 1
+        assert out == ""
+        assert "integrity failure" in err and "handed the full-a table" in err
+
+    def test_full_set_counts_labelled_as_the_tail_set_fail(self, capsys, monkeypatch):
+        """Full-set counts labelled a-plus pass theorem1; the counts check fails them."""
+        real = counting.TableFactory.table
+
+        def mislabelled(self, spec, variant):
+            if variant == A_PLUS:
+                return CountTable(spec, A_PLUS, real(self, spec, FULL_A).values)
+            return real(self, spec, variant)
+
+        monkeypatch.setattr(counting.TableFactory, "table", mislabelled)
+        code, out, err = run_cli(capsys, ["verify"])
+        assert code == 1
+        rows = json.loads(out)["rows"]
+        failed = {(r["check"], r["m"], tuple(r["R"]), r["variant"]) for r in rows if not r["holds"]}
+        # exactly the specs with a head part, whose full and tail sets differ
+        assert failed == {
+            ("counts", m, spec.residues, A_PLUS)
+            for m in range(1, 5)
+            for spec in sweeps.subsets_for_modulus(m)
+            if any(spec.residues)
+        }
+        assert "check=theorem1 rows=9030 failures=0 " in err
+        assert "verify: FAILED" in err
 
     def test_unknown_check(self, capsys):
         code, _, err = run_cli(capsys, ["verify", "--checks", "nonsense"])

@@ -14,8 +14,15 @@ from _oracle import (
     eq4_rhs_direct,
 )
 from partlab import counting
-from partlab.counting import IntegrityError, TableFactory, count_bruteforce, count_recurrence
-from partlab.partset import A_PLUS, FULL_A, R_PLUS, make_residue_spec, parts_up_to
+from partlab.counting import (
+    CountTable,
+    IntegrityError,
+    TableFactory,
+    certify,
+    count_bruteforce,
+    count_recurrence,
+)
+from partlab.partset import A_PLUS, FULL_A, R_PLUS, SpecError, make_residue_spec, parts_up_to
 from partlab.sweeps import subsets_for_modulus
 from test_partset import spec_strategy
 
@@ -27,20 +34,20 @@ class TestCountDP:
 
     def test_unrestricted_small(self):
         expected = (1, 1, 2, 3, 5, 7)
-        assert TableFactory(5).full_a(make_residue_spec(1, [0])).values == expected
-        assert count_recurrence([1, 2, 3, 4, 5], 5).values == expected
+        assert TableFactory(5).table(make_residue_spec(1, [0]), FULL_A).values == expected
+        assert count_recurrence([1, 2, 3, 4, 5], 5) == expected
 
     def test_tail_of_odd_parts(self):
         # m=2, R={1}: tail parts up to 5 are [3, 5]; only 5 itself works
         spec = make_residue_spec(2, [1])
-        assert TableFactory(5).aplus(spec).values[5] == 1
-        assert count_recurrence([3, 5], 5).values[5] == 1
+        assert TableFactory(5).table(spec, A_PLUS).values[5] == 1
+        assert count_recurrence([3, 5], 5)[5] == 1
 
     def test_empty_parts(self):
         # R={} has no parts at all; R={0} has no head part
-        assert TableFactory(3).aplus(make_residue_spec(4, [])).values == (1, 0, 0, 0)
-        assert TableFactory(3).rplus(make_residue_spec(5, [0])).values == (1, 0, 0, 0)
-        assert count_recurrence([], 3).values == (1, 0, 0, 0)
+        assert TableFactory(3).table(make_residue_spec(4, []), A_PLUS).values == (1, 0, 0, 0)
+        assert TableFactory(3).table(make_residue_spec(5, [0]), R_PLUS).values == (1, 0, 0, 0)
+        assert count_recurrence([], 3) == (1, 0, 0, 0)
 
     def test_rejects_bad_parts(self):
         # both engines take a part list through the one shared validator
@@ -55,16 +62,16 @@ class TestCountDP:
 
 class TestCountRecurrence:
     def test_matches_dp_small(self):
-        table = count_recurrence(range(1, 6), 5)
-        assert table.values[5] == 7
-        assert 5 * 7 == eq4_rhs_direct(table, 5)
+        values = count_recurrence(range(1, 6), 5)
+        assert values[5] == 7
+        assert 5 * 7 == eq4_rhs_direct(range(1, 6), values, 5)
 
     def test_single_even_part(self):
-        assert count_recurrence([2], 5).values[5] == 0
-        assert count_recurrence([2], 6).values[6] == 1
+        assert count_recurrence([2], 5)[5] == 0
+        assert count_recurrence([2], 6)[6] == 1
 
     def test_known_value_p100(self):
-        assert count_recurrence(range(1, 101), 100).values[100] == 190569292
+        assert count_recurrence(range(1, 101), 100)[100] == 190569292
 
     def test_corrupted_divisor_sums_raise(self, monkeypatch):
         """A wrong sigma breaks the divisibility at some level; it must not pass."""
@@ -86,38 +93,38 @@ class TestCountRecurrence:
     @settings(max_examples=40, deadline=None)
     def test_matches_dp_on_arbitrary_parts(self, parts, n):
         parts = sorted(parts)
-        assert count_recurrence(parts, n).values == count_dp(parts, n).values
+        assert count_recurrence(parts, n) == count_dp(parts, n)
 
 
 class TestCountBruteforce:
     def test_small_cases(self):
-        assert count_bruteforce([1, 2, 3, 4], 4).values[4] == 5
-        assert count_bruteforce([5], 4).values[4] == 0
-        assert count_bruteforce([3, 7], 0).values[0] == 1
+        assert count_bruteforce([1, 2, 3, 4], 4)[4] == 5
+        assert count_bruteforce([5], 4)[4] == 0
+        assert count_bruteforce([3, 7], 0)[0] == 1
 
     def test_ceiling_enforced(self):
         with pytest.raises(ValueError):
             count_bruteforce([1], 61)
-        assert count_bruteforce([1], 80, ceiling=100).values[80] == 1
+        assert count_bruteforce([1], 60)[60] == 1
 
     @pytest.mark.parametrize("parts", [[2, 3, 5, 7], [4, 9], [3], [2, 5, 6]])
     def test_parts_without_one(self, parts):
         # the smallest part's runs are tallied in strides of that part
-        table = count_bruteforce(parts, 40)
-        assert table.values == count_dp(parts, 40).values
-        assert table.values == tuple(brute_count(parts, k) for k in range(41))
+        values = count_bruteforce(parts, 40)
+        assert values == count_dp(parts, 40)
+        assert values == tuple(brute_count(parts, k) for k in range(41))
 
     def test_n_below_the_smallest_part(self):
-        assert count_bruteforce([4, 9], 3).values == (1, 0, 0, 0)
-        assert count_bruteforce([5], 4).values == (1, 0, 0, 0, 0)
+        assert count_bruteforce([4, 9], 3) == (1, 0, 0, 0)
+        assert count_bruteforce([5], 4) == (1, 0, 0, 0, 0)
 
     def test_no_parts(self):
-        assert count_bruteforce([], 0).values == (1,)
-        assert count_bruteforce([], 7).values == (1,) + (0,) * 7
+        assert count_bruteforce([], 0) == (1,)
+        assert count_bruteforce([], 7) == (1,) + (0,) * 7
 
     def test_n_zero(self):
-        assert count_bruteforce([1], 0).values == (1,)
-        assert count_bruteforce([2, 3, 5], 0).values == (1,)
+        assert count_bruteforce([1], 0) == (1,)
+        assert count_bruteforce([2, 3, 5], 0) == (1,)
 
     @pytest.mark.parametrize(
         "parts",
@@ -127,7 +134,7 @@ class TestCountBruteforce:
         ],
     )
     def test_up_to_the_ceiling(self, parts):
-        assert count_bruteforce(parts, 60).values == count_dp(parts, 60).values
+        assert count_bruteforce(parts, 60) == count_dp(parts, 60)
 
     @given(
         parts=st.sets(st.integers(1, 30), max_size=8),
@@ -136,9 +143,9 @@ class TestCountBruteforce:
     @settings(max_examples=60, deadline=None)
     def test_one_walk_gives_the_whole_table(self, parts, n):
         parts = sorted(parts)
-        table = count_bruteforce(parts, n)
-        assert table.values == count_dp(parts, n).values
-        assert table.values == tuple(brute_count(parts, k) for k in range(n + 1))
+        values = count_bruteforce(parts, n)
+        assert values == count_dp(parts, n)
+        assert values == tuple(brute_count(parts, k) for k in range(n + 1))
 
 
 @given(spec=spec_strategy(m_max=5), n=st.integers(0, 18))
@@ -149,18 +156,18 @@ def test_three_engines_agree(spec, n):
         parts = parts_up_to(spec, variant, n)
         dp = count_dp(parts, n)
         rec = count_recurrence(parts, n)
-        assert dp.values == rec.values
-        assert dp.values[n] == count_bruteforce(parts, n).values[n]
-        assert dp.values[n] == brute_count(parts, n)
+        assert dp == rec
+        assert dp[n] == count_bruteforce(parts, n)[n]
+        assert dp[n] == brute_count(parts, n)
 
 
 @given(spec=spec_strategy(m_max=6), n=st.integers(0, 60))
 @settings(max_examples=60, deadline=None)
 def test_count_sandwich(spec, n):
     """Part-set inclusion: tail counts <= full counts <= unrestricted counts."""
-    tail = count_dp(parts_up_to(spec, A_PLUS, n), n).values[n]
-    full = count_dp(parts_up_to(spec, FULL_A, n), n).values[n]
-    unrestricted = count_dp(range(1, n + 1), n).values[n]
+    tail = count_dp(parts_up_to(spec, A_PLUS, n), n)[n]
+    full = count_dp(parts_up_to(spec, FULL_A, n), n)[n]
+    unrestricted = count_dp(range(1, n + 1), n)[n]
     assert tail <= full <= unrestricted
 
 
@@ -172,28 +179,27 @@ def test_count_sandwich(spec, n):
 def test_monotone_when_one_available(extra, n):
     """With part 1 available, counts never decrease in n."""
     parts = sorted({1, *extra})
-    values = count_dp(parts, n).values
+    values = count_dp(parts, n)
     assert all(values[j] <= values[j + 1] for j in range(n))
 
 
 class TestEq4:
     def test_direct_matches_all_levels(self):
-        table = count_dp(range(1, 31), 30)
+        values = count_dp(range(1, 31), 30)
         for n in range(31):
-            assert eq4_rhs_direct(table, n) == n * table.values[n]
+            assert eq4_rhs_direct(range(1, 31), values, n) == n * values[n]
 
     def test_recurrence_matches_dp_restricted(self):
         spec = make_residue_spec(3, [1, 2])
         for variant in (FULL_A, A_PLUS, R_PLUS):
             parts = parts_up_to(spec, variant, 120)
-            assert count_recurrence(parts, 120).values == count_dp(parts, 120).values
+            assert count_recurrence(parts, 120) == count_dp(parts, 120)
 
     def test_recurrence_integrity_message(self):
         # A corrupted table must trip the direct identity, not pass silently.
-        table = count_dp(range(1, 11), 10)
-        bad = table.values[:10] + (table.values[10] + 1,)
-        corrupted = type(table)(parts=table.parts, values=bad)
-        assert eq4_rhs_direct(corrupted, 10) != 10 * corrupted.values[10]
+        values = count_dp(range(1, 11), 10)
+        bad = values[:10] + (values[10] + 1,)
+        assert eq4_rhs_direct(range(1, 11), bad, 10) != 10 * bad[10]
 
 
 class TestConvolution:
@@ -225,31 +231,40 @@ class TestTableFactory:
     def test_matches_count_dp(self, spec):
         n = 120
         factory = TableFactory(n)
-        assert factory.aplus(spec).values == count_dp(
+        assert factory.table(spec, A_PLUS).values == count_dp(
             parts_up_to(spec, A_PLUS, n), n
-        ).values
-        assert factory.full_a(spec).values == count_dp(
+        )
+        assert factory.table(spec, FULL_A).values == count_dp(
             parts_up_to(spec, FULL_A, n), n
-        ).values
-        assert factory.rplus(spec).values == count_dp(
+        )
+        assert factory.table(spec, R_PLUS).values == count_dp(
             parts_up_to(spec, R_PLUS, n), n
-        ).values
+        )
 
     def test_known_value(self):
         factory = TableFactory(100)
         spec = make_residue_spec(1, [0])
-        assert factory.full_a(spec).values[100] == 190569292
+        assert factory.table(spec, FULL_A).values[100] == 190569292
 
     def test_empty_residues(self):
         factory = TableFactory(10)
         spec = make_residue_spec(4, [])
-        assert factory.aplus(spec).values == (1,) + (0,) * 10
+        assert factory.table(spec, A_PLUS).values == (1,) + (0,) * 10
+
+    def test_table_knows_what_it_counts(self):
+        spec = make_residue_spec(3, [0, 2])
+        table = TableFactory(12).table(spec, FULL_A)
+        assert (table.spec, table.variant, table.n_max) == (spec, FULL_A, 12)
+        assert table.parts == (2, 3, 5, 6, 8, 9, 11, 12)
+        assert TableFactory(12).table(spec, R_PLUS).parts == (2,)
+        with pytest.raises(SpecError):
+            TableFactory(12).table(spec, "all-naturals")
 
     def test_shared_cache_matches_count_dp(self):
         """Every subset of m <= 7, built in bitmask, reverse and shuffled order.
 
         Tail tables are cached and extended in place while being built, so
-        full_a must not write through to a cached tail table, and no table
+        a full-set table must not write through to a cached tail table, and no table
         may depend on which subsets were built before it.
         """
         n = 150
@@ -261,12 +276,12 @@ class TestTableFactory:
             factory = TableFactory(n)
             for spec in order:
                 aplus, full, rplus = expected[spec]
-                assert factory.aplus(spec).values == aplus
-                assert factory.full_a(spec).values == full
-                assert factory.rplus(spec).values == rplus
-                assert factory.aplus(spec).values == aplus
+                assert factory.table(spec, A_PLUS).values == aplus
+                assert factory.table(spec, FULL_A).values == full
+                assert factory.table(spec, R_PLUS).values == rplus
+                assert factory.table(spec, A_PLUS).values == aplus
             for spec in specs:
-                assert factory.aplus(spec).values == expected[spec][0]
+                assert factory.table(spec, A_PLUS).values == expected[spec][0]
 
     @pytest.mark.parametrize("m", range(1, 8))
     def test_every_n_max_up_to_m(self, m):
@@ -275,9 +290,9 @@ class TestTableFactory:
             factory = TableFactory(n_max)
             for spec in subsets_for_modulus(m):
                 assert (
-                    factory.aplus(spec).values,
-                    factory.full_a(spec).values,
-                    factory.rplus(spec).values,
+                    factory.table(spec, A_PLUS).values,
+                    factory.table(spec, FULL_A).values,
+                    factory.table(spec, R_PLUS).values,
                 ) == _dp_tables(spec, n_max)
 
     @pytest.mark.parametrize("residues", [range(6), [0, 1, 2, 4, 5]])
@@ -285,8 +300,8 @@ class TestTableFactory:
         n = 2000
         spec = make_residue_spec(6, residues)
         factory = TableFactory(n)
-        assert factory.aplus(spec).values == count_dp(parts_up_to(spec, A_PLUS, n), n).values
-        assert factory.full_a(spec).values == count_dp(parts_up_to(spec, FULL_A, n), n).values
+        assert factory.table(spec, A_PLUS).values == count_dp(parts_up_to(spec, A_PLUS, n), n)
+        assert factory.table(spec, FULL_A).values == count_dp(parts_up_to(spec, FULL_A, n), n)
 
     @pytest.mark.parametrize("m,wrong_at", [(1, 0), (4, 0), (4, 1), (4, 3), (7, 5)])
     def test_wrong_partition_numbers_raise(self, monkeypatch, m, wrong_at):
@@ -300,12 +315,45 @@ class TestTableFactory:
 
         monkeypatch.setattr(counting, "_partition_numbers", corrupted)
         with pytest.raises(IntegrityError):
-            TableFactory(40).aplus(make_residue_spec(m, range(m)))
+            TableFactory(40).table(make_residue_spec(m, range(m)), A_PLUS)
+
+
+class TestCertify:
+    def test_passes_every_factory_table(self):
+        factory, cache = TableFactory(50), {}
+        for spec in subsets_for_modulus(3):
+            for variant in (FULL_A, A_PLUS, R_PLUS):
+                assert certify(factory.table(spec, variant), cache)
+
+    def test_refuses_counts_of_another_variant(self):
+        """Right counts under the wrong label: certified against the label's parts."""
+        spec = make_residue_spec(3, [0, 2])
+        full = TableFactory(50).table(spec, FULL_A)
+        assert not certify(CountTable(spec, A_PLUS, full.values), {})
+        assert certify(CountTable(spec, FULL_A, full.values), {})
+
+    def test_engines_run_once_per_part_list_and_n_max(self, monkeypatch):
+        walks = []
+        real = counting.count_bruteforce
+
+        def recording(parts, n):
+            walks.append((parts, n))
+            return real(parts, n)
+
+        monkeypatch.setattr(counting, "count_bruteforce", recording)
+        cache = {}
+        # the tail set of m = 2, R = {0} and the full set of m = 4, R = {0, 2}
+        # are both the even numbers
+        evens = [(make_residue_spec(2, [0]), A_PLUS), (make_residue_spec(4, [0, 2]), FULL_A)]
+        for spec, variant in evens:
+            assert certify(TableFactory(30).table(spec, variant), cache)
+        assert certify(TableFactory(20).table(make_residue_spec(2, [0]), A_PLUS), cache)
+        assert walks == [(tuple(range(2, 31, 2)), 30), (tuple(range(2, 21, 2)), 20)]
 
 
 def test_partition_numbers_match_count_dp():
     """Every n <= 40 (each new pentagonal offset up to 40) and n = 1000."""
-    table = list(count_dp(range(1, 1001), 1000).values)
+    table = list(count_dp(range(1, 1001), 1000))
     assert counting._partition_numbers(1000) == table
     for n in range(41):
         assert counting._partition_numbers(n) == table[: n + 1]
@@ -314,7 +362,7 @@ def test_partition_numbers_match_count_dp():
 def _dp_tables(spec, n):
     """(a-plus, full-a, r-plus) counts of 0..n from count_dp."""
     return tuple(
-        count_dp(parts_up_to(spec, variant, n), n).values
+        count_dp(parts_up_to(spec, variant, n), n)
         for variant in (A_PLUS, FULL_A, R_PLUS)
     )
 

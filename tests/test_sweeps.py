@@ -8,20 +8,19 @@ from dataclasses import replace
 from pathlib import Path
 
 from partlab import counting, sweeps
-from partlab.bounds import asymptotic_ratio
-from partlab.partset import make_residue_spec
+from partlab.partset import FULL_A, make_residue_spec
 
 
 def test_one_oracle_walk_per_distinct_part_list(monkeypatch):
     """Default verify's counts check walks each (part list, n) once, across all m."""
     walks = []
-    real = sweeps.count_bruteforce
+    real = counting.count_bruteforce
 
-    def recording(parts, n, **kwargs):
+    def recording(parts, n):
         walks.append((tuple(parts), n))
-        return real(parts, n, **kwargs)
+        return real(parts, n)
 
-    monkeypatch.setattr(sweeps, "count_bruteforce", recording)
+    monkeypatch.setattr(counting, "count_bruteforce", recording)
     result = sweeps.run_verify(sweeps.SweepConfig(checks=("counts",)))
     assert result.ok
     assert len(result.rows) == 90
@@ -30,40 +29,37 @@ def test_one_oracle_walk_per_distinct_part_list(monkeypatch):
 
 
 def test_each_table_is_built_once_per_spec(monkeypatch):
-    """Default verify builds one factory per modulus and each spec's tables once.
+    """Default verify builds one factory per modulus and asks it once per (spec, variant).
 
-    The counts oracle certifies the same full-set and head tables that chain,
-    ratio and rpoly read, so no second factory builds them again.  The tail
-    table is asked for by theorem1 for each spec and by erdos for m = 1;
-    the full-set table reads the cached tail values, not the tail table.
+    The counts oracle certifies all three tables of every spec, and
+    theorem1, erdos, chain, ratio and rpoly read those same objects, so no
+    table is asked for twice.
     """
-    calls = {"factories": 0, "aplus": [], "full_a": [], "rplus": []}
+    factories = []
+    calls = []
     real_init = counting.TableFactory.__init__
+    real_table = counting.TableFactory.table
 
     def counting_init(self, n_max):
-        calls["factories"] += 1
+        factories.append(n_max)
         real_init(self, n_max)
 
-    def recording(name):
-        real = getattr(counting.TableFactory, name)
-
-        def method(self, spec):
-            calls[name].append(spec)
-            return real(self, spec)
-
-        return method
+    def recording(self, spec, variant):
+        calls.append((spec, variant))
+        return real_table(self, spec, variant)
 
     monkeypatch.setattr(counting.TableFactory, "__init__", counting_init)
-    for name in ("aplus", "full_a", "rplus"):
-        monkeypatch.setattr(counting.TableFactory, name, recording(name))
+    monkeypatch.setattr(counting.TableFactory, "table", recording)
     result = sweeps.run_verify(sweeps.SweepConfig())
     assert result.ok
-    assert calls["factories"] == 4
-    assert len(calls["aplus"]) == 31
-    assert len(set(calls["aplus"])) == 30
-    for name in ("full_a", "rplus"):
-        assert len(calls[name]) == 30
-        assert len(set(calls[name])) == 30
+    assert factories == [300] * 4
+    assert len(calls) == 90
+    assert set(calls) == {
+        (spec, variant)
+        for m in range(1, 5)
+        for spec in sweeps.subsets_for_modulus(m)
+        for variant in sweeps.SWEEP_VARIANTS
+    }
 
 
 def test_serial_run_imports_no_pool():
@@ -111,12 +107,12 @@ def test_pool_tasks_are_queued_before_the_counts_oracle(monkeypatch):
     assert pooled.rows == serial.rows
 
 
-def test_table_ratio_is_asymptotic_ratio():
-    """table_rows' ratio column is bit-for-bit asymptotic_ratio of the full count."""
+def test_table_ratio_matches_the_ratio_rows():
+    """table_rows' ratio column is bit-for-bit verify's ratio rows at their checkpoints."""
     for m, residues in [(1, [0]), (2, [1]), (3, [0, 2]), (4, [1, 2, 3])]:
         spec = make_residue_spec(m, residues)
         rows = sweeps.table_rows(spec, 120)
-        for row in rows:
-            n, count = row["n"], int(row["p_a"])
-            expected = asymptotic_ratio(spec, n, count=count) if n >= 1 and count >= 1 else None
-            assert row["ratio"] == expected
+        ratio_rows = sweeps._ratio_rows(counting.TableFactory(120).table(spec, FULL_A))
+        assert [r["n"] for r in ratio_rows][-3:] == [10, 100, 120]
+        for row in ratio_rows:
+            assert rows[row["n"]]["ratio"] == row["ratio"] == row["log_count"] / row["bound"]
