@@ -4,12 +4,16 @@ Counts are always decimal strings, never floats.  Floats are canonicalized
 to at most 12 significant digits before serialization, so identical runs
 produce byte-identical output and JSON/CSV carry identical values.
 
-Reports are streamed: each row is canonicalized as it is written to the
-output stream (JSON text in batches of rows), so emission never holds the
-whole report in memory.  Cells are encoded by exact value type.  A JSON
-document writes each row from a template made once per row shape, with
-the fields the shape lacks already written as ``null``, and keeps the text
-of recent floats and residue lists in bounded caches of its own.
+Reports are streamed BATCH_ROWS rows at a time, so emission never holds the
+whole report in memory.  Both writers share one column plan: a batch is
+split into runs of rows of one shape (key order), and each field present in
+a run is pulled out as a column.  A column of one value type, or of floats
+and None, is encoded with one ``map``; any other column cell by cell, by
+exact value type.  A float's text is ``format(x, ".12g")`` wherever that is
+already the repr of the canonical float.  JSON joins each row of a run from
+the run's template, in which the fields the shape lacks are already
+``null``.  CSV joins a batch's cells itself when none needs quoting, and
+hands the batch to ``csv.writer`` otherwise.
 """
 
 from __future__ import annotations
@@ -17,18 +21,19 @@ from __future__ import annotations
 import csv
 import json
 import math
+from functools import lru_cache
+from itertools import groupby, islice, repeat
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 from typing import Callable, Iterable, Sequence, TextIO
 
-# document_to_json writes rows to the output stream this many at a time.
+# Both writers encode and write this many rows at a time.
 BATCH_ROWS = 1000
 
-# Entries per cache of one JSON document (float text, list text, row
-# templates).  On `partlab verify`'s defaults (131,424 floats, 47,531
-# distinct) 16,384 entries hit 62.7% of float lookups, against 63.8%
-# unbounded and 51.2% at 4,096.
+# Entries in one JSON document's cache of list text.
 CACHE_SIZE = 16_384
+
+_NONE = type(None)
 
 # Field orders are fixed; emission never depends on dict iteration quirks.
 TABLE_FIELDS = ("n", "p_a", "p_a_plus", "p_r_plus", "bound", "slack", "ratio")
@@ -77,6 +82,50 @@ def canon_row(row: dict, fields: Sequence[str]) -> dict:
     return {f: canon_tree(row.get(f)) for f in fields}
 
 
+def _float_text(null: str, special: Callable[[float], str]) -> Callable:
+    """A function from a float or None to its canonical text.
+
+    ``"%.12g" % x`` (``format(x, ".12g")``'s text) is the repr of
+    ``canon_float(x)`` when it has a point and no exponent, and, with ".0"
+    added, when it is an integer other than -0.  None is written as null;
+    exponents, nan, infinities and -0 go through special.
+    """
+
+    def text(x: float | None) -> str:
+        if x is None:
+            return null
+        s = "%.12g" % x
+        if "." in s:
+            if "e" not in s:
+                return s
+        elif s.lstrip("-").isdigit() and s != "-0":
+            return s + ".0"
+        return special(x)
+
+    return text
+
+
+def _column_text(run: list[dict], field: str, cells: dict, other: Callable) -> Iterable[str]:
+    """The text of field's value in each row of a run: ``cells`` by exact type, else other.
+
+    A column of one type, or of floats and None, is encoded by one map; any
+    other column cell by cell.  A column of floats is formatted by one map,
+    and only the texts that are not already canonical go to the float text.
+    """
+    column = list(map(itemgetter(field), run))
+    kinds = set(map(type, column))
+    if kinds == {float}:
+        text = cells[float]
+        texts = map("%.12g".__mod__, column)
+        return [s if "." in s and "e" not in s else text(x) for x, s in zip(column, texts)]
+    if kinds == {float, _NONE}:  # the float text writes None too
+        kinds = {float}
+    if len(kinds) == 1:
+        return map(cells.get(kinds.pop(), other), column)
+    cell = cells.get
+    return [cell(type(v), other)(v) for v in column]
+
+
 def _csv_cell(v) -> str:
     if v is None:
         return ""
@@ -93,27 +142,46 @@ def _csv_other(v) -> str:
     return _csv_cell(canon_tree(v))
 
 
-# CSV cell text by exact value type; any other type goes through _csv_other.
-_CSV_CELL = {
-    type(None): lambda v: "",
-    bool: {False: "false", True: "true"}.__getitem__,
-    int: int.__repr__,
-    str: str,
-    float: lambda v: repr(canon_float(v)),
-}
-
-
 def rows_to_csv(rows: Iterable[dict], fields: Sequence[str], out: TextIO) -> None:
     """Write rows as CSV with the given header to out, deterministically.
 
     Each cell equals ``_csv_cell`` of the ``canon_row`` value, without
-    building the canonical row.
+    building the canonical row.  A batch's cells are joined here when none
+    holds a comma, quote or line break, which csv.writer would quote; any
+    other batch, or one of one field, goes through csv.writer.
     """
+    cells = {
+        _NONE: {None: ""}.__getitem__,
+        bool: {False: "false", True: "true"}.__getitem__,
+        int: int.__repr__,
+        str: str,
+        float: _float_text("", _csv_other),
+    }
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(fields)
-    cell = _CSV_CELL.get
-    for row in rows:
-        writer.writerow([cell(type(v), _csv_other)(v) for v in map(row.get, fields)])
+    commas = len(fields) - 1
+    rows = iter(rows)
+    while batch := list(islice(rows, BATCH_ROWS)):
+        lines: list[tuple] = []
+        for row_keys, run in groupby(batch, tuple):
+            run = list(run)
+            columns = [
+                _column_text(run, f, cells, _csv_other) if f in row_keys else repeat("", len(run))
+                for f in fields
+            ]
+            lines += zip(*columns) if columns else repeat((), len(run))
+        text = "\n".join(map(",".join, lines))
+        if (
+            commas > 0  # csv.writer writes a lone empty cell as ""
+            and text.count(",") == commas * len(lines)
+            and text.count("\n") == len(lines) - 1
+            and '"' not in text
+            and "\r" not in text
+        ):
+            out.write(text)
+            out.write("\n")
+        else:
+            writer.writerows(lines)
 
 
 def _json_float(x: float) -> str:
@@ -151,83 +219,12 @@ def _json_value(v, depth: int) -> str:
     raise TypeError(f"row value of type {type(v).__name__} is not JSON serializable")
 
 
-# Item types whose equal values have equal canonical JSON text.
-_FLAT_TYPES = frozenset((type(None), bool, int, float, str))
-
-
-class _BoundedCache(dict):
-    """Values computed by ``make`` from their keys on a miss.
-
-    Holds at most CACHE_SIZE entries and starts over when full, so a
-    document with many distinct values or row shapes costs bounded memory.
-    """
-
-    __slots__ = ("make",)
-
-    def __init__(self, make: Callable) -> None:
-        super().__init__()
-        self.make = make
-
-    def __missing__(self, key):
-        if len(self) >= CACHE_SIZE:
-            self.clear()
-        value = self[key] = self.make(key)
-        return value
-
-
-def _row_encoder(fields: Sequence[str]) -> Callable[[dict], str]:
-    """A function from a row to its canonical JSON text, for one document.
-
-    The text starts with the comma that separates it from the previous row.
-    Each row shape (its key order) gets a template with the keys of fields
-    and a literal ``null`` for each field the shape lacks, filled from the
-    row's values.  Values are encoded by exact type: floats and flat lists
-    through caches of their text, anything else by ``_json_value``.
-    Equal keys of one cache must mean equal text, so a list's key is its
-    items' exact types, then the items, and lists holding containers are
-    not cached.
-    """
-    # each row is a dict at depth 2, so its keys sit at depth 3
-    keys = ["\n      " + encode_basestring_ascii(f).replace("%", "%%") + ": " for f in fields]
-    floats = _BoundedCache(_json_float)
-    lists = _BoundedCache(lambda key: _json_value(key[len(key) // 2 :], 3))
-
-    def list_text(v) -> str:
-        types = tuple(map(type, v))
-        if _FLAT_TYPES.issuperset(types):
-            return lists[(*types, *v)]
-        return _json_value(v, 3)
-
-    encoders = {
-        type(None): {None: "null"}.__getitem__,
-        bool: {False: "false", True: "true"}.__getitem__,
-        int: int.__repr__,
-        str: encode_basestring_ascii,
-        float: floats.__getitem__,
-        list: list_text,
-        tuple: list_text,
-    }.get
-
-    def shape(row_keys: tuple) -> tuple[str, Callable]:
-        present = [f for f in fields if f in row_keys]
-        cells = [key + ("%s" if f in present else "null") for key, f in zip(keys, fields)]
-        if len(present) > 1:
-            values = itemgetter(*present)
-        else:  # itemgetter of one key returns the bare value
-            values = lambda row: [row[f] for f in present]  # noqa: E731
-        return ",\n    {" + ",".join(cells) + "\n    }", values
-
-    shapes = _BoundedCache(shape)
-
-    def row_text(row: dict) -> str:
-        template, values = shapes[tuple(row)]
-        return template % tuple([encoders(type(v), _json_other)(v) for v in values(row)])
-
-    return row_text
-
-
 def _json_other(v) -> str:
     return _json_value(v, 3)
+
+
+# Item types whose equal values have equal canonical JSON text.
+_FLAT_TYPES = frozenset((_NONE, bool, int, float, str))
 
 
 def document_to_json(
@@ -241,19 +238,55 @@ def document_to_json(
     "rows": [canon_row(r, fields) for r in rows]}, indent=2) + "\\n"``,
     but no row is copied and no document string is built: ``head``
     (everything but the rows, canonicalized by the caller) goes through
-    ``json.dumps``, and each row is encoded from its shape's template as
-    it is written, in batches of BATCH_ROWS rows.
+    ``json.dumps``, and the rows are written BATCH_ROWS at a time.  Each
+    run of one shape gets a template with the keys of fields and a literal
+    ``null`` for each field the shape lacks.  Flat lists are encoded
+    through a bounded cache of their text; equal keys of it must mean equal
+    text, so a list's key is its items' exact types, then the items, and
+    lists holding containers are not cached.
     """
     text = json.dumps({**head, "rows": []}, indent=2)
     out.write(text[: -len("[]\n}")])  # everything before the rows' value
-    row_text = _row_encoder(fields)
-    batch: list[str] = []
-    count = 0
-    for count, row in enumerate(rows, 1):
-        text = row_text(row)
-        batch.append(text if count > 1 else "[" + text[1:])  # the first row opens the list
-        if count % BATCH_ROWS == 0:
-            out.write("".join(batch))
-            batch.clear()
-    batch.append("\n  ]\n}\n" if count else "[]\n}\n")
-    out.write("".join(batch))
+    # each row is a dict at depth 2, so its keys sit at depth 3
+    keys = ["\n      " + encode_basestring_ascii(f) + ": " for f in fields]
+
+    @lru_cache(maxsize=CACHE_SIZE)
+    def flat_list_text(key: tuple) -> str:
+        return _json_value(key[len(key) // 2 :], 3)
+
+    def list_text(v) -> str:
+        types = tuple(map(type, v))
+        if _FLAT_TYPES.issuperset(types):
+            return flat_list_text((*types, *v))
+        return _json_value(v, 3)
+
+    cells = {
+        _NONE: {None: "null"}.__getitem__,
+        bool: {False: "false", True: "true"}.__getitem__,
+        int: int.__repr__,
+        str: encode_basestring_ascii,
+        float: _float_text("null", _json_float),
+        list: list_text,
+        tuple: list_text,
+    }
+    opener = "["  # the first batch opens the list, later ones continue it
+    rows = iter(rows)
+    while batch := list(islice(rows, BATCH_ROWS)):
+        texts: list[str] = []
+        for row_keys, run in groupby(batch, tuple):
+            run = list(run)
+            present = [f for f in fields if f in row_keys]
+            # the template's pieces around its values; encode_basestring_ascii
+            # escapes "\0" in keys, so "\0" marks each value
+            template = [key + ("\0" if f in row_keys else "null") for key, f in zip(keys, fields)]
+            pieces = ("\n    {" + ",".join(template) + "\n    }").split("\0")
+            # a row's text joins pieces and values in turn; the first strand
+            # is finite, so a shape with no field still yields its rows
+            strands = [repeat(pieces[0], len(run))]
+            for f, piece in zip(present, pieces[1:]):
+                strands += (_column_text(run, f, cells, _json_other), repeat(piece))
+            texts += map("".join, zip(*strands))
+        out.write(opener + ",".join(texts))
+        opener = ","
+    out.write("\n  ]\n}\n" if opener == "," else "[]\n}\n")
+

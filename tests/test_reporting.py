@@ -101,7 +101,7 @@ scalars = st.one_of(
     st.integers(-(10**30), 10**30),
     st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 1 / 3, 2**0.5, 1e-300]),
     st.floats(allow_nan=True, allow_infinity=True),
-    st.text(alphabet=st.sampled_from('ab"\\\n\t/\u00e9\u2264\U0001f600'), max_size=6),
+    st.text(alphabet=st.sampled_from('ab,"\\\n\r\t/\u00e9\u2264\U0001f600'), max_size=6),
 )
 cell_values = st.one_of(
     scalars,
@@ -119,29 +119,32 @@ heads = st.dictionaries(
 )
 
 
+def reference_json(head, rows, fields):
+    return json.dumps({**head, "rows": [canon_row(r, fields) for r in rows]}, indent=2) + "\n"
+
+
+def reference_csv(rows, fields):
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(fields)
+    for row in rows:
+        canon = canon_row(row, fields)
+        writer.writerow([_csv_cell(canon[f]) for f in fields])
+    return out.getvalue()
+
+
 @given(head=heads, rows=rows_strategy)
 @settings(max_examples=150, deadline=None)
 def test_stream_equals_json_dumps_of_canonical_rows(head, rows):
     """The streamed document is json.dumps(indent=2) of the canonical rows, byte for byte."""
-    expected = json.dumps({**head, "rows": [canon_row(r, FIELDS) for r in rows]}, indent=2) + "\n"
-    assert json_text(head, rows, FIELDS) == expected
+    assert json_text(head, rows, FIELDS) == reference_json(head, rows, FIELDS)
 
 
 @given(rows=rows_strategy)
 @settings(max_examples=150, deadline=None)
 def test_csv_equals_csv_writer_of_canonical_rows(rows):
     """rows_to_csv writes _csv_cell of each canon_row value, byte for byte."""
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(FIELDS)
-    for row in rows:
-        canon = canon_row(row, FIELDS)
-        writer.writerow([_csv_cell(canon[f]) for f in FIELDS])
-    assert csv_text(rows, FIELDS) == out.getvalue()
-
-
-def reference_json(head, rows, fields):
-    return json.dumps({**head, "rows": [canon_row(r, fields) for r in rows]}, indent=2) + "\n"
+    assert csv_text(rows, FIELDS) == reference_csv(rows, FIELDS)
 
 
 class TestRowEncoder:
@@ -152,8 +155,8 @@ class TestRowEncoder:
         assert json_text(head, rows, fields) == reference_json(head, rows, fields)
 
     def test_more_distinct_floats_than_the_cache_holds(self):
-        floats = [k / 7 + 0.5 for k in range(CACHE_SIZE + 300)]
-        # repeats both before and after the cache fills and starts over
+        floats = [k / 7 + 0.5 for k in range(16_384 + 300)]
+        # distinct floats and repeats of them, over many batches
         values = floats[:200] + floats + floats[:200] + floats[-200:] + floats[::97]
         self.check([{"x": x, "lhs": -x} for x in values], fields=("x", "lhs"))
 
@@ -217,3 +220,40 @@ class TestRowEncoder:
     def test_unserializable_value_raises(self):
         with pytest.raises(TypeError):
             json_text({}, [{"x": {1, 2}}], FIELDS)
+
+
+class TestColumnPlan:
+    """Both writers' per-batch column plan writes the reference bytes."""
+
+    def check(self, rows, fields=FIELDS):
+        assert csv_text(rows, fields) == reference_csv(rows, fields)
+        head = {"command": "verify"}
+        assert json_text(head, rows, fields) == reference_json(head, rows, fields)
+
+    def test_float_edges_in_every_kind_of_column(self):
+        edges = [1e12, 1.5e13, 9.99999999999e15, 1e16, 999999999999.5, 1e-4, 1e-5, 5e-324]
+        edges += [2.2250738585072014e-308, -0.0, math.nan, math.inf, -math.inf]
+        values = edges + [-v for v in edges] + [0.5, 3.0, 123456789012.0]
+        # x holds floats only, lhs floats and None, count floats and ints
+        rows = [
+            {"x": v, "lhs": v if k % 2 else None, "count": v if k % 3 else k}
+            for k, v in enumerate(values + values[::-1])
+        ]
+        self.check(rows)
+
+    @pytest.mark.parametrize("at", [0, reporting.BATCH_ROWS // 2, reporting.BATCH_ROWS - 1])
+    @pytest.mark.parametrize("text", [",", '"', "\n", "\r"])
+    def test_one_cell_that_needs_quoting_in_a_full_batch(self, text, at):
+        rows = [{"check": "c", "m": k, "x": k / 3} for k in range(2 * reporting.BATCH_ROWS)]
+        rows[at] = {**rows[at], "check": "a" + text}
+        self.check(rows)
+
+    def test_one_field_whose_only_cell_is_empty(self):
+        for rows in ([{"check": ""}], [{"check": None}], [{}], [{"check": ""}, {"check": "a"}]):
+            self.check(rows, fields=("check",))
+
+    def test_rows_with_no_field_between_other_shapes(self):
+        rows = [{"m": 1, "x": 0.5}] * 3 + [{}] * 4 + [{"check": "a"}, {}, {}, {"zzz": 1}]
+        rows += [{"m": 2, "R": [1, 2]}, {}]
+        self.check(rows)
+        self.check(rows, fields=("m",))
