@@ -84,7 +84,7 @@ def cmd_count(args: argparse.Namespace) -> int:
 
 def cmd_table(args: argparse.Namespace) -> int:
     spec = make_residue_spec(args.m, _parse_residues(args.r))
-    rows = sweeps.table_rows(spec, args.n_max)
+    rows = sweeps.table_rows(spec, TableFactory(args.n_max))
     head = {"command": "table", "m": spec.m, "R": list(spec.residues)}
     _write_report(args, head, rows, reporting.TABLE_FIELDS)
     return EXIT_OK
@@ -107,18 +107,15 @@ def cmd_verify(args: argparse.Namespace) -> int:
             "variants": list(sweeps.SWEEP_VARIANTS),
             "checks": list(config.checks),
         },
-        "summaries": [reporting.canon_tree(s.as_row()) for s in result.summaries],
+        "summaries": [reporting.canon_tree(s) for s in result.summaries],
     }
     _write_report(args, head, result.rows, reporting.VERIFY_FIELDS)
     for s in result.summaries:
-        worst = (
-            repr(reporting.canon_float(s.worst_margin))
-            if s.worst_margin is not None
-            else "-"
-        )
-        status = "ok" if s.holds else "FAIL"
+        worst = s["worst_margin"]
+        worst = "-" if worst is None else repr(reporting.canon_float(worst))
+        status = "ok" if s["holds"] else "FAIL"
         sys.stderr.write(
-            f"check={s.name} rows={s.rows} failures={s.failures} "
+            f"check={s['name']} rows={s['rows']} failures={s['failures']} "
             f"worst_margin={worst} status={status}\n"
         )
     sys.stderr.write(
@@ -195,9 +192,6 @@ def main(argv: list[str] | None = None) -> int:
         return code if isinstance(code, int) else EXIT_CONFIG
     try:
         return args.func(args)
-    except SpecError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_CONFIG
     except IntegrityError as exc:
         sys.stderr.write(f"integrity failure: {exc}\n")
         return EXIT_CHECK_FAILED

@@ -47,9 +47,6 @@ from .partset import (
     parts_up_to,
 )
 
-# Partition counts are plain ints; the alias marks contract boundaries.
-BigCount = int
-
 # The brute-force walk visits every partition, so it refuses any n above
 # ORACLE_CEILING, and certify runs it only up to ORACLE_N_CAP: it must not
 # scale with a table's n_max.
@@ -67,7 +64,7 @@ class CountTable:
 
     spec: ResidueSpec
     variant: str
-    values: tuple[BigCount, ...]
+    values: tuple[int, ...]
 
     @property
     def n_max(self) -> int:
@@ -110,7 +107,7 @@ def _divisor_sums(parts: tuple[int, ...], n: int) -> list[int]:
     return sigma
 
 
-def count_recurrence(parts: Iterable[int], n: int) -> tuple[BigCount, ...]:
+def count_recurrence(parts: Iterable[int], n: int) -> tuple[int, ...]:
     """Exact counts built bottom-up from the double-counting identity.
 
     Grouping ``sum_{s <= j} s * sum_{k >= 1} p(j - s*k)`` by the product
@@ -138,7 +135,7 @@ def count_recurrence(parts: Iterable[int], n: int) -> tuple[BigCount, ...]:
     return tuple(values)
 
 
-def count_bruteforce(parts: Iterable[int], n: int) -> tuple[BigCount, ...]:
+def count_bruteforce(parts: Iterable[int], n: int) -> tuple[int, ...]:
     """Exact counts of 0..n from one exhaustive walk over nonincreasing summands.
 
     Independent oracle: no memoization, no shared state with the other

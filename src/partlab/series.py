@@ -52,17 +52,15 @@ def one_sided_eps(x: float, rhs: float) -> float:
     return EPS_ONE_SIDED
 
 
-def default_x_grid(
-    num: int = 200, lo_exp: float = -3.0, hi_exp: float = 2.0
-) -> list[float]:
-    """Log-spaced grid on [10**lo_exp, 10**hi_exp], plus the exact unit point.
+def default_x_grid() -> list[float]:
+    """200 log-spaced points on [1e-3, 1e2], plus the exact unit point.
 
-    The raw 200-point spacing never lands on x = 1.0 exactly, and the
-    odd-part counterexample is traditionally quoted there, so 1.0 is
-    inserted explicitly.
+    The raw spacing never lands on x = 1.0 exactly, and the odd-part
+    counterexample is traditionally quoted there, so 1.0 is inserted
+    explicitly.
     """
-    step = (hi_exp - lo_exp) / (num - 1)
-    pts = [10.0 ** (lo_exp + i * step) for i in range(num)]
+    step = 5.0 / 199
+    pts = [10.0 ** (-3.0 + i * step) for i in range(200)]
     if 1.0 not in pts:
         pts.append(1.0)
         pts.sort()

@@ -6,9 +6,11 @@ modulus.  A task asks the modulus's TableFactory for each (spec, variant)
 table it needs once; with the counts check selected it first certifies
 all three tables of every spec with ``counting.certify``, then hands the
 same table objects to the bound checks, which read the spec and the n
-range from the table itself.  One
-summary per named check is aggregated in one pass over its rows, and every
-check returns the row dicts that are emitted, so each row is built once.
+range from the table itself.  Every check returns the row dicts that are
+emitted, so each row is built once, and ``summarize`` folds one check's
+rows, any iterable of them, into the summary dict the report's head
+holds; the acceptance suite folds its own larger grids through it too.
+``table_rows`` takes the bound and slack columns from theorem1's rows.
 Both verify and sweep run their per-modulus tasks through one function,
 ``_per_modulus``: in this process for one worker, else over a process
 pool that never starts more workers than there are moduli, and whose
@@ -20,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from typing import Iterable
 
 from . import bounds, series
 from .counting import CountTable, TableFactory, certify
@@ -70,33 +73,13 @@ class SweepConfig:
 
 
 @dataclass
-class CheckSummary:
-    """Aggregate verdict for one named check."""
-
-    name: str
-    rows: int
-    failures: int
-    worst_margin: float | None
-    holds: bool
-
-    def as_row(self) -> dict:
-        return {
-            "name": self.name,
-            "rows": self.rows,
-            "failures": self.failures,
-            "worst_margin": self.worst_margin,
-            "holds": self.holds,
-        }
-
-
-@dataclass
 class VerifyResult:
-    summaries: list[CheckSummary] = field(default_factory=list)
+    summaries: list[dict] = field(default_factory=list)  # summarize's dicts
     rows: list[dict] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
-        return all(s.holds for s in self.summaries)
+        return all(s["holds"] for s in self.summaries)
 
 
 def subsets_for_modulus(m: int, include_empty: bool = True) -> list[ResidueSpec]:
@@ -233,18 +216,21 @@ def _helper_rows(m_max: int, n_sqrt_max: int) -> list[dict]:
     return rows
 
 
-def _summarize(name: str, rows: list[dict]) -> CheckSummary:
-    """A check holds when it produced rows and none of them failed.
+def summarize(name: str, rows: Iterable[dict]) -> dict:
+    """Fold one check's rows, in one pass, into ``{name, rows, failures, worst_margin, holds}``.
 
+    A check holds when it produced rows and none of them failed.
     A selected check with no rows checked nothing, so it does not hold.
     A row's margin is its margin, else its slack; the worst is the smallest
     (the largest for remark, whose rows are witnesses of a violation), and
-    the first of equal values wins, as with min and max.
+    the first of equal values wins, as with min and max.  ``rows`` is read
+    once, so a generator folds without its rows being kept.
     """
     largest = name == "remark"
     worst = None
-    failures = 0
+    count = failures = 0
     for row in rows:
+        count += 1
         if row.get("holds") is False:
             failures += 1
         margin = row.get("margin")
@@ -254,13 +240,13 @@ def _summarize(name: str, rows: list[dict]) -> CheckSummary:
                 continue
         if worst is None or (margin > worst if largest else margin < worst):
             worst = margin
-    return CheckSummary(
-        name=name,
-        rows=len(rows),
-        failures=failures,
-        worst_margin=worst,
-        holds=len(rows) > 0 and failures == 0,
-    )
+    return {
+        "name": name,
+        "rows": count,
+        "failures": failures,
+        "worst_margin": worst,
+        "holds": count > 0 and failures == 0,
+    }
 
 
 def _per_modulus(fn, tasks: list, workers: int):
@@ -313,7 +299,7 @@ def run_verify(config: SweepConfig) -> VerifyResult:
     result = VerifyResult()
     for name in config.checks:
         rows = by_check[name]
-        result.summaries.append(_summarize(name, rows))
+        result.summaries.append(summarize(name, rows))
         result.rows.extend(rows)
     return result
 
@@ -321,33 +307,24 @@ def run_verify(config: SweepConfig) -> VerifyResult:
 # --- per-spec tables for the table/sweep commands ------------------------------
 
 
-def table_rows(spec: ResidueSpec, n_max: int, factory: TableFactory | None = None) -> list[dict]:
-    """Per-n rows: the three counts, the tail bound, its slack, the ratio."""
-    if n_max < 0:
-        raise ValueError(f"n_max must be >= 0, got {n_max}")
-    factory = factory or TableFactory(n_max)
-    full = factory.table(spec, FULL_A)
-    tail = factory.table(spec, A_PLUS)
-    head = factory.table(spec, R_PLUS)
-    c = bounds.tail_constant(spec)
+def table_rows(spec: ResidueSpec, factory: TableFactory) -> list[dict]:
+    """Per-n rows over the factory's n range: three counts, theorem1's bound and slack, the ratio."""
+    full = factory.table(spec, FULL_A).values
+    head = factory.table(spec, R_PLUS).values
     rows = []
-    for n in range(n_max + 1):
-        bound = c * math.sqrt(n)
-        tail_count = tail.values[n]
-        slack = bound - math.log(tail_count) if tail_count > 0 else None
-        full_count = full.values[n]
-        if n >= 1 and full_count >= 1 and c > 0:
-            ratio = math.log(full_count) / bound  # log_count / bound, as in _ratio_rows
-        else:
-            ratio = None
+    for n, tail in enumerate(bounds.check_theorem1(factory.table(spec, A_PLUS))):
+        bound = tail["bound"]
+        full_count = full[n]
+        # log_count / bound, as in _ratio_rows; bound > 0 exactly when n >= 1 and R is nonempty
+        ratio = math.log(full_count) / bound if bound > 0 and full_count >= 1 else None
         rows.append(
             {
                 "n": n,
                 "p_a": str(full_count),
-                "p_a_plus": str(tail_count),
-                "p_r_plus": str(head.values[n]),
+                "p_a_plus": tail["count"],
+                "p_r_plus": str(head[n]),
                 "bound": bound,
-                "slack": slack,
+                "slack": tail["slack"],
                 "ratio": ratio,
             }
         )
@@ -370,6 +347,6 @@ def _sweep_rows_for_modulus(args: tuple) -> list[dict]:
     factory = TableFactory(n_max)
     rows = []
     for spec in subsets_for_modulus(m, include_empty=False):
-        for row in table_rows(spec, n_max, factory=factory):
+        for row in table_rows(spec, factory):
             rows.append({"m": spec.m, "R": list(spec.residues), **row})
     return rows

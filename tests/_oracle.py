@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from partlab.counting import BigCount, _validated_parts
+from partlab.counting import _validated_parts
 from partlab.partset import A_PLUS, FULL_A, R_PLUS, ResidueSpec, parts_up_to
 from partlab.series import TAIL_RULE_CAP, TAIL_RULE_REL, TAIL_RULE_START
 
@@ -51,7 +51,7 @@ def brute_count(parts: Iterable[int], n: int) -> int:
     return sum(1 for _ in enumerate_partitions(parts, n))
 
 
-def count_dp(parts: Iterable[int], n: int) -> tuple[BigCount, ...]:
+def count_dp(parts: Iterable[int], n: int) -> tuple[int, ...]:
     """Exact counts of partitions of 0..n via part-by-part accumulation.
 
     Outer loop over parts, inner ascending loop over totals: unordered
@@ -70,7 +70,7 @@ def count_dp(parts: Iterable[int], n: int) -> tuple[BigCount, ...]:
     return tuple(values)
 
 
-def eq4_rhs_direct(parts: Iterable[int], values: tuple[BigCount, ...], n: int) -> BigCount:
+def eq4_rhs_direct(parts: Iterable[int], values: tuple[int, ...], n: int) -> int:
     """Literal evaluation of ``sum_{s <= n} s * sum_{1 <= k <= n/s} p(n - s*k)``.
 
     ``values`` are the counts of 0..n_max over the increasing part list.
@@ -93,8 +93,8 @@ class ConvolutionReport:
     """One check of splitting partitions into head (R+) and tail (A+) parts."""
 
     n: int
-    lhs: BigCount
-    rhs: BigCount
+    lhs: int
+    rhs: int
 
     @property
     def holds(self) -> bool:

@@ -1,9 +1,16 @@
 """Acceptance suite: every criterion at its stated tolerance.
 
 Each test prints one PASS/FAIL line (visible with ``pytest -s`` or ``-v``
-plus ``-rA``); the asserts carry the same conditions.  The heavy bound
-sweep (all residue subsets for m <= 8, n <= 2000) runs once in a module
-fixture and feeds the three criteria that share it.
+plus ``-rA``); the asserts carry the same conditions, row counts included.
+The criteria run the code ``partlab verify`` runs: criteria 1, 4, 7, 8 and
+9 call ``run_verify`` on their own grids and read its rows and summaries.
+Criteria 3 and 5 sweep every nonempty subset for m <= 8, n <= 2000 with
+the theorem1, chain and rpoly checks, whose 502 x 2001 rows each are too
+many to hold at once (``run_verify`` would keep about 3 M row dicts), so
+each check's rows stream from one shared ``TableFactory`` into
+``summarize``, the fold ``run_verify`` uses, and are dropped as they go.
+Criteria 2, 6 and 10 hold the library's engines and tables to the literal
+definitions in ``_oracle``.
 """
 
 import math
@@ -12,78 +19,41 @@ import time
 import pytest
 
 from _oracle import convolution_check_range, count_dp, eq4_rhs_direct
-from partlab.bounds import (
-    check_erdos,
-    check_nathanson_chain,
-    check_rplus_poly_bound,
-    check_theorem1,
-)
+from partlab.bounds import check_nathanson_chain, check_rplus_poly_bound, check_theorem1
 from partlab.counting import TableFactory, count_recurrence
-from partlab.partset import (
-    A_PLUS,
-    FULL_A,
-    R_PLUS,
-    make_residue_spec,
-    parts_up_to,
-)
-from partlab.series import (
-    check_eq1,
-    check_eq2_pointwise,
-    check_eq3,
-    check_derivative_nonpositive,
-    check_sinh_inequality,
-    check_sqrt_split,
-    default_t_grid,
-    default_x_grid,
-    find_counterexample_odd_remark,
-)
-from partlab.sweeps import SweepConfig, run_verify, subsets_for_modulus
+from partlab.partset import A_PLUS, FULL_A, R_PLUS, make_residue_spec, parts_up_to
+from partlab.sweeps import SweepConfig, run_verify, subsets_for_modulus, summarize
 
 SWEEP_M_MAX = 8
 SWEEP_N_MAX = 2000
+SWEEP_ROWS = 502 * (SWEEP_N_MAX + 1)
 
 
 def _report(num: int, ok: bool, detail: str) -> None:
     print(f"[criterion {num:2d}] {'PASS' if ok else 'FAIL'}  {detail}")
 
 
-def _absorb(bucket: dict, reports) -> None:
-    for rep in reports:
-        bucket["rows"] += 1
-        if not rep["holds"]:
-            bucket["failures"] += 1
-        if rep["slack"] is not None:
-            bucket["min_slack"] = min(bucket["min_slack"], rep["slack"])
-
-
 @pytest.fixture(scope="module")
 def bound_sweep():
-    """One pass over every nonempty subset, m <= 8, n <= 2000."""
-    stats = {
-        name: {"rows": 0, "failures": 0, "min_slack": math.inf}
-        for name in ("theorem1", "chain", "rpoly")
-    }
-    start = time.monotonic()
+    """fold(name, check, variant) -> (specs, summary, seconds) of one bound check.
+
+    The check runs on the variant table of every nonempty subset, m <= 8,
+    n <= 2000, and its rows stream into summarize.  One factory serves
+    every fold, so its tail tables are built once.
+    """
     factory = TableFactory(SWEEP_N_MAX)
-    specs = 0
-    for m in range(1, SWEEP_M_MAX + 1):
-        for spec in subsets_for_modulus(m, include_empty=False):
-            specs += 1
-            _absorb(
-                stats["theorem1"],
-                check_theorem1(factory.table(spec, A_PLUS)),
-            )
-            _absorb(
-                stats["chain"],
-                check_nathanson_chain(factory.table(spec, FULL_A)),
-            )
-            _absorb(
-                stats["rpoly"],
-                check_rplus_poly_bound(factory.table(spec, R_PLUS)),
-            )
-    stats["specs"] = specs
-    stats["elapsed"] = time.monotonic() - start
-    return stats
+    specs = [
+        spec
+        for m in range(1, SWEEP_M_MAX + 1)
+        for spec in subsets_for_modulus(m, include_empty=False)
+    ]
+
+    def fold(name, check, variant):
+        start = time.monotonic()
+        rows = (row for spec in specs for row in check(factory.table(spec, variant)))
+        return len(specs), summarize(name, rows), time.monotonic() - start
+
+    return fold
 
 
 def test_criterion_01_oracle_equivalence():
@@ -134,61 +104,75 @@ def test_criterion_02_double_counting_integrity():
 
 def test_criterion_03_tail_bound_sweep(bound_sweep):
     """log p_{A+}(n) <= pi*sqrt(2n|R|/3m) + 1e-9 over the full grid."""
-    stats = bound_sweep["theorem1"]
-    ok = (
-        bound_sweep["specs"] == 502
-        and stats["rows"] == 502 * (SWEEP_N_MAX + 1)
-        and stats["failures"] == 0
-        and bound_sweep["elapsed"] < 300
-    )
+    specs, stats, elapsed = bound_sweep("theorem1", check_theorem1, A_PLUS)
+    ok = specs == 502 and stats["rows"] == SWEEP_ROWS and stats["holds"] and elapsed < 300
     _report(
         3,
         ok,
-        f"{bound_sweep['specs']} specs, {stats['rows']} rows, "
-        f"{stats['failures']} failures, min slack {stats['min_slack']:.3g}, "
-        f"sweep {bound_sweep['elapsed']:.1f}s",
+        f"{specs} specs, {stats['rows']} rows, {stats['failures']} failures, "
+        f"min slack {stats['worst_margin']:.3g}, sweep {elapsed:.1f}s",
     )
-    assert bound_sweep["specs"] == 502
-    assert stats["rows"] == 502 * (SWEEP_N_MAX + 1)
+    assert specs == 502
+    assert stats["rows"] == SWEEP_ROWS
     assert stats["failures"] == 0
-    assert bound_sweep["elapsed"] < 300
+    assert stats["holds"]
+    assert elapsed < 300
 
 
 def test_criterion_04_classical_special_case():
     """log p(n) <= pi*sqrt(2n/3) to n=2000; p(100) agreed by two engines."""
-    p_table = TableFactory(SWEEP_N_MAX).table(make_residue_spec(1, [0]), A_PLUS)
-    reports = check_erdos(p_table)
-    failures = sum(1 for r in reports if not r["holds"])
+    result = run_verify(SweepConfig(m_max=1, n_max=SWEEP_N_MAX, checks=("erdos",)))
+    (stats,) = result.summaries
     dp_value = count_dp(range(1, 101), 100)[100]
     rec_value = count_recurrence(range(1, 101), 100)[100]
-    ok = failures == 0 and dp_value == rec_value == 190569292
+    ok = (
+        stats["rows"] == SWEEP_N_MAX + 1
+        and stats["holds"]
+        and result.rows[100]["count"] == str(dp_value)
+        and dp_value == rec_value == 190569292
+    )
     _report(
         4,
         ok,
-        f"{len(reports)} rows, {failures} failures; "
-        f"p(100): dp={dp_value} recurrence={rec_value}",
+        f"{stats['rows']} rows, {stats['failures']} failures; "
+        f"p(100): table={result.rows[100]['count']} dp={dp_value} recurrence={rec_value}",
     )
-    assert failures == 0
+    assert stats["rows"] == SWEEP_N_MAX + 1
+    assert stats["failures"] == 0
+    assert stats["holds"]
+    assert [r["n"] for r in result.rows] == list(range(SWEEP_N_MAX + 1))
+    assert result.rows[100]["count"] == "190569292"
     assert dp_value == 190569292
     assert rec_value == 190569292
 
 
 def test_criterion_05_full_set_chain(bound_sweep):
     """Chain bound on p_A plus the exact head-count polynomial bound."""
-    chain = bound_sweep["chain"]
-    rpoly = bound_sweep["rpoly"]
-    ok = chain["failures"] == 0 and rpoly["failures"] == 0
+    chain_specs, chain, chain_s = bound_sweep("chain", check_nathanson_chain, FULL_A)
+    rpoly_specs, rpoly, rpoly_s = bound_sweep("rpoly", check_rplus_poly_bound, R_PLUS)
+    ok = (
+        chain_specs == rpoly_specs == 502
+        and chain["rows"] == rpoly["rows"] == SWEEP_ROWS
+        and chain["holds"]
+        and rpoly["holds"]
+        and chain_s + rpoly_s < 300
+    )
     _report(
         5,
         ok,
         f"chain: {chain['rows']} rows, {chain['failures']} failures, "
-        f"min slack {chain['min_slack']:.3g}; "
-        f"head bound: {rpoly['rows']} rows, {rpoly['failures']} failures",
+        f"min slack {chain['worst_margin']:.3g}; "
+        f"head bound: {rpoly['rows']} rows, {rpoly['failures']} failures; "
+        f"sweeps {chain_s:.1f}s + {rpoly_s:.1f}s",
     )
+    assert chain_specs == rpoly_specs == 502
     assert chain["failures"] == 0
-    assert chain["rows"] == 502 * (SWEEP_N_MAX + 1)
+    assert chain["rows"] == SWEEP_ROWS
+    assert chain["holds"]
     assert rpoly["failures"] == 0
-    assert rpoly["rows"] == 502 * (SWEEP_N_MAX + 1)
+    assert rpoly["rows"] == SWEEP_ROWS
+    assert rpoly["holds"]
+    assert chain_s + rpoly_s < 300
 
 
 def test_criterion_06_convolution_identity():
@@ -209,71 +193,65 @@ def test_criterion_06_convolution_identity():
 
 def test_criterion_07_series_identity():
     """Truncated weighted series matches the closed form within 1e-9 relative."""
-    worst = 0.0
-    failures = 0
-    points = 0
-    for m in range(1, SWEEP_M_MAX + 1):
-        for spec in subsets_for_modulus(m, include_empty=False):
-            for t in default_t_grid():
-                points += 1
-                report = check_eq1(spec, t)
-                worst = max(worst, report["margin"])
-                if not report["holds"]:
-                    failures += 1
-    ok = failures == 0 and worst <= 1e-9
-    _report(7, ok, f"{points} (spec, t) points, max relative deviation {worst:.3g}")
-    assert failures == 0
+    result = run_verify(SweepConfig(m_max=SWEEP_M_MAX, checks=("eq1",)))
+    (stats,) = result.summaries
+    nonempty = sum(1 for r in result.rows if r["R"])
+    # the summary's worst margin is the smallest; the largest deviation is the max
+    worst = max(r["margin"] for r in result.rows)
+    ok = stats["rows"] == 9690 and nonempty == 9538 and stats["holds"] and worst <= 1e-9
+    _report(
+        7,
+        ok,
+        f"{stats['rows']} (spec, t) points ({nonempty} with R nonempty), "
+        f"{stats['failures']} failures, max relative deviation {worst:.3g}",
+    )
+    assert stats["rows"] == 9690
+    assert nonempty == 9538
+    assert stats["failures"] == 0
+    assert stats["holds"]
     assert worst <= 1e-9
 
 
 def test_criterion_08_pointwise_inequalities():
-    """Kernel bounds and helper inequalities across their grids."""
-    x_grid = default_x_grid()
-    eq2_failures = sum(
-        1
-        for m in range(1, SWEEP_M_MAX + 1)
-        for r in range(m)
-        for x in x_grid
-        if not check_eq2_pointwise(r, m, x)["holds"]
-    )
-    eq3_failures = 0
-    for m in range(1, SWEEP_M_MAX + 1):
-        for spec in subsets_for_modulus(m, include_empty=False):
-            eq3_failures += sum(1 for x in x_grid if not check_eq3(spec, x)["holds"])
-    sinh_failures = sum(1 for x in x_grid if not check_sinh_inequality(x)["holds"])
-    envelope_failures = sum(
-        1
-        for m in range(1, SWEEP_M_MAX + 1)
-        for r in range(m)
-        for rep in check_derivative_nonpositive(r, m, [0.0] + x_grid)
-        if not rep["holds"]
-    )
-    # the split of sqrt(n - a*k) depends on a and k only through d = a*k,
-    # and each row covers every 1 <= d <= n
-    sqrt_failures = sum(1 for n in range(1, 201) if not check_sqrt_split(n)["holds"])
-    total = eq2_failures + eq3_failures + sinh_failures + envelope_failures + sqrt_failures
-    ok = total == 0
+    """Kernel bounds and helper inequalities across their grids.
+
+    helpers covers the sinh gap, the envelope and the sqrt split for n <=
+    200; the split of sqrt(n - a*k) depends on a and k only through d = a*k,
+    and each row covers every 1 <= d <= n.
+    """
+    config = SweepConfig(m_max=SWEEP_M_MAX, n_max=200, checks=("eq2", "eq3", "helpers"))
+    stats = {s["name"]: s for s in run_verify(config).summaries}
+    expected = {"eq2": 7236, "eq3": 102510, "helpers": 14945}
+    rows = {name: s["rows"] for name, s in stats.items()}
+    ok = rows == expected and all(s["holds"] for s in stats.values())
     _report(
         8,
         ok,
-        f"failures: kernel={eq2_failures} summed={eq3_failures} sinh={sinh_failures} "
-        f"envelope={envelope_failures} sqrt={sqrt_failures}",
+        "; ".join(
+            f"{name}: {s['rows']} rows, {s['failures']} failures" for name, s in stats.items()
+        ),
     )
-    assert total == 0
+    assert rows == expected
+    for s in stats.values():
+        assert s["failures"] == 0
+        assert s["holds"]
 
 
 def test_criterion_09_odd_remark_counterexample():
     """The finder returns witnesses on the default grid, including x = 1."""
-    found = find_counterexample_odd_remark(default_x_grid())
+    result = run_verify(SweepConfig(checks=("remark",)))
+    (stats,) = result.summaries
+    found = result.rows
     at_unit = [r for r in found if r["x"] == 1.0]
-    ok = bool(found) and bool(at_unit) and at_unit[0]["margin"] >= 0.05
+    ok = stats["rows"] == 138 and stats["holds"] and bool(at_unit) and at_unit[0]["margin"] >= 0.05
     margin = at_unit[0]["margin"] if at_unit else float("nan")
     _report(
         9,
         ok,
-        f"{len(found)} violating grid points; margin at x=1 is {margin:.6f} >= 0.05",
+        f"{stats['rows']} violating grid points; margin at x=1 is {margin:.6f} >= 0.05",
     )
-    assert found
+    assert stats["rows"] == 138
+    assert stats["holds"]
     assert at_unit
     assert at_unit[0]["margin"] >= 0.05
 

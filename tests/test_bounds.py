@@ -255,7 +255,7 @@ class TestAsymptoticRatio:
         # odd n has no partition into even parts; n = 0 has no ratio at all
         even = make_residue_spec(2, [0])
         assert _ratio_rows(TableFactory(5).table(even, FULL_A)) == []
-        ratios = [row["ratio"] for row in table_rows(even, 5)]
+        ratios = [row["ratio"] for row in table_rows(even, TableFactory(5))]
         assert ratios[0] is None and ratios[1::2] == [None] * 3
         assert None not in ratios[2::2]
 

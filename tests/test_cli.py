@@ -157,6 +157,16 @@ class TestTable:
         code, _, _ = run_cli(capsys, ["table", "--m", "2", "--r", "all", "--n-max", "5"])
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["table", "--m", "2", "--r", "1", "--n-max", "-1"], ["sweep", "--m-max", "2", "--n-max", "-1"]],
+    )
+    def test_rejects_negative_n_max(self, capsys, argv):
+        code, out, err = run_cli(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert err == "error: n_max must be >= 0, got -1\n"
+
 
 class TestVerify:
     def test_remark_finding_is_success(self, capsys):

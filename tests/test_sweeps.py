@@ -1,4 +1,4 @@
-"""Sweep drivers: one table per (spec, variant), the shared oracle cache, the pool."""
+"""Sweep drivers: one table per (spec, variant), the shared oracle cache, the pool, the fold."""
 
 import concurrent.futures
 import pickle
@@ -7,8 +7,8 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from partlab import counting, sweeps
-from partlab.partset import FULL_A, make_residue_spec
+from partlab import bounds, counting, sweeps
+from partlab.partset import A_PLUS, FULL_A, make_residue_spec
 
 
 def test_one_oracle_walk_per_distinct_part_list(monkeypatch):
@@ -108,11 +108,42 @@ def test_pool_tasks_are_queued_before_the_counts_oracle(monkeypatch):
 
 
 def test_table_ratio_matches_the_ratio_rows():
-    """table_rows' ratio column is bit-for-bit verify's ratio rows at their checkpoints."""
+    """table_rows' columns are theorem1's rows and verify's ratio rows, bit for bit.
+
+    bound, slack and p_a_plus equal check_theorem1's row at every n, and at
+    the ratio checkpoints the bound and ratio also equal the ratio rows',
+    which compute c*sqrt(n) on their own.
+    """
     for m, residues in [(1, [0]), (2, [1]), (3, [0, 2]), (4, [1, 2, 3])]:
         spec = make_residue_spec(m, residues)
-        rows = sweeps.table_rows(spec, 120)
-        ratio_rows = sweeps._ratio_rows(counting.TableFactory(120).table(spec, FULL_A))
+        factory = counting.TableFactory(120)
+        rows = sweeps.table_rows(spec, factory)
+        theorem1 = bounds.check_theorem1(factory.table(spec, A_PLUS))
+        assert len(theorem1) == 121
+        assert [(r["bound"], r["slack"], r["p_a_plus"]) for r in rows] == [
+            (t["bound"], t["slack"], t["count"]) for t in theorem1
+        ]
+        ratio_rows = sweeps._ratio_rows(factory.table(spec, FULL_A))
         assert [r["n"] for r in ratio_rows][-3:] == [10, 100, 120]
         for row in ratio_rows:
+            assert rows[row["n"]]["bound"] == row["bound"]
             assert rows[row["n"]]["ratio"] == row["ratio"] == row["log_count"] / row["bound"]
+
+
+def test_summarize_reads_its_rows_once():
+    """A one-shot generator folds as its list does; no rows means nothing was checked."""
+    rows = sweeps.run_verify(sweeps.SweepConfig(m_max=2, n_max=10, checks=("theorem1",))).rows
+    rows[3] = {**rows[3], "holds": False}
+    folded = sweeps.summarize("theorem1", rows)
+    assert folded == sweeps.summarize("theorem1", (row for row in rows))
+    assert folded == {
+        "name": "theorem1",
+        "rows": 66,
+        "failures": 1,
+        "worst_margin": 0.0,
+        "holds": False,
+    }
+    remark = sweeps.summarize("remark", iter([{"margin": 0.5}, {"margin": 2.0}, {"margin": 1.0}]))
+    assert remark["worst_margin"] == 2.0 and remark["holds"]
+    empty = sweeps.summarize("eq1", iter(()))
+    assert empty == {"name": "eq1", "rows": 0, "failures": 0, "worst_margin": None, "holds": False}
