@@ -335,11 +335,10 @@ def sweep_rows(m_max: int, n_max: int, workers: int = 1) -> list[dict]:
     """table_rows for every nonempty subset of every modulus up to m_max."""
     if m_max < 1:
         raise ValueError(f"m_max must be >= 1, got {m_max}")
+    if n_max < 0:
+        raise ValueError(f"n_max must be >= 0, got {n_max}")
     tasks = [(m, n_max) for m in range(1, m_max + 1)]
-    out: list[dict] = []
-    for partial in _per_modulus(_sweep_rows_for_modulus, tasks, workers):
-        out.extend(partial)
-    return out
+    return [row for part in _per_modulus(_sweep_rows_for_modulus, tasks, workers) for row in part]
 
 
 def _sweep_rows_for_modulus(args: tuple) -> list[dict]:

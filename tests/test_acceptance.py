@@ -35,25 +35,31 @@ def _report(num: int, ok: bool, detail: str) -> None:
 
 @pytest.fixture(scope="module")
 def bound_sweep():
-    """fold(name, check, variant) -> (specs, summary, seconds) of one bound check.
+    """(specs, summaries by check name, seconds) of one timed bound sweep.
 
-    The check runs on the variant table of every nonempty subset, m <= 8,
-    n <= 2000, and its rows stream into summarize.  One factory serves
-    every fold, so its tail tables are built once.
+    theorem1, chain and rpoly each run on their variant table of every
+    nonempty subset, m <= 8, n <= 2000, and their rows stream into
+    summarize.  One factory serves all three folds, so its tail tables are
+    built once, and one span times the whole sweep.
     """
+    start = time.monotonic()
     factory = TableFactory(SWEEP_N_MAX)
     specs = [
         spec
         for m in range(1, SWEEP_M_MAX + 1)
         for spec in subsets_for_modulus(m, include_empty=False)
     ]
-
-    def fold(name, check, variant):
-        start = time.monotonic()
-        rows = (row for spec in specs for row in check(factory.table(spec, variant)))
-        return len(specs), summarize(name, rows), time.monotonic() - start
-
-    return fold
+    summaries = {
+        name: summarize(
+            name, (row for spec in specs for row in check(factory.table(spec, variant)))
+        )
+        for name, check, variant in (
+            ("theorem1", check_theorem1, A_PLUS),
+            ("chain", check_nathanson_chain, FULL_A),
+            ("rpoly", check_rplus_poly_bound, R_PLUS),
+        )
+    }
+    return len(specs), summaries, time.monotonic() - start
 
 
 def test_criterion_01_oracle_equivalence():
@@ -104,7 +110,8 @@ def test_criterion_02_double_counting_integrity():
 
 def test_criterion_03_tail_bound_sweep(bound_sweep):
     """log p_{A+}(n) <= pi*sqrt(2n|R|/3m) + 1e-9 over the full grid."""
-    specs, stats, elapsed = bound_sweep("theorem1", check_theorem1, A_PLUS)
+    specs, summaries, elapsed = bound_sweep
+    stats = summaries["theorem1"]
     ok = specs == 502 and stats["rows"] == SWEEP_ROWS and stats["holds"] and elapsed < 300
     _report(
         3,
@@ -148,14 +155,15 @@ def test_criterion_04_classical_special_case():
 
 def test_criterion_05_full_set_chain(bound_sweep):
     """Chain bound on p_A plus the exact head-count polynomial bound."""
-    chain_specs, chain, chain_s = bound_sweep("chain", check_nathanson_chain, FULL_A)
-    rpoly_specs, rpoly, rpoly_s = bound_sweep("rpoly", check_rplus_poly_bound, R_PLUS)
+    specs, summaries, elapsed = bound_sweep
+    chain = summaries["chain"]
+    rpoly = summaries["rpoly"]
     ok = (
-        chain_specs == rpoly_specs == 502
+        specs == 502
         and chain["rows"] == rpoly["rows"] == SWEEP_ROWS
         and chain["holds"]
         and rpoly["holds"]
-        and chain_s + rpoly_s < 300
+        and elapsed < 300
     )
     _report(
         5,
@@ -163,16 +171,16 @@ def test_criterion_05_full_set_chain(bound_sweep):
         f"chain: {chain['rows']} rows, {chain['failures']} failures, "
         f"min slack {chain['worst_margin']:.3g}; "
         f"head bound: {rpoly['rows']} rows, {rpoly['failures']} failures; "
-        f"sweeps {chain_s:.1f}s + {rpoly_s:.1f}s",
+        f"sweep {elapsed:.1f}s",
     )
-    assert chain_specs == rpoly_specs == 502
+    assert specs == 502
     assert chain["failures"] == 0
     assert chain["rows"] == SWEEP_ROWS
     assert chain["holds"]
     assert rpoly["failures"] == 0
     assert rpoly["rows"] == SWEEP_ROWS
     assert rpoly["holds"]
-    assert chain_s + rpoly_s < 300
+    assert elapsed < 300
 
 
 def test_criterion_06_convolution_identity():

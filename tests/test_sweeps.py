@@ -7,6 +7,8 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import pytest
+
 from partlab import bounds, counting, sweeps
 from partlab.partset import A_PLUS, FULL_A, make_residue_spec
 
@@ -105,6 +107,17 @@ def test_pool_tasks_are_queued_before_the_counts_oracle(monkeypatch):
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", PicklingPool)
     pooled = sweeps.run_verify(replace(config, workers=2))
     assert pooled.rows == serial.rows
+
+
+def test_sweep_refuses_negative_n_max_before_any_task(monkeypatch):
+    """sweep_rows checks n_max up front, so bad input starts no pool and no task."""
+
+    def no_tasks(*args):
+        raise AssertionError("a task was started")
+
+    monkeypatch.setattr(sweeps, "_per_modulus", no_tasks)
+    with pytest.raises(ValueError, match=r"^n_max must be >= 0, got -1$"):
+        sweeps.sweep_rows(3, -1, workers=2)
 
 
 def test_table_ratio_matches_the_ratio_rows():
