@@ -4,12 +4,9 @@ Exit codes: 0 on success (every selected check holds), 1 when a check or
 engine-agreement test fails, 2 on configuration errors (bad spec, unknown
 check name, unwritable output path).
 
-Worker count for sweeps comes from the PARTLAB_THREADS environment
-variable, defaulting to the number of processors this process may run on;
-output is identical regardless of worker count.
-
-table, verify and sweep stream their report row by row to one output
-stream, stdout or the --output file opened once, through
+Every command runs in this one process and starts no other.  table,
+verify and sweep stream their report row by row to one output stream,
+stdout or the --output file opened once, through
 ``reporting.document_to_json`` (JSON) or ``reporting.rows_to_csv`` (CSV).
 """
 
@@ -18,8 +15,8 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
-import os
 import sys
+from typing import Iterable
 
 from . import reporting, sweeps
 from .counting import IntegrityError, TableFactory, certify
@@ -40,24 +37,8 @@ def _parse_residues(text: str):
         raise SpecError(f"could not parse residues {text!r}") from None
 
 
-def _resolve_workers() -> int:
-    raw = os.environ.get("PARTLAB_THREADS")
-    if raw is None:
-        try:
-            return len(os.sched_getaffinity(0))
-        except AttributeError:  # platforms without CPU affinity (macOS, Windows)
-            return os.cpu_count() or 1
-    try:
-        workers = int(raw)
-    except ValueError:
-        raise ValueError(f"PARTLAB_THREADS must be an integer, got {raw!r}") from None
-    if workers < 1:
-        raise ValueError(f"PARTLAB_THREADS must be >= 1, got {workers}")
-    return workers
-
-
 def _write_report(
-    args: argparse.Namespace, head: dict, rows: list[dict], fields: tuple[str, ...]
+    args: argparse.Namespace, head: dict, rows: Iterable[dict], fields: tuple[str, ...]
 ) -> None:
     """Stream rows as CSV, or as a JSON document with head, to --output or stdout."""
     with contextlib.ExitStack() as stack:
@@ -92,12 +73,7 @@ def cmd_table(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     checks = tuple(tok for tok in args.checks.split(",") if tok)
-    config = sweeps.SweepConfig(
-        m_max=args.m_max,
-        n_max=args.n_max,
-        checks=checks,
-        workers=_resolve_workers(),
-    ).validated()
+    config = sweeps.SweepConfig(m_max=args.m_max, n_max=args.n_max, checks=checks).validated()
     result = sweeps.run_verify(config)
     head = {
         "command": "verify",
@@ -125,7 +101,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    rows = sweeps.sweep_rows(args.m_max, args.n_max, workers=_resolve_workers())
+    rows = sweeps.sweep_rows(args.m_max, args.n_max)
     head = {"command": "sweep", "m_max": args.m_max, "n_max": args.n_max}
     _write_report(args, head, rows, reporting.SWEEP_FIELDS)
     return EXIT_OK

@@ -10,19 +10,19 @@ range from the table itself.  Every check returns the row dicts that are
 emitted, so each row is built once, and ``summarize`` folds one check's
 rows, any iterable of them, into the summary dict the report's head
 holds; the acceptance suite folds its own larger grids through it too.
-``table_rows`` takes the bound and slack columns from theorem1's rows.
-Both verify and sweep run their per-modulus tasks through one function,
-``_per_modulus``: in this process for one worker, else over a process
-pool that never starts more workers than there are moduli, and whose
-module (which loads multiprocessing) is imported only then.  Results
-arrive in task order either way, so output is deterministic.
+``table_rows`` takes the bound and slack columns from theorem1's rows,
+and ``sweep_rows`` yields them for one modulus's TableFactory at a time.
+Every command runs its work in this process, in order, so output is
+deterministic.  ``run_verify`` maps its per-modulus tasks through
+``_per_modulus``, whose process pool only an explicit
+``SweepConfig.workers`` above 1 reaches.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from . import bounds, series
 from .counting import CountTable, TableFactory, certify
@@ -252,10 +252,12 @@ def summarize(name: str, rows: Iterable[dict]) -> dict:
 def _per_modulus(fn, tasks: list, workers: int):
     """Yield fn(task) for every task, in order.
 
-    One worker, or one task, runs them here with the builtin map.  Otherwise
-    a process pool of at most one worker per task maps them; its module
-    loads multiprocessing, so it is imported only then, and a serial run
-    never pays for it.
+    One worker, or one task, runs them here with the builtin map, as every
+    command does.  Otherwise a process pool of at most one worker per task
+    maps them; the one caller that asks for that is the benchmark's
+    ``partbench/layertrace.pool_speedup``, which times ``run_verify`` at
+    ``workers=2``.  The pool's module loads multiprocessing, so it is
+    imported only then, and a serial run never pays for it.
     """
     workers = min(workers, len(tasks))
     if workers <= 1:
@@ -331,21 +333,23 @@ def table_rows(spec: ResidueSpec, factory: TableFactory) -> list[dict]:
     return rows
 
 
-def sweep_rows(m_max: int, n_max: int, workers: int = 1) -> list[dict]:
-    """table_rows for every nonempty subset of every modulus up to m_max."""
+def sweep_rows(m_max: int, n_max: int) -> Iterator[dict]:
+    """table_rows, with m and R, for every nonempty subset of every modulus up to m_max.
+
+    Bad m_max or n_max is refused here, at the call, before a writer sees
+    the rows.  The rows then come lazily, from one TableFactory per
+    modulus built in turn, so a sweep holds one modulus's tables at a time.
+    """
     if m_max < 1:
         raise ValueError(f"m_max must be >= 1, got {m_max}")
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
-    tasks = [(m, n_max) for m in range(1, m_max + 1)]
-    return [row for part in _per_modulus(_sweep_rows_for_modulus, tasks, workers) for row in part]
 
+    def rows() -> Iterator[dict]:
+        for m in range(1, m_max + 1):
+            factory = TableFactory(n_max)
+            for spec in subsets_for_modulus(m, include_empty=False):
+                for row in table_rows(spec, factory):
+                    yield {"m": m, "R": list(spec.residues), **row}
 
-def _sweep_rows_for_modulus(args: tuple) -> list[dict]:
-    m, n_max = args
-    factory = TableFactory(n_max)
-    rows = []
-    for spec in subsets_for_modulus(m, include_empty=False):
-        for row in table_rows(spec, factory):
-            rows.append({"m": spec.m, "R": list(spec.residues), **row})
-    return rows
+    return rows()

@@ -7,28 +7,16 @@ import json
 import pytest
 
 from _oracle import count_dp
-from partlab import bounds, cli, counting, sweeps
+from partlab import bounds, counting, sweeps
 from partlab.cli import main
 from partlab.counting import CountTable
 from partlab.partset import A_PLUS, FULL_A, make_residue_spec, parts_up_to
 
 
-def run_cli(capsys, argv, env=None, monkeypatch=None):
-    if env is not None:
-        assert monkeypatch is not None
-        for key, value in env.items():
-            if value is None:
-                monkeypatch.delenv(key, raising=False)
-            else:
-                monkeypatch.setenv(key, value)
+def run_cli(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
-
-
-@pytest.fixture(autouse=True)
-def serial_workers(monkeypatch):
-    monkeypatch.setenv("PARTLAB_THREADS", "1")
 
 
 class TestCount:
@@ -365,13 +353,6 @@ class TestVerify:
         assert code == 2
         assert "unknown check" in err
 
-    def test_bad_threads_env(self, capsys, monkeypatch):
-        code, _, err = run_cli(
-            capsys, ["verify", "--checks", "remark"], env={"PARTLAB_THREADS": "zero"}, monkeypatch=monkeypatch
-        )
-        assert code == 2
-        assert "PARTLAB_THREADS" in err
-
     def test_csv_format(self, capsys):
         code, out, _ = run_cli(
             capsys,
@@ -388,13 +369,6 @@ class TestDeterminism:
         _, out1, _ = run_cli(capsys, argv)
         _, out2, _ = run_cli(capsys, argv)
         assert out1 == out2
-
-    def test_workers_do_not_change_output(self, capsys, monkeypatch):
-        argv = ["verify", "--checks", "counts,theorem1,chain", "--m-max", "3", "--n-max", "60"]
-        _, serial, _ = run_cli(capsys, argv)
-        monkeypatch.setenv("PARTLAB_THREADS", "2")
-        _, parallel, _ = run_cli(capsys, argv)
-        assert serial == parallel
 
     def test_json_and_csv_values_match(self, capsys):
         base = ["verify", "--checks", "theorem1", "--m-max", "2", "--n-max", "25"]
@@ -498,16 +472,6 @@ class TestWorkers:
         assert [r["n"] for r in sweeps.run_verify(config).rows] == list(range(21))
         assert pool_sizes == []
 
-    def test_sweep_pool_capped_at_task_count(self, pool_sizes):
-        assert len(sweeps.sweep_rows(2, 3, workers=64)) == 4 * 4
-        assert sweeps.sweep_rows(1, 3, workers=64)
-        assert pool_sizes == [2]
-
-    def test_default_follows_cpu_affinity(self, monkeypatch):
-        monkeypatch.delenv("PARTLAB_THREADS")
-        monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
-        assert cli._resolve_workers() == 3
-
 
 class TestSweep:
     def test_rows_cover_all_nonempty_subsets(self, capsys):
@@ -526,9 +490,8 @@ class TestSweep:
         assert len(lines) == 1 + 4 * 3
 
 
-def test_default_verify_is_green(capsys, monkeypatch, tmp_path):
+def test_default_verify_is_green(capsys, tmp_path):
     """The full default check set on the default grid passes, with the pinned report."""
-    monkeypatch.setenv("PARTLAB_THREADS", "1")
     target = tmp_path / "verify.json"
     code = main(["verify", "--output", str(target)])
     err = capsys.readouterr().err

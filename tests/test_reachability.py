@@ -69,8 +69,7 @@ def _run_commands(tmp_path) -> set:
     return entered
 
 
-def test_only_pinned_functions_are_unreached(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("PARTLAB_THREADS", "1")
+def test_only_pinned_functions_are_unreached(tmp_path, capsys):
     defined = _defined_functions()
     assert "sweeps.run_verify" in defined.values()
     assert "counting.TableFactory._tail_values" in defined.values()

@@ -1,4 +1,5 @@
-"""Sweep drivers: one table per (spec, variant), the shared oracle cache, the pool, the fold."""
+"""Sweep drivers: one table per (spec, variant), the shared oracle cache, the pool, the fold,
+the streamed sweep."""
 
 import concurrent.futures
 import pickle
@@ -65,18 +66,21 @@ def test_each_table_is_built_once_per_spec(monkeypatch):
 
 
 def test_serial_run_imports_no_pool():
-    """One worker never loads the process pool's module or multiprocessing."""
+    """No command loads the process pool's module or multiprocessing, on any machine."""
     code = (
         "import sys; from partlab import cli; "
         "assert cli.main(['verify', '--checks', 'theorem1,remark', '--m-max', '2', "
         "'--n-max', '10', '--output', '-']) == 0; "
+        "assert cli.main(['sweep', '--m-max', '2', '--n-max', '10']) == 0; "
+        "assert cli.main(['table', '--m', '2', '--r', '1', '--n-max', '10']) == 0; "
+        "assert cli.main(['count', '--m', '2', '--r', '1', '--n', '10']) == 0; "
         "print(sorted(m for m in ('concurrent.futures.process', 'multiprocessing') "
         "if m in sys.modules))"
     )
     src = Path(__file__).resolve().parent.parent / "src"
     done = subprocess.run(
         [sys.executable, "-c", code],
-        env={"PYTHONPATH": str(src), "PARTLAB_THREADS": "1"},
+        env={"PYTHONPATH": str(src)},
         capture_output=True,
         text=True,
         check=True,
@@ -109,15 +113,37 @@ def test_pool_tasks_are_queued_before_the_counts_oracle(monkeypatch):
     assert pooled.rows == serial.rows
 
 
-def test_sweep_refuses_negative_n_max_before_any_task(monkeypatch):
-    """sweep_rows checks n_max up front, so bad input starts no pool and no task."""
+def test_sweep_refuses_at_the_call_then_streams_one_modulus_at_a_time(monkeypatch):
+    """sweep_rows refuses bad input at the call, before any factory is built.
 
-    def no_tasks(*args):
-        raise AssertionError("a task was started")
+    Its rows then come lazily: one factory per modulus, built as the rows
+    are read, and the same rows as a list built modulus by modulus.
+    """
+    expected = [
+        {"m": m, "R": list(spec.residues), **row}
+        for m in range(1, 5)
+        for spec in sweeps.subsets_for_modulus(m, include_empty=False)
+        for row in sweeps.table_rows(spec, counting.TableFactory(40))
+    ]
+    built = []
 
-    monkeypatch.setattr(sweeps, "_per_modulus", no_tasks)
+    class RecordingFactory(counting.TableFactory):
+        def __init__(self, n_max):
+            built.append(n_max)
+            super().__init__(n_max)
+
+    monkeypatch.setattr(sweeps, "TableFactory", RecordingFactory)
     with pytest.raises(ValueError, match=r"^n_max must be >= 0, got -1$"):
-        sweeps.sweep_rows(3, -1, workers=2)
+        sweeps.sweep_rows(3, -1)
+    with pytest.raises(ValueError, match=r"^m_max must be >= 1, got 0$"):
+        sweeps.sweep_rows(0, 5)
+    assert built == []
+    rows = sweeps.sweep_rows(4, 40)
+    first = next(rows)
+    assert built == [40]
+    rest = list(rows)
+    assert built == [40] * 4
+    assert [first, *rest] == expected
 
 
 def test_table_ratio_matches_the_ratio_rows():
