@@ -370,6 +370,22 @@ class TestDeterminism:
         _, out2, _ = run_cli(capsys, argv)
         assert out1 == out2
 
+    def test_workers_do_not_change_output(self, capsys, monkeypatch):
+        """verify through the two-worker pool prints the bytes of the one-process run."""
+        argv = ["verify", "--checks", "counts,theorem1,chain", "--m-max", "3", "--n-max", "60"]
+        _, serial, _ = run_cli(capsys, argv)
+        real = sweeps.SweepConfig
+        used = []
+
+        def pooled(**fields):
+            used.append(2)
+            return real(**fields, workers=2)
+
+        monkeypatch.setattr(sweeps, "SweepConfig", pooled)
+        _, parallel, _ = run_cli(capsys, argv)
+        assert used == [2]
+        assert serial == parallel
+
     def test_json_and_csv_values_match(self, capsys):
         base = ["verify", "--checks", "theorem1", "--m-max", "2", "--n-max", "25"]
         _, json_out, _ = run_cli(capsys, base + ["--format", "json"])

@@ -113,7 +113,7 @@ def test_pool_tasks_are_queued_before_the_counts_oracle(monkeypatch):
     assert pooled.rows == serial.rows
 
 
-def test_sweep_refuses_at_the_call_then_streams_one_modulus_at_a_time(monkeypatch):
+def test_sweep_refuses_negative_n_max_before_any_task(monkeypatch):
     """sweep_rows refuses bad input at the call, before any factory is built.
 
     Its rows then come lazily: one factory per modulus, built as the rows
