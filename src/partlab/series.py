@@ -14,9 +14,17 @@ Checked numerically at double precision:
   ``(e**-x + e**-3x)/(1 - e**-2x)**2 <= 1/(2x**2)``, which is false: the
   finder reports every grid point where it breaks.
 
+The three kernel statements evaluate one kernel, ``kernel_sides``.
 Near-singular denominators always go through expm1, so the two sides of
 each inequality keep ~15 significant digits even as both blow up like
-1/x**2.
+1/x**2.  Every one-sided verdict compares its two sides exactly, with no
+tolerance: a row holds when lhs <= rhs (the sinh gap strictly), and the
+envelope equals m at x = 0.  A margin of exactly 0 occurs only where both
+sides are exact in floats (eq3 with R empty, envelope rows with r = 0 or
+at x = 0); every other margin of default ``verify``, and of the m <= 8
+analytic grid, exceeds the rounding of its sides by a factor of at least
+10**8, and the test suite pins 10**6.  Only eq1, a truncated sum against its closed form, keeps a
+relative tolerance.
 
 Each check returns its report row, built once as the dict that is
 emitted: ``{check, m, R, r, x, t, lhs, rhs, margin, holds}``, with the
@@ -36,20 +44,10 @@ import math
 
 from .partset import ResidueSpec
 
-# One-sided checks: absolute tolerance at moderate x, scaled to the
-# magnitude of the bound where both sides blow up.
-EPS_ONE_SIDED = 1e-9
 SERIES_REL_TOL = 1e-9
 TAIL_RULE_REL = 1e-12
 TAIL_RULE_START = 64
 TAIL_RULE_CAP = 2**20
-
-
-def one_sided_eps(x: float, rhs: float) -> float:
-    """Comparison slack for an inequality checked at x with right side rhs."""
-    if x < 1e-2:
-        return EPS_ONE_SIDED * abs(rhs)
-    return EPS_ONE_SIDED
 
 
 def default_x_grid() -> list[float]:
@@ -131,20 +129,29 @@ def rhs_closed_form(spec: ResidueSpec, t: float) -> float:
 
 
 def _kernel_term(r: int, m: int, x: float) -> float:
-    """One residue's closed-form term at t = e**-x, via expm1.
+    """One class's closed-form term at t = e**-x, via expm1.
 
-    ((r+m)e**-(r+m)x - r e**-(2m+r)x) / (1 - e**-mx)**2, stable for tiny x.
+    ((r+m)e**-(r+m)x - r e**-(2m+r)x) / (1 - e**-mx)**2, stable for tiny x:
+    the weighted series of the parts r+m, r+2m, ..., so r is the offset of
+    the class's least part from m (a tail residue, or r - m for a residue r
+    of the full set).
     """
     den = -math.expm1(-m * x)
     num = (r + m) * math.exp(-(r + m) * x) - r * math.exp(-(2 * m + r) * x)
     return num / (den * den)
 
 
-def closed_form_exp_arg(spec: ResidueSpec, x: float) -> float:
-    """Closed form of the tail series at t = e**-x, cancellation-safe."""
+def kernel_sides(m: int, offsets: tuple[int, ...], x: float) -> tuple[float, float]:
+    """The kernel bound at x > 0 as (lhs, rhs).
+
+    lhs sums ``_kernel_term`` over the classes' offsets, and rhs is
+    len(offsets)/(m*x**2).  eq2, eq3 and the odd-part remark all compare
+    these two sides.
+    """
     if x <= 0:
         raise ValueError(f"x must be > 0, got {x}")
-    return sum(_kernel_term(r, spec.m, x) for r in spec.residues)
+    # sum: the empty sum stays the int 0, which the reports print as "0"
+    return sum(_kernel_term(r, m, x) for r in offsets), len(offsets) / (m * x * x)
 
 
 def _row(
@@ -195,24 +202,16 @@ def check_eq2_pointwise(r: int, m: int, x: float) -> dict:
         raise ValueError(f"modulus must be >= 1, got {m}")
     if not 0 <= r <= m - 1:
         raise ValueError(f"residue {r} out of range [0, {m - 1}]")
-    if x <= 0:
-        raise ValueError(f"x must be > 0, got {x}")
-    lhs = _kernel_term(r, m, x)
-    rhs = 1.0 / (m * x * x)
-    margin = rhs - lhs
-    holds = margin >= -one_sided_eps(x, rhs)
-    return _row("eq2", m, None, r, x, math.exp(-x), lhs, rhs, margin, holds)
+    lhs, rhs = kernel_sides(m, (r,), x)
+    return _row("eq2", m, None, r, x, math.exp(-x), lhs, rhs, rhs - lhs, lhs <= rhs)
 
 
 def check_eq3(spec: ResidueSpec, x: float) -> dict:
     """Summed kernel bound: tail series at e**-x vs. |R|/(m*x**2)."""
-    if x <= 0:
-        raise ValueError(f"x must be > 0, got {x}")
-    lhs = closed_form_exp_arg(spec, x)
-    rhs = spec.rsize / (spec.m * x * x)
-    margin = rhs - lhs
-    holds = margin >= -one_sided_eps(x, rhs)
-    return _row("eq3", spec.m, list(spec.residues), None, x, math.exp(-x), lhs, rhs, margin, holds)
+    lhs, rhs = kernel_sides(spec.m, spec.residues, x)
+    return _row(
+        "eq3", spec.m, list(spec.residues), None, x, math.exp(-x), lhs, rhs, rhs - lhs, lhs <= rhs
+    )
 
 
 def check_sinh_inequality(x: float) -> dict:
@@ -252,7 +251,7 @@ def check_sqrt_split(n: int) -> dict:
     for d in range(1, n + 1):
         split = root_n - d / (2.0 * root_n)
         root = sqrt(n - d)
-        ok = ok and root <= split + EPS_ONE_SIDED
+        ok = ok and root <= split
         worst = min(worst, split - root)
     return {"check": "sqrt-split", "n": n, "margin": worst, "holds": ok}
 
@@ -274,20 +273,12 @@ def check_derivative_nonpositive(r: int, m: int, x_grid: list[float]) -> list[di
             raise ValueError(f"grid points must be >= 0, got {x}")
         t = math.exp(-x) if x > 0 else 1.0
         deriv = r * (r + m) * (math.exp(-(m + r) * x) - math.exp(-r * x))
-        out.append(
-            _row(
-                "envelope-derivative", m, None, r, x, t, deriv, 0.0, -deriv, deriv <= EPS_ONE_SIDED
-            )
-        )
+        out.append(_row("envelope-derivative", m, None, r, x, t, deriv, 0.0, -deriv, deriv <= 0))
         envelope = (r + m) * math.exp(-r * x) - r * math.exp(-(m + r) * x)
         if x == 0:
-            margin = abs(envelope - m)
-            holds = margin <= 1e-12
-            label = "envelope-at-zero"
+            label, margin, holds = "envelope-at-zero", abs(envelope - m), envelope == m
         else:
-            margin = m - envelope
-            holds = margin >= -EPS_ONE_SIDED
-            label = "envelope-cap"
+            label, margin, holds = "envelope-cap", m - envelope, envelope <= m
         out.append(_row(label, m, None, r, x, t, envelope, float(m), margin, holds))
     return out
 
@@ -295,20 +286,16 @@ def check_derivative_nonpositive(r: int, m: int, x_grid: list[float]) -> list[di
 def find_counterexample_odd_remark(x_grid: list[float]) -> list[dict]:
     """Grid points where (e**-x + e**-3x)/(1 - e**-2x)**2 > 1/(2x**2).
 
-    This is the kernel bound one would want for the odd-part FULL set; it
-    is false, and the returned rows are the witnesses.  Margin is the
-    violation lhs - rhs; only genuinely violating points (beyond the
-    comparison slack) are reported.
+    This is the kernel bound one would want for the odd-part FULL set, the
+    full set of m = 2, R = {1}: its one class has offset 1 - 2 = -1, so
+    both sides come from ``kernel_sides(2, (-1,), x)``.  The bound is
+    false, and the returned rows are the witnesses, the points where lhs >
+    rhs; margin is the violation lhs - rhs.
     """
     out = []
     for x in x_grid:
-        if x <= 0:
-            raise ValueError(f"grid points must be > 0, got {x}")
-        den = -math.expm1(-2.0 * x)
-        lhs = (math.exp(-x) + math.exp(-3.0 * x)) / (den * den)
-        rhs = 1.0 / (2.0 * x * x)
-        margin = lhs - rhs
-        if margin > one_sided_eps(x, rhs):
+        lhs, rhs = kernel_sides(2, (-1,), x)
+        if lhs > rhs:
             t = math.exp(-x)
-            out.append(_row("odd-remark", None, None, None, x, t, lhs, rhs, margin, True))
+            out.append(_row("odd-remark", None, None, None, x, t, lhs, rhs, lhs - rhs, True))
     return out

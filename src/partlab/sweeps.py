@@ -21,7 +21,7 @@ deterministic.  ``run_verify`` maps its per-modulus tasks through
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
 from . import bounds, series
@@ -56,7 +56,8 @@ class SweepConfig:
     checks: tuple[str, ...] = CHECK_NAMES
     workers: int = 1
 
-    def validated(self) -> "SweepConfig":
+    def __post_init__(self) -> None:
+        """Refuse a config no run can take, and put the checks in CHECK_NAMES order."""
         if not self.checks:
             raise ValueError(f"no checks selected; choose from {CHECK_NAMES}")
         if self.m_max < 1:
@@ -68,8 +69,7 @@ class SweepConfig:
                 raise ValueError(f"unknown check {c!r}; choose from {CHECK_NAMES}")
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
-        ordered = tuple(c for c in CHECK_NAMES if c in self.checks)
-        return replace(self, checks=ordered)
+        object.__setattr__(self, "checks", tuple(c for c in CHECK_NAMES if c in self.checks))
 
 
 @dataclass
@@ -271,7 +271,6 @@ def _per_modulus(fn, tasks: list, workers: int):
 
 def run_verify(config: SweepConfig) -> VerifyResult:
     """Run every selected check over the configured grid."""
-    config = config.validated()
     by_check: dict[str, list[dict]] = {name: [] for name in config.checks}
 
     # every check but these two reads the tables or grids of a modulus, one

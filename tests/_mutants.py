@@ -1,0 +1,86 @@
+"""Named mutants of partlab, each with the checks expected to kill it.
+
+A mutant replaces one attribute of one partlab module: ``make`` receives
+the original and returns the replacement, so a mutant can wrap the real
+code and change one value.  ``killers`` names every check whose summary
+fails when default ``verify`` runs with the mutant in place.  An empty
+set would record a survivor: a measurement, not an allowance, and no
+mutant is added to make a change pass.  A change that kills a survivor
+moves it here and says so.
+"""
+
+import math
+from dataclasses import dataclass
+from typing import Callable
+
+from partlab import bounds, series
+from partlab.partset import A_PLUS, ResidueSpec
+
+
+@dataclass(frozen=True)
+class Mutant:
+    name: str
+    module: object
+    attribute: str
+    make: Callable
+    killers: frozenset
+
+
+def _scaled_kernel(factor: float) -> Callable:
+    def make(term):
+        return lambda r, m, x: factor * term(r, m, x)
+
+    return make
+
+
+def _kernel_above_bound(term):
+    """r = 0 at x = 1e-3 reads 1e-4 above its bound 1/(m*x**2), 1e-10 of it at m = 1."""
+
+    def mutant(r, m, x):
+        if r == 0 and x == 1e-3:
+            return 1.0 / (m * x * x) + 1e-4
+        return term(r, m, x)
+
+    return mutant
+
+
+def _theorem1_bound_below_count(bound_rows):
+    """At m = 3, R = {1}, n = 50 the tail bound reads 1e-10 below log(count)."""
+    spec, target = ResidueSpec(m=3, residues=(1,)), 50
+
+    def mutant(table, variant, bound_at, exact=None):
+        if table.spec == spec and variant == A_PLUS:
+            real = bound_at
+
+            def bound_at(n):
+                return math.log(table.values[n]) - 1e-10 if n == target else real(n)
+
+        return bound_rows(table, variant, bound_at, exact)
+
+    return mutant
+
+
+MUTANTS = (
+    Mutant("kernel_term_x0.5", series, "_kernel_term", _scaled_kernel(0.5), frozenset({"remark"})),
+    Mutant(
+        "kernel_term_x1.01",
+        series,
+        "_kernel_term",
+        _scaled_kernel(1.01),
+        frozenset({"eq2", "eq3"}),
+    ),
+    Mutant(
+        "theorem1_bound_1e-10_below_log_count",
+        bounds,
+        "_bound_rows",
+        _theorem1_bound_below_count,
+        frozenset({"theorem1"}),
+    ),
+    Mutant(
+        "kernel_1e-4_above_bound_at_x_1e-3",
+        series,
+        "_kernel_term",
+        _kernel_above_bound,
+        frozenset({"eq2", "eq3"}),
+    ),
+)

@@ -176,8 +176,8 @@ class TestRPlusPolyBound:
         assert report["holds"]
 
     def test_one_over_the_bound_fails_below_float_resolution(self):
-        # |R| = 40 and n' = 1: the bound is 2**40, and 2**40 + 1 is within
-        # EPS_LOG of it in logs, so only the integer verdict sees it
+        # |R| = 40 and n' = 1: the bound is 2**40, and 2**40 + 1 lies only
+        # about 9e-13 above it in logs; the integer verdict decides it exactly
         spec = make_residue_spec(41, range(1, 41))
         table = CountTable(spec, R_PLUS, (1, 2**40 + 1))
         row = check_rplus_poly_bound(table)[1]

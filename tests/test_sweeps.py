@@ -2,6 +2,7 @@
 the streamed sweep."""
 
 import concurrent.futures
+import math
 import pickle
 import subprocess
 import sys
@@ -10,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from partlab import bounds, counting, sweeps
+from partlab import bounds, counting, series, sweeps
 from partlab.partset import A_PLUS, FULL_A, make_residue_spec
 
 
@@ -186,3 +187,81 @@ def test_summarize_reads_its_rows_once():
     assert remark["worst_margin"] == 2.0 and remark["holds"]
     empty = sweeps.summarize("eq1", iter(()))
     assert empty == {"name": "eq1", "rows": 0, "failures": 0, "worst_margin": None, "holds": False}
+
+
+def test_config_refuses_when_built():
+    """SweepConfig refuses a bad config as it is built, replace included, and orders its checks."""
+    refusals = [
+        ({"checks": ()}, r"^no checks selected; choose from \("),
+        ({"m_max": 0}, r"^m_max must be >= 1, got 0$"),
+        ({"n_max": -1}, r"^n_max must be >= 0, got -1$"),
+        ({"checks": ("eq2", "nonsense")}, r"^unknown check 'nonsense'; choose from \("),
+        ({"workers": 0}, r"^workers must be >= 1, got 0$"),
+    ]
+    for fields, message in refusals:
+        with pytest.raises(ValueError, match=message):
+            sweeps.SweepConfig(**fields)
+    config = sweeps.SweepConfig(checks=("remark", "eq2", "counts", "eq2"))
+    assert config.checks == ("counts", "eq2", "remark")
+    assert replace(config, workers=2).checks == config.checks
+    with pytest.raises(ValueError, match=r"^m_max must be >= 1, got 0$"):
+        replace(config, m_max=0)
+
+
+# The rows whose margin is exactly 0 in default verify, each exact in floats
+# by construction: a bound row at n = 0 (log 1 = 0 = c*sqrt(0)); eq3 with R
+# empty (0 against 0); an envelope row with r = 0 (the envelope is m, the
+# derivative 0) or at x = 0 (every exponential is 1).
+ENVELOPE_CHECKS = ("envelope-cap", "envelope-derivative", "envelope-at-zero")
+HEADROOM = 1e6 * sys.float_info.epsilon
+
+
+def _exact_zero(row: dict) -> bool:
+    if "slack" in row:
+        return row["n"] == 0
+    if row["check"] == "eq3":
+        return row["R"] == []
+    return row["check"] in ENVELOPE_CHECKS and (row["r"] == 0 or row["x"] == 0)
+
+
+def test_exact_verdicts_have_headroom():
+    """Every one-sided verdict of default verify is decided far from rounding.
+
+    The verdicts compare their two sides with no tolerance.  That is safe
+    because a zero margin occurs only in the four exact kinds above, and
+    every other margin exceeds 10**6 roundings of its larger side: |bound|
+    for a bound row, sqrt(n) for the sqrt split, max(|lhs|, |rhs|) for the
+    analytic rows.  The odd-part remark is held to it at every grid point,
+    witness or not.  A grid change that brings a row nearer than that
+    fails here: such a row needs an exact or certified verdict, not a float
+    comparison.
+    """
+    rows = sweeps.run_verify(sweeps.SweepConfig()).rows
+    near = []
+    zeros = 0
+    for row in rows:
+        if "slack" in row:  # theorem1, erdos, chain and rpoly rows
+            if row["slack"] is None:
+                continue
+            margin, scale = row["slack"], abs(row["bound"])
+        elif row["check"] == "sqrt-split":
+            margin, scale = row["margin"], math.sqrt(row["n"])
+        elif row["check"] in ("eq2", "eq3", "sinh", "odd-remark", *ENVELOPE_CHECKS):
+            margin, scale = row["margin"], max(abs(row["lhs"]), abs(row["rhs"]))
+        else:
+            continue
+        if margin == 0 and _exact_zero(row):
+            zeros += 1
+        elif not margin > HEADROOM * scale:
+            near.append(row)
+    for x in series.default_x_grid():
+        lhs, rhs = series.kernel_sides(2, (-1,), x)
+        if not abs(lhs - rhs) > HEADROOM * max(lhs, rhs):
+            near.append({"check": "odd-remark", "x": x, "lhs": lhs, "rhs": rhs})
+    assert near == []
+    # bound rows at n = 0: 30 specs each for theorem1, chain and rpoly, and
+    # erdos's one; eq3 with R empty at 201 points for each of 4 moduli; with
+    # r = 0, per modulus, 201 envelope-cap rows, 202 derivative rows (x = 0
+    # included) and the at-zero row; with r >= 1 (6 residues), the
+    # derivative and at-zero rows at x = 0
+    assert zeros == (3 * 30 + 1) + 4 * 201 + 4 * (201 + 202 + 1) + 6 * 2
