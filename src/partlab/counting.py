@@ -1,4 +1,4 @@
-"""Exact partition counts: one table builder, two independent engines, one certifier.
+"""Exact partition counts: one table builder, one engine, one certificate.
 
 All counts are exact Python integers (arbitrary precision, never floats).
 A ``CountTable`` is the counts of 0..n_max over one variant set of one
@@ -17,15 +17,16 @@ because adding its n - m + 1 parts one pass at a time costs O(n**2)
 big-integer additions.  Full-set tables extend the tail table, and head
 tables the empty table, by the small parts of R+ with the same kernel.
 
-Two engines that share no code with the factory, or with each other,
-return the plain tuple of counts of 0..n over a part list:
+Two checks share no code with the factory, or with each other:
 
-* ``count_recurrence`` - bottom-up evaluation of the double-counting
-  identity ``n * p(n) = sum_{s <= n} s * sum_{k >= 1} p(n - s*k)``, grouped
-  by d = s*k, with a hard divisibility assertion at every level;
-* ``count_bruteforce`` - one exhaustive walk over nonincreasing summand
-  sequences that tallies every partition of 0..n at its total (the runs of
-  the smallest part in one strided loop), refused above ``ORACLE_CEILING``.
+* ``recurrence_holds`` - the double-counting identity
+  ``n * p(n) = sum_{s <= n} s * sum_{k >= 1} p(n - s*k)`` at every level
+  of a table at once, by one packed product; with p(0) = 1 the levels fix
+  the table by induction, so the identity certifies it, unrecomputed;
+* ``count_bruteforce`` - the one engine: an exhaustive walk over
+  nonincreasing summand sequences that tallies every partition of 0..n
+  at its total (the runs of the smallest part in one strided loop),
+  refused above ``ORACLE_CEILING``.
 
 ``certify`` runs both over the parts of the variant a table claims, so a
 table is certified against the definition of what it says it counts.
@@ -36,7 +37,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .partset import (
     A_PLUS,
@@ -107,43 +108,45 @@ def _divisor_sums(parts: tuple[int, ...], n: int) -> list[int]:
     return sigma
 
 
-def count_recurrence(parts: Iterable[int], n: int) -> tuple[int, ...]:
-    """Exact counts built bottom-up from the double-counting identity.
+def recurrence_holds(values: Sequence[int], parts: Iterable[int]) -> bool:
+    """Whether counts of 0..n obey the double-counting identity at every level.
 
-    Grouping ``sum_{s <= j} s * sum_{k >= 1} p(j - s*k)`` by the product
-    d = s*k gives ``j * p(j) = sum_{1 <= d <= j} sigma(d) * p(j - d)``, with
-    sigma(d) the sum of the parts dividing d.  That sum must be divisible
-    by j at each level; the divisibility is a theorem, so failure raises
-    IntegrityError rather than returning a wrong table.
+    Grouping ``sum_{s <= j} s * sum_{k >= 1} p(j - s*k)`` by d = s*k gives
+    ``j * p(j) = sum_{1 <= d <= j} sigma(d) * p(j - d)``, sigma(d) the sum
+    of the parts dividing d.  Given p(0) = 1, level j fixes p(j) from the
+    levels below, so by induction the identity holds only for the counts.
 
-    Memory is O(n): the table, sigma, and one reversed slice of the table.
-    Time is O(n**2) big-integer products.
+    One product checks every level (Kronecker substitution): sigma and the
+    table go into integers of fixed-width little-endian slots, and the low
+    n + 1 slots of their product are the right sides.  No term is negative
+    and every side is below (n+1) * max(sigma, 1) * max(values), so slots
+    that wide never carry and comparing the packed ``j * values[j]`` with
+    the masked product is exact.  An empty table, values[0] != 1 or a
+    negative entry gives False, never an exception.
     """
     ps = _validated_parts(parts)
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
+    n = len(values) - 1
+    if n < 0 or values[0] != 1 or min(values) < 0:
+        return False
     sigma = _divisor_sums(ps, n)
-    values = [0] * (n + 1)
-    values[0] = 1
-    for j in range(1, n + 1):
-        acc = sum(map(operator.mul, sigma[1 : j + 1], values[j - 1 :: -1]))
-        if acc % j:
-            raise IntegrityError(
-                f"level {j}: weighted tail sum {acc} not divisible by {j}"
-            )
-        values[j] = acc // j
-    return tuple(values)
+    width = ((n + 1) * max(*sigma, 1) * max(values)).bit_length() // 8 + 1
+
+    def pack(entries: Iterable[int]) -> int:
+        return int.from_bytes(b"".join([v.to_bytes(width, "little") for v in entries]), "little")
+
+    rhs = pack(sigma) * pack(values) & ((1 << (8 * width * (n + 1))) - 1)
+    return rhs == pack(map(operator.mul, range(n + 1), values))
 
 
 def count_bruteforce(parts: Iterable[int], n: int) -> tuple[int, ...]:
     """Exact counts of 0..n from one exhaustive walk over nonincreasing summands.
 
-    Independent oracle: no memoization, no shared state with the other
-    engines.  The walk adds summands no larger than the last, recursing
-    only over the parts above the smallest.  Each partition it reaches is
-    tallied at its total, and so is each extension of it by 1, 2, ...
-    copies of the smallest part, in one strided loop.  So every partition
-    of every total up to n is tallied once.  Rejects n above
+    Independent oracle: no memoization, no shared state with the factory
+    or the identity.  The walk adds summands no larger than the last,
+    recursing only over the parts above the smallest.  Each partition it
+    reaches is tallied at its total, and so is each extension of it by 1,
+    2, ... copies of the smallest part, in one strided loop.  So every
+    partition of every total up to n is tallied once.  Rejects n above
     ORACLE_CEILING because the walk visits every partition.
     """
     ps = _validated_parts(parts)
@@ -172,21 +175,18 @@ def count_bruteforce(parts: Iterable[int], n: int) -> tuple[int, ...]:
 def certify(table: CountTable, cache: dict) -> bool:
     """Whether the table holds the counts of the variant set it claims.
 
-    Its values must equal count_recurrence's over ``table.parts`` to its
-    n_max, and the brute-force walk must agree with the recurrence at every
-    n up to ORACLE_N_CAP.  Both engines run once per (part list, n_max) in
-    the cache, which callers share across the tables of a run; every table
-    is compared, also where its part list was seen before.
+    Over ``table.parts`` it must obey the identity at every level
+    (``recurrence_holds``) and equal the brute-force walk at every n up to
+    ORACLE_N_CAP.  The walk runs once per (part list, cap) in the cache,
+    which callers share across the tables of a run; the identity is
+    checked for every table, also where its part list was seen before.
     """
-    key = (table.parts, table.n_max)
-    cached = cache.get(key)
-    if cached is None:
-        parts, n_max = key
-        rec = count_recurrence(parts, n_max)
-        top = min(n_max, ORACLE_N_CAP)
-        cached = cache[key] = (count_bruteforce(parts, top) == rec[: top + 1], rec)
-    walked, rec = cached
-    return walked and table.values == rec
+    parts = table.parts
+    top = min(table.n_max, ORACLE_N_CAP)
+    walked = cache.get((parts, top))
+    if walked is None:
+        walked = cache[parts, top] = count_bruteforce(parts, top)
+    return table.values[: top + 1] == walked and recurrence_holds(table.values, parts)
 
 
 # --- sweep-scale table factory -----------------------------------------------

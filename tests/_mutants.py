@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from partlab import bounds, series
+from partlab import bounds, counting, series
 from partlab.partset import A_PLUS, ResidueSpec
 
 
@@ -60,6 +60,32 @@ def _theorem1_bound_below_count(bound_rows):
     return mutant
 
 
+def _add_part_skipping_last_total(add_part):
+    """The coin-change kernel stops one total short of the table's end."""
+
+    def mutant(values, a):
+        for j in range(a, len(values) - 1):
+            values[j] += values[j - a]
+
+    return mutant
+
+
+def _one_more_at(index: int) -> Callable:
+    """Wrap a function that returns a list or tuple: add 1 at index when it has one."""
+
+    def make(real):
+        def mutant(*args):
+            result = real(*args)
+            values = list(result)
+            if len(values) > index:
+                values[index] += 1
+            return type(result)(values)
+
+        return mutant
+
+    return make
+
+
 MUTANTS = (
     Mutant("kernel_term_x0.5", series, "_kernel_term", _scaled_kernel(0.5), frozenset({"remark"})),
     Mutant(
@@ -82,5 +108,27 @@ MUTANTS = (
         "_kernel_term",
         _kernel_above_bound,
         frozenset({"eq2", "eq3"}),
+    ),
+    Mutant(
+        "add_part_skips_last_total",
+        counting,
+        "_add_part",
+        _add_part_skipping_last_total,
+        frozenset({"counts"}),
+    ),
+    Mutant("divisor_sum_2_plus_1", counting, "_divisor_sums", _one_more_at(2), frozenset({"counts"})),
+    Mutant(
+        "partition_numbers_plus_1_at_150",
+        counting,
+        "_partition_numbers",
+        _one_more_at(150),
+        frozenset({"counts"}),
+    ),
+    Mutant(
+        "walk_plus_1_at_40",
+        counting,
+        "count_bruteforce",
+        _one_more_at(40),
+        frozenset({"counts"}),
     ),
 )

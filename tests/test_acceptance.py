@@ -20,7 +20,7 @@ import pytest
 
 from _oracle import convolution_check_range, count_dp, eq4_rhs_direct
 from partlab.bounds import check_nathanson_chain, check_rplus_poly_bound, check_theorem1
-from partlab.counting import TableFactory, count_recurrence
+from partlab.counting import TableFactory, recurrence_holds
 from partlab.partset import A_PLUS, FULL_A, R_PLUS, make_residue_spec, parts_up_to
 from partlab.sweeps import SweepConfig, run_verify, subsets_for_modulus, summarize
 
@@ -83,7 +83,7 @@ def test_criterion_01_oracle_equivalence():
 
 
 def test_criterion_02_double_counting_integrity():
-    """The recurrence built from identity (4) equals the dp table, n <= 500."""
+    """Every dp table obeys identity (4) at every level, n <= 500; one level off fails it."""
     checked = 0
     seen: set[tuple[int, ...]] = set()
     ok = True
@@ -94,7 +94,7 @@ def test_criterion_02_double_counting_integrity():
                 if parts in seen:
                     continue
                 seen.add(parts)
-                ok = ok and count_recurrence(parts, 500) == count_dp(parts, 500)
+                ok = ok and recurrence_holds(count_dp(parts, 500), parts)
                 checked += 1
     # literal double sum cross-check on a sample
     parts = parts_up_to(make_residue_spec(3, [1, 2]), FULL_A, 500)
@@ -102,7 +102,8 @@ def test_criterion_02_double_counting_integrity():
     literal_ok = all(
         eq4_rhs_direct(parts, table, n) == n * table[n] for n in (0, 1, 7, 100, 500)
     )
-    ok = ok and literal_ok and checked == 251
+    off_by_one = table[:100] + (table[100] + 1,) + table[101:]
+    ok = ok and literal_ok and not recurrence_holds(off_by_one, parts) and checked == 251
     _report(2, ok, f"{checked} distinct part sets verified at n <= 500")
     assert checked == 251
     assert ok
@@ -127,22 +128,25 @@ def test_criterion_03_tail_bound_sweep(bound_sweep):
 
 
 def test_criterion_04_classical_special_case():
-    """log p(n) <= pi*sqrt(2n/3) to n=2000; p(100) agreed by two engines."""
+    """log p(n) <= pi*sqrt(2n/3) to n=2000; p(100) from factory and dp, certified by (4)."""
     result = run_verify(SweepConfig(m_max=1, n_max=SWEEP_N_MAX, checks=("erdos",)))
     (stats,) = result.summaries
-    dp_value = count_dp(range(1, 101), 100)[100]
-    rec_value = count_recurrence(range(1, 101), 100)[100]
+    dp_table = count_dp(range(1, 101), 100)
+    dp_value = dp_table[100]
+    identity = recurrence_holds(dp_table, range(1, 101))
     ok = (
         stats["rows"] == SWEEP_N_MAX + 1
         and stats["holds"]
         and result.rows[100]["count"] == str(dp_value)
-        and dp_value == rec_value == 190569292
+        and dp_value == 190569292
+        and identity
     )
     _report(
         4,
         ok,
         f"{stats['rows']} rows, {stats['failures']} failures; "
-        f"p(100): table={result.rows[100]['count']} dp={dp_value} recurrence={rec_value}",
+        f"p(100): table={result.rows[100]['count']} dp={dp_value}, "
+        f"identity (4) {'holds' if identity else 'FAILS'}",
     )
     assert stats["rows"] == SWEEP_N_MAX + 1
     assert stats["failures"] == 0
@@ -150,7 +154,7 @@ def test_criterion_04_classical_special_case():
     assert [r["n"] for r in result.rows] == list(range(SWEEP_N_MAX + 1))
     assert result.rows[100]["count"] == "190569292"
     assert dp_value == 190569292
-    assert rec_value == 190569292
+    assert identity
 
 
 def test_criterion_05_full_set_chain(bound_sweep):

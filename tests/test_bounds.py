@@ -15,7 +15,8 @@ from partlab.bounds import (
     check_theorem1,
     tail_constant,
 )
-from partlab.counting import CountTable, IntegrityError, TableFactory, count_recurrence
+from _oracle import count_dp
+from partlab.counting import CountTable, IntegrityError, TableFactory, recurrence_holds
 from partlab.partset import A_PLUS, FULL_A, R_PLUS, make_residue_spec
 from partlab.sweeps import _ratio_rows, table_rows
 from partlab.series import (
@@ -52,8 +53,9 @@ class TestLogOfCount:
         assert log_count(2**1000) == pytest.approx(1000 * math.log(2), rel=1e-12)
 
     def test_p100(self):
-        # p(100), independently certified by the recurrence engine below
-        assert count_recurrence(range(1, 101), 100)[100] == 190569292
+        # p(100) from the coin-change oracle, certified by identity (4)
+        values = count_dp(range(1, 101), 100)
+        assert values[100] == 190569292 and recurrence_holds(values, range(1, 101))
         assert log_count(190569292) == pytest.approx(19.06552642392738, abs=1e-6)
 
     @given(st.integers(1, 10**40))
@@ -247,7 +249,7 @@ class TestAsymptoticRatio:
 
     def test_accepts_precomputed_count(self):
         spec = make_residue_spec(1, [0])
-        table = CountTable(spec, FULL_A, count_recurrence(range(1, 101), 100))
+        table = CountTable(spec, FULL_A, count_dp(range(1, 101), 100))
         assert table.values[100] == 190569292
         assert ratio_at(table, 100) == pytest.approx(0.7432664983286154, abs=1e-9)
 
@@ -263,7 +265,7 @@ class TestAsymptoticRatio:
     @settings(max_examples=40, deadline=None)
     def test_classical_ratio_below_one(self, n):
         spec = make_residue_spec(1, [0])
-        table = CountTable(spec, FULL_A, count_recurrence(range(1, n + 1), n))
+        table = CountTable(spec, FULL_A, count_dp(range(1, n + 1), n))
         assert ratio_at(table, n) <= 1.0
 
     def test_odd_set_ratio_at_ten_thousand(self):

@@ -50,6 +50,14 @@ class TestCount:
         assert code == 0
         assert json.loads(out) == {"n": 100, "count": "190569292", "engines_agree": True}
 
+    def test_unrestricted_p2000(self, capsys):
+        """p(2000) needs more than 64 bits, so the identity packs slots wider than 8 bytes."""
+        code, out, _ = run_cli(capsys, ["count", "--m", "1", "--r", "0", "--n", "2000"])
+        p2000 = 4720819175619413888601432406799959512200344166
+        assert p2000.bit_length() > 64
+        assert code == 0
+        assert json.loads(out) == {"n": 2000, "count": str(p2000), "engines_agree": True}
+
     @pytest.mark.parametrize("variant", ["full-a", "a-plus", "r-plus"])
     def test_each_variant_matches_the_oracle(self, capsys, variant):
         argv = ["count", "--m", "3", "--r", "0,2", "--variant", variant, "--n", "60"]
@@ -227,7 +235,7 @@ class TestVerify:
 
     @pytest.mark.parametrize("wrong_at", [0, 23, 39])
     def test_oracle_checks_every_n_below_cap(self, capsys, monkeypatch, wrong_at):
-        """Factory tables and recurrence agreeing on a wrong count below the cap still fail the oracle."""
+        """Wrong factory tables that the identity is made to pass still fail the walk below the cap."""
 
         def corrupt(values):
             values = list(values)
@@ -242,11 +250,8 @@ class TestVerify:
                 table = self.real.table(spec, variant)
                 return CountTable(spec, variant, corrupt(table.values))
 
-        real_recurrence = counting.count_recurrence
         monkeypatch.setattr(sweeps, "TableFactory", CorruptedFactory)
-        monkeypatch.setattr(
-            counting, "count_recurrence", lambda parts, n: corrupt(real_recurrence(parts, n))
-        )
+        monkeypatch.setattr(counting, "recurrence_holds", lambda values, parts: True)
         code, out, err = run_cli(capsys, ["verify", "--checks", "counts", "--m-max", "2", "--n-max", "60"])
         assert code == 1
         doc = json.loads(out)

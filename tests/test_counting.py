@@ -20,7 +20,7 @@ from partlab.counting import (
     TableFactory,
     certify,
     count_bruteforce,
-    count_recurrence,
+    recurrence_holds,
 )
 from partlab.partset import A_PLUS, FULL_A, R_PLUS, SpecError, make_residue_spec, parts_up_to
 from partlab.sweeps import subsets_for_modulus
@@ -28,54 +28,68 @@ from test_partset import spec_strategy
 
 
 class TestCountDP:
-    """The coin-change definition's known values, pinned on the library's two
-    table engines: the factory (which shares the definition's kernel) and
-    the recurrence (which shares nothing with it)."""
+    """The coin-change definition's known values, pinned on the factory
+    (which shares the definition's kernel) and certified by identity (4)
+    (which shares nothing with it)."""
 
     def test_unrestricted_small(self):
         expected = (1, 1, 2, 3, 5, 7)
         assert TableFactory(5).table(make_residue_spec(1, [0]), FULL_A).values == expected
-        assert count_recurrence([1, 2, 3, 4, 5], 5) == expected
+        assert recurrence_holds(expected, [1, 2, 3, 4, 5])
 
     def test_tail_of_odd_parts(self):
         # m=2, R={1}: tail parts up to 5 are [3, 5]; only 5 itself works
         spec = make_residue_spec(2, [1])
-        assert TableFactory(5).table(spec, A_PLUS).values[5] == 1
-        assert count_recurrence([3, 5], 5)[5] == 1
+        assert TableFactory(5).table(spec, A_PLUS).values == (1, 0, 0, 1, 0, 1)
+        assert recurrence_holds((1, 0, 0, 1, 0, 1), [3, 5])
 
     def test_empty_parts(self):
         # R={} has no parts at all; R={0} has no head part
         assert TableFactory(3).table(make_residue_spec(4, []), A_PLUS).values == (1, 0, 0, 0)
         assert TableFactory(3).table(make_residue_spec(5, [0]), R_PLUS).values == (1, 0, 0, 0)
-        assert count_recurrence([], 3) == (1, 0, 0, 0)
+        assert recurrence_holds((1, 0, 0, 0), [])
 
     def test_rejects_bad_parts(self):
-        # both engines take a part list through the one shared validator
-        for engine in (count_recurrence, count_bruteforce):
+        # the walk and the identity take a part list through the one shared validator
+        for bad in ([2, 2], [3, 1], [0, 1]):
             with pytest.raises(ValueError):
-                engine([2, 2], 5)
+                count_bruteforce(bad, 5)
             with pytest.raises(ValueError):
-                engine([3, 1], 5)
-            with pytest.raises(ValueError):
-                engine([0, 1], 5)
+                recurrence_holds((1,) * 6, bad)
+
+
+def _holds_level_by_level(values, parts):
+    """The verdict of ``recurrence_holds`` from the literal identity, one level at a time."""
+    return values[0] == 1 and all(
+        eq4_rhs_direct(parts, values, j) == j * values[j] for j in range(len(values))
+    )
 
 
 class TestCountRecurrence:
+    """Identity (4) as a certificate: ``recurrence_holds`` checks every level at once."""
+
     def test_matches_dp_small(self):
-        values = count_recurrence(range(1, 6), 5)
+        values = count_dp(range(1, 6), 5)
         assert values[5] == 7
+        assert recurrence_holds(values, range(1, 6))
         assert 5 * 7 == eq4_rhs_direct(range(1, 6), values, 5)
 
     def test_single_even_part(self):
-        assert count_recurrence([2], 5)[5] == 0
-        assert count_recurrence([2], 6)[6] == 1
+        assert recurrence_holds((1, 0, 1, 0, 1, 0), [2])
+        assert recurrence_holds((1, 0, 1, 0, 1, 0, 1), [2])
+        assert not recurrence_holds((1, 0, 1, 0, 1, 1), [2])
+        assert not recurrence_holds((1, 0, 1, 0, 1, 0, 0), [2])
 
     def test_known_value_p100(self):
-        assert count_recurrence(range(1, 101), 100)[100] == 190569292
+        values = count_dp(range(1, 101), 100)
+        assert values[100] == 190569292
+        assert recurrence_holds(values, range(1, 101))
 
-    def test_corrupted_divisor_sums_raise(self, monkeypatch):
-        """A wrong sigma breaks the divisibility at some level; it must not pass."""
+    def test_corrupted_divisor_sums_fail(self, monkeypatch):
+        """A wrong sigma makes the identity fail on a correct table."""
         real = counting._divisor_sums
+        values = count_dp(range(1, 11), 10)
+        assert recurrence_holds(values, range(1, 11))
 
         def corrupted(parts, n):
             sigma = real(parts, n)
@@ -83,8 +97,7 @@ class TestCountRecurrence:
             return sigma
 
         monkeypatch.setattr(counting, "_divisor_sums", corrupted)
-        with pytest.raises(IntegrityError):
-            count_recurrence(range(1, 11), 10)
+        assert not recurrence_holds(values, range(1, 11))
 
     @given(
         parts=st.lists(st.integers(1, 300), max_size=12, unique=True),
@@ -93,7 +106,42 @@ class TestCountRecurrence:
     @settings(max_examples=40, deadline=None)
     def test_matches_dp_on_arbitrary_parts(self, parts, n):
         parts = sorted(parts)
-        assert count_recurrence(parts, n) == count_dp(parts, n)
+        values = count_dp(parts, n)
+        assert recurrence_holds(values, parts)
+        assert _holds_level_by_level(values, parts)
+
+    @given(
+        parts=st.lists(st.integers(1, 300), max_size=12, unique=True),
+        n=st.integers(1, 300),
+        data=st.data(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_one_wrong_level_fails(self, parts, n, data):
+        """One level moved by +-1 or by +-2**k past the slot width fails, as level by level."""
+        parts = sorted(parts)
+        values = count_dp(parts, n)
+        sigma = counting._divisor_sums(tuple(parts), n)
+        width_bits = 8 * (((n + 1) * max(*sigma, 1) * max(values)).bit_length() // 8 + 1)
+        k = data.draw(st.integers(width_bits + 1, width_bits + 80), label="k")
+        delta = data.draw(st.sampled_from([1, -1, 2**k, -(2**k)]), label="delta")
+        level = data.draw(st.integers(1, n), label="level")
+        wrong = values[:level] + (values[level] + delta,) + values[level + 1 :]
+        assert not recurrence_holds(wrong, parts)
+        assert not _holds_level_by_level(wrong, parts)
+
+    def test_edge_cases(self):
+        assert recurrence_holds((1,), [])
+        assert recurrence_holds((1,), [1, 2])
+        assert not recurrence_holds((), [1])
+        for first in (0, 2):
+            assert not recurrence_holds((first,), [1])
+            assert not recurrence_holds((first, 1, 2), [1, 2])
+        # no part: only the empty partition, so every level above 0 is 0
+        assert recurrence_holds((1, 0, 0, 0), [])
+        assert not recurrence_holds((1, 0, 5, 0), [])
+        # a negative entry is refused, not packed
+        assert not recurrence_holds((1, -1, 2), [1])
+        assert not recurrence_holds((1, 1, 2, 3, -5), [1, 2])
 
 
 class TestCountBruteforce:
@@ -151,12 +199,11 @@ class TestCountBruteforce:
 @given(spec=spec_strategy(m_max=5), n=st.integers(0, 18))
 @settings(max_examples=60, deadline=None)
 def test_three_engines_agree(spec, n):
-    """DP, recurrence, and exhaustive enumeration are independent; they must match."""
+    """DP, identity (4), the walk and enumeration are independent; they must agree."""
     for variant in (FULL_A, A_PLUS, R_PLUS):
         parts = parts_up_to(spec, variant, n)
         dp = count_dp(parts, n)
-        rec = count_recurrence(parts, n)
-        assert dp == rec
+        assert recurrence_holds(dp, parts)
         assert dp[n] == count_bruteforce(parts, n)[n]
         assert dp[n] == brute_count(parts, n)
 
@@ -193,13 +240,14 @@ class TestEq4:
         spec = make_residue_spec(3, [1, 2])
         for variant in (FULL_A, A_PLUS, R_PLUS):
             parts = parts_up_to(spec, variant, 120)
-            assert count_recurrence(parts, 120) == count_dp(parts, 120)
+            assert recurrence_holds(count_dp(parts, 120), parts)
 
     def test_recurrence_integrity_message(self):
         # A corrupted table must trip the direct identity, not pass silently.
         values = count_dp(range(1, 11), 10)
         bad = values[:10] + (values[10] + 1,)
         assert eq4_rhs_direct(range(1, 11), bad, 10) != 10 * bad[10]
+        assert not recurrence_holds(bad, range(1, 11))
 
 
 class TestConvolution:
@@ -333,14 +381,20 @@ class TestCertify:
         assert certify(CountTable(spec, FULL_A, full.values), {})
 
     def test_engines_run_once_per_part_list_and_n_max(self, monkeypatch):
-        walks = []
-        real = counting.count_bruteforce
+        """The walk runs once per (part list, cap); the identity once per table."""
+        walks, identities = [], []
+        real_walk, real_identity = counting.count_bruteforce, counting.recurrence_holds
 
         def recording(parts, n):
             walks.append((parts, n))
-            return real(parts, n)
+            return real_walk(parts, n)
+
+        def recording_identity(values, parts):
+            identities.append(len(values) - 1)
+            return real_identity(values, parts)
 
         monkeypatch.setattr(counting, "count_bruteforce", recording)
+        monkeypatch.setattr(counting, "recurrence_holds", recording_identity)
         cache = {}
         # the tail set of m = 2, R = {0} and the full set of m = 4, R = {0, 2}
         # are both the even numbers
@@ -349,6 +403,16 @@ class TestCertify:
             assert certify(TableFactory(30).table(spec, variant), cache)
         assert certify(TableFactory(20).table(make_residue_spec(2, [0]), A_PLUS), cache)
         assert walks == [(tuple(range(2, 31, 2)), 30), (tuple(range(2, 21, 2)), 20)]
+        assert identities == [30, 30, 20]
+
+    def test_walk_caches_at_the_cap(self):
+        """Above the cap a walk is shared by tables of one part list, the identity is not."""
+        spec, cache = make_residue_spec(1, [0]), {}
+        table = TableFactory(100).table(spec, FULL_A)
+        assert certify(table, cache)
+        assert list(cache) == [(table.parts, 40)]
+        wrong = table.values[:70] + (table.values[70] + 1,) + table.values[71:]
+        assert not certify(CountTable(spec, FULL_A, wrong), cache)
 
 
 def test_partition_numbers_match_count_dp():
