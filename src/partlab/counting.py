@@ -24,9 +24,9 @@ Two checks share no code with the factory, or with each other:
   of a table at once, by one packed product; with p(0) = 1 the levels fix
   the table by induction, so the identity certifies it, unrecomputed;
 * ``count_bruteforce`` - the one engine: an exhaustive walk over
-  nonincreasing summand sequences that tallies every partition of 0..n
-  at its total (the runs of the smallest part in one strided loop),
-  refused above ``ORACLE_CEILING``.
+  nonincreasing summand sequences of the parts above the smallest that
+  tallies each at its total, then one ascending pass that adds the runs
+  of the smallest part, refused above ``ORACLE_CEILING``.
 
 ``certify`` runs both over the parts of the variant a table claims, so a
 table is certified against the definition of what it says it counts.
@@ -143,11 +143,12 @@ def count_bruteforce(parts: Iterable[int], n: int) -> tuple[int, ...]:
 
     Independent oracle: no memoization, no shared state with the factory
     or the identity.  The walk adds summands no larger than the last,
-    recursing only over the parts above the smallest.  Each partition it
-    reaches is tallied at its total, and so is each extension of it by 1,
-    2, ... copies of the smallest part, in one strided loop.  So every
-    partition of every total up to n is tallied once.  Rejects n above
-    ORACLE_CEILING because the walk visits every partition.
+    recursing only over the parts above the smallest, and tallies each
+    partition it reaches once, at its total.  One ascending pass after the
+    walk, ``tally[j] += tally[j - smallest]``, then adds the runs of 1, 2,
+    ... copies of the smallest part to every partition.  So every partition
+    of every total up to n is tallied once.  Rejects n above ORACLE_CEILING
+    because the walk visits every partition.
     """
     ps = _validated_parts(parts)
     if n < 0:
@@ -155,13 +156,10 @@ def count_bruteforce(parts: Iterable[int], n: int) -> tuple[int, ...]:
     if n > ORACLE_CEILING:
         raise ValueError(f"n={n} exceeds brute-force ceiling {ORACLE_CEILING}")
     usable = [p for p in ps if p <= n]
-    # with no usable part the stride n + 1 tallies only the empty partition
-    smallest = usable[0] if usable else n + 1
     tally = [0] * (n + 1)
 
     def walk(total: int, top: int) -> None:
-        for reached in range(total, n + 1, smallest):
-            tally[reached] += 1
+        tally[total] += 1
         for i in range(1, top + 1):
             reached = total + usable[i]
             if reached > n:
@@ -169,6 +167,10 @@ def count_bruteforce(parts: Iterable[int], n: int) -> tuple[int, ...]:
             walk(reached, i)
 
     walk(0, len(usable) - 1)
+    if usable:
+        smallest = usable[0]
+        for j in range(smallest, n + 1):
+            tally[j] += tally[j - smallest]
     return tuple(tally)
 
 

@@ -7,13 +7,15 @@ produce byte-identical output and JSON/CSV carry identical values.
 Reports are streamed BATCH_ROWS rows at a time, so emission never holds the
 whole report in memory.  Both writers share one column plan: a batch is
 split into runs of rows of one shape (key order), and each field present in
-a run is pulled out as a column.  A column of one value type, or of floats
-and None, is encoded with one ``map``; any other column cell by cell, by
-exact value type.  A float's text is ``format(x, ".12g")`` wherever that is
-already the repr of the canonical float.  JSON joins each row of a run from
-the run's template, in which the fields the shape lacks are already
-``null``.  CSV joins a batch's cells itself when none needs quoting, and
-hands the batch to ``csv.writer`` otherwise.
+a run is pulled out as a column.  A column of floats, with or without None,
+is formatted in one pass; each distinct list or tuple object is encoded
+once per run; any other column of one value type is encoded with one
+``map``, and a mixed one cell by cell, by exact value type.  A float's text
+is ``format(x, ".12g")`` wherever that is already the repr of the canonical
+float.  No writer keeps state from one run to the next.  JSON joins each
+row of a run from the run's template, in which the fields the shape lacks
+are already ``null``.  CSV joins a batch's cells itself when none needs
+quoting, and hands the batch to ``csv.writer`` otherwise.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-from functools import lru_cache
 from itertools import groupby, islice, repeat
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
@@ -29,9 +30,6 @@ from typing import Callable, Iterable, Sequence, TextIO
 
 # Both writers encode and write this many rows at a time.
 BATCH_ROWS = 1000
-
-# Entries in one JSON document's cache of list text.
-CACHE_SIZE = 16_384
 
 _NONE = type(None)
 
@@ -108,18 +106,31 @@ def _float_text(null: str, special: Callable[[float], str]) -> Callable:
 def _column_text(run: list[dict], field: str, cells: dict, other: Callable) -> Iterable[str]:
     """The text of field's value in each row of a run: ``cells`` by exact type, else other.
 
-    A column of one type, or of floats and None, is encoded by one map; any
-    other column cell by cell.  A column of floats is formatted by one map,
-    and only the texts that are not already canonical go to the float text.
+    A column of floats, None among them or not, is formatted in one pass,
+    and only None and the texts that are not already canonical go to the
+    float text.  Each distinct list or tuple object is encoded once per
+    run, by other.  A column of one other type is encoded by one map; any
+    other column cell by cell.
     """
     column = list(map(itemgetter(field), run))
     kinds = set(map(type, column))
-    if kinds == {float}:
+    if kinds == {float} or kinds == {float, _NONE}:
         text = cells[float]
-        texts = map("%.12g".__mod__, column)
-        return [s if "." in s and "e" not in s else text(x) for x, s in zip(column, texts)]
-    if kinds == {float, _NONE}:  # the float text writes None too
-        kinds = {float}
+        return [
+            s if x is not None and "." in (s := "%.12g" % x) and "e" not in s else text(x)
+            for x in column
+        ]
+    if list in kinds or tuple in kinds:
+        # the column holds every value, so while known lives an id names one object
+        known: dict[int, str] = {}
+
+        def seq_text(v) -> str:
+            key = id(v)
+            if key not in known:
+                known[key] = other(v)
+            return known[key]
+
+        cells = {**cells, list: seq_text, tuple: seq_text}
     if len(kinds) == 1:
         return map(cells.get(kinds.pop(), other), column)
     cell = cells.get
@@ -223,10 +234,6 @@ def _json_other(v) -> str:
     return _json_value(v, 3)
 
 
-# Item types whose equal values have equal canonical JSON text.
-_FLAT_TYPES = frozenset((_NONE, bool, int, float, str))
-
-
 def document_to_json(
     head: dict, rows: Iterable[dict], fields: Sequence[str], out: TextIO
 ) -> None:
@@ -240,25 +247,12 @@ def document_to_json(
     (everything but the rows, canonicalized by the caller) goes through
     ``json.dumps``, and the rows are written BATCH_ROWS at a time.  Each
     run of one shape gets a template with the keys of fields and a literal
-    ``null`` for each field the shape lacks.  Flat lists are encoded
-    through a bounded cache of their text; equal keys of it must mean equal
-    text, so a list's key is its items' exact types, then the items, and
-    lists holding containers are not cached.
+    ``null`` for each field the shape lacks.
     """
     text = json.dumps({**head, "rows": []}, indent=2)
     out.write(text[: -len("[]\n}")])  # everything before the rows' value
     # each row is a dict at depth 2, so its keys sit at depth 3
     keys = ["\n      " + encode_basestring_ascii(f) + ": " for f in fields]
-
-    @lru_cache(maxsize=CACHE_SIZE)
-    def flat_list_text(key: tuple) -> str:
-        return _json_value(key[len(key) // 2 :], 3)
-
-    def list_text(v) -> str:
-        types = tuple(map(type, v))
-        if _FLAT_TYPES.issuperset(types):
-            return flat_list_text((*types, *v))
-        return _json_value(v, 3)
 
     cells = {
         _NONE: {None: "null"}.__getitem__,
@@ -266,8 +260,6 @@ def document_to_json(
         int: int.__repr__,
         str: encode_basestring_ascii,
         float: _float_text("null", _json_float),
-        list: list_text,
-        tuple: list_text,
     }
     opener = "["  # the first batch opens the list, later ones continue it
     rows = iter(rows)

@@ -348,7 +348,8 @@ def sweep_rows(m_max: int, n_max: int) -> Iterator[dict]:
         for m in range(1, m_max + 1):
             factory = TableFactory(n_max)
             for spec in subsets_for_modulus(m, include_empty=False):
+                residues = list(spec.residues)  # shared by the spec's rows; rows are read-only
                 for row in table_rows(spec, factory):
-                    yield {"m": m, "R": list(spec.residues), **row}
+                    yield {"m": m, "R": residues, **row}
 
     return rows()

@@ -157,7 +157,7 @@ class TestCountBruteforce:
 
     @pytest.mark.parametrize("parts", [[2, 3, 5, 7], [4, 9], [3], [2, 5, 6]])
     def test_parts_without_one(self, parts):
-        # the smallest part's runs are tallied in strides of that part
+        # the smallest part's runs are added by one pass after the walk
         values = count_bruteforce(parts, 40)
         assert values == count_dp(parts, 40)
         assert values == tuple(brute_count(parts, k) for k in range(41))

@@ -5,8 +5,7 @@ on small grids in this process under ``sys.setprofile``, and lists the
 functions and methods defined in ``src/partlab`` that no call entered.
 Code that only tests reach must be wired into a command or deleted, so
 that list is pinned: ``reporting.canon_row`` stays as the reference that
-``test_reporting`` holds the writers' bytes to, and ``reporting._json_other``
-is the error path for values of no JSON type.  Methods that dataclasses
+``test_reporting`` holds the writers' bytes to.  Methods that dataclasses
 generate have no source in the package and are not listed.
 """
 
@@ -18,7 +17,7 @@ from partlab import cli
 
 PACKAGE = Path(cli.__file__).resolve().parent
 
-NEVER_CALLED = {"reporting.canon_row", "reporting._json_other"}
+NEVER_CALLED = {"reporting.canon_row"}
 
 
 def _defined_functions() -> dict:

@@ -9,9 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from partlab import reporting
+from partlab import reporting, sweeps
 from partlab.reporting import (
-    CACHE_SIZE,
+    SWEEP_FIELDS,
     TABLE_FIELDS,
     _csv_cell,
     canon_float,
@@ -148,24 +148,23 @@ def test_csv_equals_csv_writer_of_canonical_rows(rows):
 
 
 class TestRowEncoder:
-    """The per-shape templates and value caches write json.dumps's bytes."""
+    """The per-shape templates and per-run list texts write json.dumps's bytes."""
 
     def check(self, rows, fields=FIELDS, head=None):
         head = head or {"command": "verify"}
         assert json_text(head, rows, fields) == reference_json(head, rows, fields)
 
-    def test_more_distinct_floats_than_the_cache_holds(self):
-        floats = [k / 7 + 0.5 for k in range(16_384 + 300)]
+    def test_many_distinct_floats_over_many_batches(self):
+        floats = [k / 7 + 0.5 for k in range(16_684)]
         # distinct floats and repeats of them, over many batches
         values = floats[:200] + floats + floats[:200] + floats[-200:] + floats[::97]
         self.check([{"x": x, "lhs": -x} for x in values], fields=("x", "lhs"))
 
-    def test_list_cache_is_bounded_too(self):
-        rows = [{"R": [k, k + 1]} for k in range(CACHE_SIZE + 50)]
+    def test_more_distinct_lists_than_a_batch_holds(self):
+        rows = [{"R": [k, k + 1]} for k in range(16_434)]
         self.check(rows + rows[:100] + rows[-100:], fields=("R",))
 
-    def test_every_cache_starts_over_when_full(self, monkeypatch):
-        monkeypatch.setattr(reporting, "CACHE_SIZE", 3)
+    def test_mixed_shapes_and_repeated_values(self):
         shapes = [("x", "m"), ("m", "x"), ("R",), ("R", "x"), ("check", "R", "m"), ()]
         rows = []
         for k in range(60):
@@ -251,6 +250,40 @@ class TestColumnPlan:
     def test_one_field_whose_only_cell_is_empty(self):
         for rows in ([{"check": ""}], [{"check": None}], [{}], [{"check": ""}, {"check": "a"}]):
             self.check(rows, fields=("check",))
+
+    def test_one_list_object_in_two_runs_and_two_batches(self):
+        shared = [1, 2]
+        rows = [{"R": shared, "m": k} if k % 3 else {"m": k, "R": shared} for k in range(30)]
+        rows += [{"R": shared, "x": k / 3} for k in range(reporting.BATCH_ROWS)]
+        self.check(rows)
+
+    def test_lists_made_and_freed_a_batch_at_a_time(self):
+        # each batch's lists are freed before the next batch's are made, so
+        # a new list can reuse a freed one's id while holding other items
+        count = 3 * reporting.BATCH_ROWS
+
+        def rows():
+            return ({"R": [k % 7, k], "m": k} for k in range(count))
+
+        assert csv_text(rows(), FIELDS) == reference_csv(list(rows()), FIELDS)
+        head = {"command": "verify"}
+        assert json_text(head, rows(), FIELDS) == reference_json(head, list(rows()), FIELDS)
+
+    def test_equal_lists_and_tuples_nested_or_not(self):
+        values = [[1, 2], (1, 2), [1, 2], (1, 2), [1.0, 2], [True, 2], [[1, 2]], [(1, 2)]]
+        values += [([1, 2],), ((1, 2),), [[1, [2, (3,)]]], [[1, [2, [3]]]], [], (), [[]], [()]]
+        self.check([{"R": v} for v in values + values[::-1]])
+        self.check([{"R": v, "x": [v]} for v in values])
+
+    def test_list_column_with_none(self):
+        shared = [0, 2]
+        values = [shared, None, [0, 2], None, shared, (0, 2), [], None, [[0], 2.5]]
+        self.check([{"R": v, "m": 3} for v in values + values[::-1]])
+
+    def test_sweep_rows_share_their_residue_list(self):
+        rows = list(sweeps.sweep_rows(3, 12))
+        assert rows[0]["R"] is rows[1]["R"]
+        self.check(rows, fields=SWEEP_FIELDS)
 
     def test_rows_with_no_field_between_other_shapes(self):
         rows = [{"m": 1, "x": 0.5}] * 3 + [{}] * 4 + [{"check": "a"}, {}, {}, {"zzz": 1}]
