@@ -27,8 +27,7 @@ than the one its statement is about, and erdos also on a spec other than
 m=1, R={0}.  Each check returns one report row per n of the table, built
 once by ``_bound_rows`` as the dict that is emitted:
 ``{m, R, variant, n, count, log_count, bound, slack, holds}``, with the
-count as a decimal string.  The rows of one call share one residue list,
-so rows are read-only once built.
+count as a decimal string and R as the spec's own residue tuple.
 """
 
 from __future__ import annotations
@@ -53,8 +52,7 @@ def _bound_rows(table: CountTable, variant: str, bound_at, exact=None) -> list[d
     count)``, an integer comparison, and the log fields are for reading.
     """
     table.require(variant)
-    m = table.spec.m
-    residues = list(table.spec.residues)  # shared by every row; rows are read-only
+    m, residues = table.spec.m, table.spec.residues
     log = math.log
     out = []
     for n, cnt in enumerate(table.values):

@@ -66,7 +66,7 @@ def cmd_count(args: argparse.Namespace) -> int:
 def cmd_table(args: argparse.Namespace) -> int:
     spec = make_residue_spec(args.m, _parse_residues(args.r))
     rows = sweeps.table_rows(spec, TableFactory(args.n_max))
-    head = {"command": "table", "m": spec.m, "R": list(spec.residues)}
+    head = {"command": "table", "m": spec.m, "R": spec.residues}
     _write_report(args, head, rows, reporting.TABLE_FIELDS)
     return EXIT_OK
 

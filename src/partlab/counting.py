@@ -80,8 +80,8 @@ class CountTable:
         """Raise IntegrityError unless the table counts over the variant set."""
         if self.variant != variant:
             raise IntegrityError(
-                f"m={self.spec.m}, R={list(self.spec.residues)}: "
-                f"a check of the {variant} counts was handed the {self.variant} table"
+                f"{self.spec}: a check of the {variant} counts "
+                f"was handed the {self.variant} table"
             )
 
 
@@ -121,8 +121,9 @@ def recurrence_holds(values: Sequence[int], parts: Iterable[int]) -> bool:
     n + 1 slots of their product are the right sides.  No term is negative
     and every side is below (n+1) * max(sigma, 1) * max(values), so slots
     that wide never carry and comparing the packed ``j * values[j]`` with
-    the masked product is exact.  An empty table, values[0] != 1 or a
-    negative entry gives False, never an exception.
+    the product's low n + 1 slots, byte for byte, is exact.  An empty
+    table, values[0] != 1 or a negative entry gives False, never an
+    exception.
     """
     ps = _validated_parts(parts)
     n = len(values) - 1
@@ -131,11 +132,14 @@ def recurrence_holds(values: Sequence[int], parts: Iterable[int]) -> bool:
     sigma = _divisor_sums(ps, n)
     width = ((n + 1) * max(*sigma, 1) * max(values)).bit_length() // 8 + 1
 
-    def pack(entries: Iterable[int]) -> int:
-        return int.from_bytes(b"".join([v.to_bytes(width, "little") for v in entries]), "little")
+    def pack(entries: Iterable[int]) -> bytes:
+        return b"".join([v.to_bytes(width, "little") for v in entries])
 
-    rhs = pack(sigma) * pack(values) & ((1 << (8 * width * (n + 1))) - 1)
-    return rhs == pack(map(operator.mul, range(n + 1), values))
+    size = width * (n + 1)
+    product = int.from_bytes(pack(sigma), "little") * int.from_bytes(pack(values), "little")
+    # each factor is below 256**size, so the product fits in 2 * size bytes
+    low = product.to_bytes(2 * size, "little")[:size]
+    return low == pack(map(operator.mul, range(n + 1), values))
 
 
 def count_bruteforce(parts: Iterable[int], n: int) -> tuple[int, ...]:
@@ -262,22 +266,21 @@ class TableFactory:
         if n_max < 0:
             raise ValueError(f"n_max must be >= 0, got {n_max}")
         self.n_max = n_max
-        # (m, residue bitmask) -> tail-set counts of 0..n_max; never mutated
-        self._tails: dict[tuple[int, int], list[int]] = {}
+        # (m, residues) -> tail-set counts of 0..n_max; never mutated
+        self._tails: dict[tuple[int, tuple[int, ...]], list[int]] = {}
 
-    def _tail_values(self, m: int, bits: int) -> list[int]:
-        """Cached tail-set counts for the residue subset encoded by bits."""
-        key = (m, bits)
+    def _tail_values(self, m: int, residues: tuple[int, ...]) -> list[int]:
+        """Cached tail-set counts for a spec's residues, strictly increasing."""
+        key = (m, residues)
         values = self._tails.get(key)
         if values is None:
-            if bits == 0:
+            if not residues:
                 values = [1] + [0] * self.n_max  # only the empty partition
-            elif bits == (1 << m) - 1:
+            elif len(residues) == m:
                 values = self._every_residue(m)
             else:
-                r = bits.bit_length() - 1
-                values = list(self._tail_values(m, bits ^ (1 << r)))
-                for a in range(m + r, self.n_max + 1, m):
+                values = self._tail_values(m, residues[:-1]).copy()
+                for a in range(m + residues[-1], self.n_max + 1, m):
                     _add_part(values, a)
             self._tails[key] = values
         return values
@@ -302,11 +305,10 @@ class TableFactory:
         (full-a) extends a copy of it by the parts of R+ = R minus {0}, and
         the head set (r-plus) extends the empty table by them.
         """
-        bits = sum(1 << r for r in spec.residues)
         if variant == A_PLUS:
-            return CountTable(spec, variant, tuple(self._tail_values(spec.m, bits)))
+            return CountTable(spec, variant, tuple(self._tail_values(spec.m, spec.residues)))
         if variant == FULL_A:
-            values = list(self._tail_values(spec.m, bits))
+            values = self._tail_values(spec.m, spec.residues).copy()
         elif variant == R_PLUS:
             values = [1] + [0] * self.n_max
         else:

@@ -20,7 +20,7 @@ class SpecError(ValueError):
 
 @dataclass(frozen=True)
 class ResidueSpec:
-    """A validated (modulus, residues) pair; residues strictly increasing."""
+    """A validated (modulus, residues) pair; its strictly increasing tuple is R's one form."""
 
     m: int
     residues: tuple[int, ...]

@@ -157,7 +157,7 @@ def kernel_sides(m: int, offsets: tuple[int, ...], x: float) -> tuple[float, flo
 def _row(
     check: str,
     m: int | None,
-    residues: list[int] | None,
+    residues: tuple[int, ...] | None,
     r: int | None,
     x: float,
     t: float,
@@ -188,9 +188,7 @@ def check_eq1(spec: ResidueSpec, t: float) -> dict:
     scale = max(abs(rhs), abs(value))
     margin = diff / scale if scale > 0 else 0.0
     holds = converged and margin <= SERIES_REL_TOL
-    return _row(
-        "eq1", spec.m, list(spec.residues), None, -math.log(t), t, value, rhs, margin, holds
-    )
+    return _row("eq1", spec.m, spec.residues, None, -math.log(t), t, value, rhs, margin, holds)
 
 
 # --- pointwise inequalities ---------------------------------------------------
@@ -210,7 +208,7 @@ def check_eq3(spec: ResidueSpec, x: float) -> dict:
     """Summed kernel bound: tail series at e**-x vs. |R|/(m*x**2)."""
     lhs, rhs = kernel_sides(spec.m, spec.residues, x)
     return _row(
-        "eq3", spec.m, list(spec.residues), None, x, math.exp(-x), lhs, rhs, rhs - lhs, lhs <= rhs
+        "eq3", spec.m, spec.residues, None, x, math.exp(-x), lhs, rhs, rhs - lhs, lhs <= rhs
     )
 
 

@@ -123,7 +123,7 @@ def _ratio_rows(table: CountTable) -> list[dict]:
             {
                 "check": "ratio",
                 "m": spec.m,
-                "R": list(spec.residues),
+                "R": spec.residues,
                 "variant": FULL_A,
                 "n": n,
                 "count": str(cnt),
@@ -142,7 +142,7 @@ def _counts_row(table: CountTable, oracle_cache: dict) -> dict:
     return {
         "check": "counts",
         "m": table.spec.m,
-        "R": list(table.spec.residues),
+        "R": table.spec.residues,
         "variant": table.variant,
         "n": n_max,
         "count": str(table.values[n_max]),
@@ -348,8 +348,7 @@ def sweep_rows(m_max: int, n_max: int) -> Iterator[dict]:
         for m in range(1, m_max + 1):
             factory = TableFactory(n_max)
             for spec in subsets_for_modulus(m, include_empty=False):
-                residues = list(spec.residues)  # shared by the spec's rows; rows are read-only
                 for row in table_rows(spec, factory):
-                    yield {"m": m, "R": residues, **row}
+                    yield {"m": m, "R": spec.residues, **row}
 
     return rows()

@@ -4,9 +4,9 @@ A mutant replaces one attribute of one partlab module: ``make`` receives
 the original and returns the replacement, so a mutant can wrap the real
 code and change one value.  ``killers`` names every check whose summary
 fails when default ``verify`` runs with the mutant in place.  An empty
-set would record a survivor: a measurement, not an allowance, and no
-mutant is added to make a change pass.  A change that kills a survivor
-moves it here and says so.
+set records a survivor: a measurement, not an allowance, and no mutant
+is added to make a change pass.  A change that kills a survivor gives
+it its killers here and says so.
 """
 
 import math
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from partlab import bounds, counting, series
-from partlab.partset import A_PLUS, ResidueSpec
+from partlab.partset import A_PLUS, FULL_A, R_PLUS, ResidueSpec
 
 
 @dataclass(frozen=True)
@@ -86,6 +86,54 @@ def _one_more_at(index: int) -> Callable:
     return make
 
 
+def _scaled_constant(factor: float) -> Callable:
+    """The tail constant c times factor, in every check that reads it."""
+
+    def make(constant):
+        return lambda spec: factor * constant(spec)
+
+    return make
+
+
+def _chain_log_factor(factor: Callable[[int], int]) -> Callable:
+    """The chain's bound with its log factor |R|+1 replaced by factor(|R|)."""
+
+    def make(chain):
+        def mutant(table):
+            c = bounds.tail_constant(table.spec)
+            k = factor(table.spec.rsize)
+            return bounds._bound_rows(
+                table, FULL_A, lambda n: k * math.log(n + 1) + c * math.sqrt(n)
+            )
+
+        return mutant
+
+    return make
+
+
+def _rpoly_exponent(exponent: Callable[[ResidueSpec], int]) -> Callable:
+    """The head-count bound (n'+1)**|R| with its exponent replaced by exponent(spec)."""
+
+    def make(rpoly):
+        def mutant(table):
+            k = exponent(table.spec)
+            return bounds._bound_rows(
+                table,
+                R_PLUS,
+                lambda n: k * math.log(n + 1),
+                exact=lambda n, cnt: cnt <= (n + 1) ** k,
+            )
+
+        return mutant
+
+    return make
+
+
+def _every_other_witness(finder):
+    """The odd-part remark's finder keeps only every second witness it finds."""
+    return lambda x_grid: finder(x_grid)[::2]
+
+
 MUTANTS = (
     Mutant("kernel_term_x0.5", series, "_kernel_term", _scaled_kernel(0.5), frozenset({"remark"})),
     Mutant(
@@ -130,5 +178,58 @@ MUTANTS = (
         "count_bruteforce",
         _one_more_at(40),
         frozenset({"counts"}),
+    ),
+    Mutant(
+        "tail_constant_x0.8",
+        bounds,
+        "tail_constant",
+        _scaled_constant(0.8),
+        frozenset({"theorem1", "erdos"}),
+    ),
+    # The survivors of default verify: no check fails with one in place.
+    *[
+        Mutant(
+            f"tail_constant_x{factor}",
+            bounds,
+            "tail_constant",
+            _scaled_constant(factor),
+            frozenset(),
+        )
+        for factor in (0.9, 0.99, 1.01, 1.5)
+    ],
+    *[
+        Mutant(
+            f"chain_log_factor_{label}",
+            bounds,
+            "check_nathanson_chain",
+            _chain_log_factor(factor),
+            frozenset(),
+        )
+        for label, factor in (
+            ("1", lambda rsize: 1),
+            ("R", lambda rsize: rsize),
+            ("R_plus_2", lambda rsize: rsize + 2),
+        )
+    ],
+    Mutant(
+        "rpoly_exponent_R_minus_1",
+        bounds,
+        "check_rplus_poly_bound",
+        _rpoly_exponent(lambda spec: spec.rsize - 1),
+        frozenset(),
+    ),
+    Mutant(
+        "rpoly_exponent_Rplus_minus_1",
+        bounds,
+        "check_rplus_poly_bound",
+        _rpoly_exponent(lambda spec: sum(r >= 1 for r in spec.residues) - 1),
+        frozenset(),
+    ),
+    Mutant(
+        "remark_every_other_witness",
+        series,
+        "find_counterexample_odd_remark",
+        _every_other_witness,
+        frozenset(),
     ),
 )

@@ -318,13 +318,13 @@ def test_report_row_shape():
     assert row["count"] == "1"
     assert isinstance(row["count"], str)
     assert row["variant"] == "a-plus"
-    assert row["R"] == [1]
+    assert row["R"] == (1,)
 
     spec = make_residue_spec(3, [0, 2])
     analytic = [
-        (check_eq1(spec, 0.5), "eq1", 3, [0, 2], None),
+        (check_eq1(spec, 0.5), "eq1", 3, (0, 2), None),
         (check_eq2_pointwise(1, 3, 0.5), "eq2", 3, None, 1),
-        (check_eq3(spec, 0.5), "eq3", 3, [0, 2], None),
+        (check_eq3(spec, 0.5), "eq3", 3, (0, 2), None),
         (check_sinh_inequality(0.5), "sinh", None, None, None),
         *[
             (row, label, 3, None, 1)

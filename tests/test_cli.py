@@ -452,6 +452,10 @@ class TestGoldens:
                 ["table", "--m", "6", "--r", "0,1,2,3,4,5", "--n-max", "10000", "--format", "csv"],
                 "145d642c1141ab687e5c04611ada4632a0da866508523d61b1faf6b9139a2116",
             ),
+            (
+                ["verify", "--format", "csv"],
+                "ca5204c59c0decf734291540bd24ea59c876ea8a3b3beb77cf01bcdba8db1345",
+            ),
         ],
     )
     def test_stdout_digest(self, capsys, argv, digest):

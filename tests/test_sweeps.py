@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from partlab import bounds, counting, series, sweeps
-from partlab.partset import A_PLUS, FULL_A, make_residue_spec
+from partlab.partset import A_PLUS, FULL_A, R_PLUS, make_residue_spec
 
 
 def test_one_oracle_walk_per_distinct_part_list(monkeypatch):
@@ -30,6 +30,50 @@ def test_one_oracle_walk_per_distinct_part_list(monkeypatch):
     assert len(result.rows) == 90
     assert len(walks) == 51
     assert len(set(walks)) == 51
+
+
+def test_rows_of_a_spec_share_its_residue_tuple(monkeypatch):
+    """Every row builder puts the spec's own residue tuple in R, never a copy.
+
+    So default verify's rows hold at most one R object per (m, R), 30 at
+    m <= 4, across all checks, and sweep_rows' rows of a spec hold the
+    spec's tuple itself.
+    """
+    spec = make_residue_spec(3, [0, 2])
+    factory = counting.TableFactory(12)
+    tables = {label: factory.table(spec, label) for label in sweeps.SWEEP_VARIANTS}
+    rows = [
+        *bounds.check_theorem1(tables[A_PLUS]),
+        *bounds.check_nathanson_chain(tables[FULL_A]),
+        *bounds.check_rplus_poly_bound(tables[R_PLUS]),
+        *sweeps._ratio_rows(tables[FULL_A]),
+        *(sweeps._counts_row(table, {}) for table in tables.values()),
+        series.check_eq1(spec, 0.5),
+        series.check_eq3(spec, 0.5),
+    ]
+    assert all(row["R"] is spec.residues for row in rows)
+
+    objects: dict[tuple, set] = {}
+    for row in sweeps.run_verify(sweeps.SweepConfig()).rows:
+        residues = row.get("R")
+        if residues is not None:
+            assert type(residues) is tuple
+            objects.setdefault((row["m"], residues), set()).add(id(residues))
+    assert len(objects) == 30
+    assert all(len(ids) == 1 for ids in objects.values())
+
+    specs = []
+    real = sweeps.subsets_for_modulus
+
+    def recording(m, include_empty=True):
+        specs.extend(made := real(m, include_empty))
+        return made
+
+    monkeypatch.setattr(sweeps, "subsets_for_modulus", recording)
+    swept = list(sweeps.sweep_rows(3, 10))
+    assert len(specs) == 1 + 3 + 7 and len(swept) == 11 * len(specs)
+    for i, spec in enumerate(specs):
+        assert all(row["R"] is spec.residues for row in swept[11 * i : 11 * (i + 1)])
 
 
 def test_each_table_is_built_once_per_spec(monkeypatch):
@@ -121,7 +165,7 @@ def test_sweep_refuses_negative_n_max_before_any_task(monkeypatch):
     are read, and the same rows as a list built modulus by modulus.
     """
     expected = [
-        {"m": m, "R": list(spec.residues), **row}
+        {"m": m, "R": spec.residues, **row}
         for m in range(1, 5)
         for spec in sweeps.subsets_for_modulus(m, include_empty=False)
         for row in sweeps.table_rows(spec, counting.TableFactory(40))
@@ -220,7 +264,7 @@ def _exact_zero(row: dict) -> bool:
     if "slack" in row:
         return row["n"] == 0
     if row["check"] == "eq3":
-        return row["R"] == []
+        return row["R"] == ()
     return row["check"] in ENVELOPE_CHECKS and (row["r"] == 0 or row["x"] == 0)
 
 
