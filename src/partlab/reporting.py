@@ -7,22 +7,29 @@ produce byte-identical output and JSON/CSV carry identical values.
 Reports are streamed BATCH_ROWS rows at a time, so emission never holds the
 whole report in memory.  Both writers share one column plan: a batch is
 split into runs of rows of one shape (key order), and each field present in
-a run is pulled out as a column.  A column of floats, with or without None,
-is formatted in one pass; each distinct list or tuple object is encoded
-once per run; any other column of one value type is encoded with one
-``map``, and a mixed one cell by cell, by exact value type.  A float's text
-is ``format(x, ".12g")`` wherever that is already the repr of the canonical
-float.  No writer keeps state from one run to the next.  JSON joins each
-row of a run from the run's template, in which the fields the shape lacks
-are already ``null``.  CSV joins a batch's cells itself when none needs
+a run is pulled out as a column.  A column whose values other than None
+share one type, None among them or not, is encoded in one pass, with the
+writer's null text for None; a mixed one is encoded cell by cell, by exact
+value type.  Each distinct list or tuple object is encoded once per run.
+No writer keeps state from one run to the next.  JSON joins each row of a
+run from the run's template, in which the fields the shape lacks are
+already ``null``.  CSV joins a batch's cells itself when none needs
 quoting, and hands the batch to ``csv.writer`` otherwise.
+
+A float cell's text, and a float's in a JSON list, is ``_float_text(x)``:
+the repr of ``canon_float(x)``.  It is read straight from ``"%.12g" % x``
+when that text has a point and no exponent; when its exponent is negative
+and x is not subnormal (below the smallest normal float, 12 digits can be
+longer than the shortest repr); and, with ".0" added, when it is an
+integer other than -0.  Any other float takes ``canon_float`` and
+``repr``.  JSON spells nan and the infinities as ``json.dumps`` does.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-import math
+import sys
 from itertools import groupby, islice, repeat
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
@@ -30,8 +37,6 @@ from typing import Callable, Iterable, Sequence, TextIO
 
 # Both writers encode and write this many rows at a time.
 BATCH_ROWS = 1000
-
-_NONE = type(None)
 
 # Field orders are fixed; emission never depends on dict iteration quirks.
 TABLE_FIELDS = ("n", "p_a", "p_a_plus", "p_r_plus", "bound", "slack", "ratio")
@@ -80,46 +85,31 @@ def canon_row(row: dict, fields: Sequence[str]) -> dict:
     return {f: canon_tree(row.get(f)) for f in fields}
 
 
-def _float_text(null: str, special: Callable[[float], str]) -> Callable:
-    """A function from a float or None to its canonical text.
-
-    ``"%.12g" % x`` (``format(x, ".12g")``'s text) is the repr of
-    ``canon_float(x)`` when it has a point and no exponent, and, with ".0"
-    added, when it is an integer other than -0.  None is written as null;
-    exponents, nan, infinities and -0 go through special.
-    """
-
-    def text(x: float | None) -> str:
-        if x is None:
-            return null
-        s = "%.12g" % x
+def _float_text(x: float) -> str:
+    """A float's report text, the repr of ``canon_float(x)``, by the module docstring's rule."""
+    s = "%.12g" % x
+    if "e" not in s:
         if "." in s:
-            if "e" not in s:
-                return s
-        elif s.lstrip("-").isdigit() and s != "-0":
+            return s
+        if s != "-0" and s.lstrip("-").isdigit():
             return s + ".0"
-        return special(x)
+    elif "e-" in s and abs(x) >= sys.float_info.min:
+        return s
+    return float.__repr__(canon_float(x))
 
-    return text
 
+def _column_text(
+    run: list[dict], field: str, null: str, cells: dict, other: Callable
+) -> list[str]:
+    """The text of field's value in each row of a run: null, ``cells`` by exact type, or other.
 
-def _column_text(run: list[dict], field: str, cells: dict, other: Callable) -> Iterable[str]:
-    """The text of field's value in each row of a run: ``cells`` by exact type, else other.
-
-    A column of floats, None among them or not, is formatted in one pass,
-    and only None and the texts that are not already canonical go to the
-    float text.  Each distinct list or tuple object is encoded once per
-    run, by other.  A column of one other type is encoded by one map; any
-    other column cell by cell.
+    A column whose values other than None share one type, None among them
+    or not, is encoded in one pass by that type's text; any other column
+    cell by cell.  Each distinct list or tuple object is encoded once per
+    run, by other.
     """
     column = list(map(itemgetter(field), run))
-    kinds = set(map(type, column))
-    if kinds == {float} or kinds == {float, _NONE}:
-        text = cells[float]
-        return [
-            s if x is not None and "." in (s := "%.12g" % x) and "e" not in s else text(x)
-            for x in column
-        ]
+    kinds = set(map(type, column)) - {type(None)}
     if list in kinds or tuple in kinds:
         # the column holds every value, so while known lives an id names one object
         known: dict[int, str] = {}
@@ -132,9 +122,10 @@ def _column_text(run: list[dict], field: str, cells: dict, other: Callable) -> I
 
         cells = {**cells, list: seq_text, tuple: seq_text}
     if len(kinds) == 1:
-        return map(cells.get(kinds.pop(), other), column)
+        text = cells.get(kinds.pop(), other)
+        return [null if v is None else text(v) for v in column]
     cell = cells.get
-    return [cell(type(v), other)(v) for v in column]
+    return [null if v is None else cell(type(v), other)(v) for v in column]
 
 
 def _csv_cell(v) -> str:
@@ -162,11 +153,10 @@ def rows_to_csv(rows: Iterable[dict], fields: Sequence[str], out: TextIO) -> Non
     other batch, or one of one field, goes through csv.writer.
     """
     cells = {
-        _NONE: {None: ""}.__getitem__,
         bool: {False: "false", True: "true"}.__getitem__,
         int: int.__repr__,
         str: str,
-        float: _float_text("", _csv_other),
+        float: _float_text,
     }
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(fields)
@@ -177,7 +167,9 @@ def rows_to_csv(rows: Iterable[dict], fields: Sequence[str], out: TextIO) -> Non
         for row_keys, run in groupby(batch, tuple):
             run = list(run)
             columns = [
-                _column_text(run, f, cells, _csv_other) if f in row_keys else repeat("", len(run))
+                _column_text(run, f, "", cells, _csv_other)
+                if f in row_keys
+                else repeat("", len(run))
                 for f in fields
             ]
             lines += zip(*columns) if columns else repeat((), len(run))
@@ -196,15 +188,11 @@ def rows_to_csv(rows: Iterable[dict], fields: Sequence[str], out: TextIO) -> Non
 
 
 def _json_float(x: float) -> str:
-    """json's spelling of a canonicalized float, NaN and infinities included."""
-    x = canon_float(x)
-    if x != x:
-        return "NaN"
-    if x == math.inf:
-        return "Infinity"
-    if x == -math.inf:
-        return "-Infinity"
-    return float.__repr__(x)
+    """json's spelling of a float's report text, NaN and infinities included."""
+    text = _float_text(x)
+    if text[-1].isdigit():
+        return text
+    return {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}[text]
 
 
 def _json_value(v, depth: int) -> str:
@@ -255,11 +243,10 @@ def document_to_json(
     keys = ["\n      " + encode_basestring_ascii(f) + ": " for f in fields]
 
     cells = {
-        _NONE: {None: "null"}.__getitem__,
         bool: {False: "false", True: "true"}.__getitem__,
         int: int.__repr__,
         str: encode_basestring_ascii,
-        float: _float_text("null", _json_float),
+        float: _json_float,
     }
     opener = "["  # the first batch opens the list, later ones continue it
     rows = iter(rows)
@@ -276,7 +263,7 @@ def document_to_json(
             # is finite, so a shape with no field still yields its rows
             strands = [repeat(pieces[0], len(run))]
             for f, piece in zip(present, pieces[1:]):
-                strands += (_column_text(run, f, cells, _json_other), repeat(piece))
+                strands += (_column_text(run, f, "null", cells, _json_other), repeat(piece))
             texts += map("".join, zip(*strands))
         out.write(opener + ",".join(texts))
         opener = ","

@@ -1,9 +1,11 @@
 """Canonical float formatting and deterministic row serialization."""
 
+import array
 import csv
 import io
 import json
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +16,8 @@ from partlab.reporting import (
     SWEEP_FIELDS,
     TABLE_FIELDS,
     _csv_cell,
+    _float_text,
+    _json_float,
     canon_float,
     canon_row,
     document_to_json,
@@ -47,6 +51,46 @@ class TestCanonFloat:
             digits = repr(canon_float(x)).replace("-", "").replace(".", "")
             mantissa = digits.split("e")[0].lstrip("0")
             assert len(mantissa) <= 12
+
+
+def random_finite_floats(count, seed):
+    """count floats from seeded random 64-bit patterns, none of them nan or infinite.
+
+    Every tenth pattern has its exponent bits cleared, so it is subnormal
+    (or zero); the others are nearly all normal.
+    """
+    rng = random.Random(seed)
+    # about one pattern in 2,048 is nan or infinite and is dropped
+    bits = array.array("Q", rng.randbytes(8 * (count + count // 100)))
+    bits[::10] = array.array("Q", [b & ~(0x7FF << 52) for b in bits[::10]])
+    return [x for x in array.array("d", bits.tobytes()) if math.isfinite(x)][:count]
+
+
+class TestFloatText:
+    def test_float_text_is_the_repr_of_the_canonical_float(self):
+        edges = [999999999999.5, 1e12, 9.99999999999e15, 1e16, 1e-4, 9.9999999999995e-5, 1e-5]
+        for k in range(-323, 309):
+            ten = float(f"1e{k}")
+            edges += (math.nextafter(ten, 0.0), ten, math.nextafter(ten, math.inf))
+        smallest_normal = 2.2250738585072014e-308
+        edges += [math.nextafter(smallest_normal, 0.0), smallest_normal]
+        edges += [math.nextafter(smallest_normal, 1.0), 5e-324, 0.0]
+        values = random_finite_floats(200_000, seed=2101_11542)
+        assert len(values) == 200_000
+        assert sum(1 for v in values if 0.0 < abs(v) < smallest_normal) > 19_000
+        values += edges + [-v for v in edges]
+        texts = list(map(_float_text, values))
+        expected = list(map(repr, map(canon_float, values)))
+        assert [v for v, text, want in zip(values, texts, expected) if text != want] == []
+
+    def test_json_spells_nan_and_infinities_as_json_does(self):
+        assert [_json_float(v) for v in (math.nan, math.inf, -math.inf)] == [
+            "NaN",
+            "Infinity",
+            "-Infinity",
+        ]
+        for v in (0.5, -0.0, 1e16, 1e-5, 5e-324, 2.0):
+            assert _json_float(v) == _float_text(v) == json.dumps(canon_float(v))
 
 
 def sample_rows():
@@ -275,10 +319,26 @@ class TestColumnPlan:
         self.check([{"R": v} for v in values + values[::-1]])
         self.check([{"R": v, "x": [v]} for v in values])
 
-    def test_list_column_with_none(self):
-        shared = [0, 2]
-        values = [shared, None, [0, 2], None, shared, (0, 2), [], None, [[0], 2.5]]
-        self.check([{"R": v, "m": 3} for v in values + values[::-1]])
+    @pytest.mark.parametrize("layout", ["run", "batches"])
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [True, False],
+            [0, 3, -7, 10**20],
+            ["", "a", "b c", "\u00e9"],
+            [0.5, 3.0, -0.0, 1e-5, 5e-324, 1e16, math.nan, math.inf, -math.inf],
+            [(0, 2), (), ((0,), 2.5), (0, 2)],
+            [[0, 2], [], [[0], 2.5], [0, 2]],
+        ],
+        ids=["bool", "int", "str", "float", "tuple", "list"],
+    )
+    def test_list_column_with_none(self, values, layout):
+        """A column of one type and None, in one run or over two batches."""
+        cells = [None, *values, None, *values[::-1], None]
+        if layout == "batches":
+            cells *= reporting.BATCH_ROWS // len(cells) + 2
+            assert len(cells) > reporting.BATCH_ROWS
+        self.check([{"R": v, "m": 3} for v in cells])
 
     def test_sweep_rows_share_their_residue_list(self):
         rows = list(sweeps.sweep_rows(3, 12))
