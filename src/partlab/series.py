@@ -150,8 +150,13 @@ def kernel_sides(m: int, offsets: tuple[int, ...], x: float) -> tuple[float, flo
     """
     if x <= 0:
         raise ValueError(f"x must be > 0, got {x}")
-    # sum: the empty sum stays the int 0, which the reports print as "0"
-    return sum(_kernel_term(r, m, x) for r in offsets), len(offsets) / (m * x * x)
+    # a left-to-right fold, not sum(): from Python 3.12 sum() adds floats
+    # with compensated summation, which would move the last bits of the
+    # reports by version; the empty fold stays the int 0, printed as "0"
+    lhs = 0
+    for r in offsets:
+        lhs += _kernel_term(r, m, x)
+    return lhs, len(offsets) / (m * x * x)
 
 
 def _row(

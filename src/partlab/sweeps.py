@@ -2,24 +2,25 @@
 
 A verify run walks all residue subsets R of {0..m-1} for each modulus
 m <= m_max (the empty subset rides along vacuously) in one task per
-modulus.  A task asks the modulus's TableFactory for each (spec, variant)
-table it needs once; with the counts check selected it first certifies
-all three tables of every spec with ``counting.certify``, then hands the
-same table objects to the bound checks, which read the spec and the n
-range from the table itself.  Every check returns the row dicts that are
-emitted, so each row is built once, and ``summarize`` folds one check's
-rows, any iterable of them, into the summary dict the report's head
-holds; the acceptance suite folds its own larger grids through it too.
-``table_rows`` takes the bound and slack columns from theorem1's rows,
-and ``sweep_rows`` yields them for one modulus's TableFactory at a time.
-Every command runs its work in this process, in order, so output is
-deterministic.  ``run_verify`` maps its per-modulus tasks through
-``_per_modulus``, whose process pool only an explicit
-``SweepConfig.workers`` above 1 reaches.
+modulus.  A task builds each (spec, variant) table from the modulus's
+TableFactory the first time a check reads it, and never twice; with the
+counts check selected it first certifies all three tables of every spec
+with ``counting.certify``, so the bound checks read the very objects it
+certified, and take the spec and the n range from the table itself.
+Every check returns the row dicts that are emitted, so each row is built
+once, and ``summarize`` folds one check's rows, any iterable of them,
+into the summary dict the report's head holds; the acceptance suite
+folds its own larger grids through it too.  ``table_rows`` takes the
+bound and slack columns from theorem1's rows, and ``sweep_rows`` yields
+them for one modulus's TableFactory at a time.  Every command runs its
+work in this process, in order, so output is deterministic.
+``run_verify`` maps its per-modulus tasks through ``_per_modulus``, whose
+process pool only an explicit ``SweepConfig.workers`` above 1 reaches.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
@@ -153,9 +154,11 @@ def _counts_row(table: CountTable, oracle_cache: dict) -> dict:
 def _rows_for_modulus(args: tuple) -> dict[str, list[dict]]:
     """All spec-dependent check rows for one modulus (worker entry point).
 
-    Each (spec, variant) table is asked for once; the counts rows certify
-    the very objects that theorem1, chain, rpoly, ratio and (for m = 1)
-    erdos read.
+    Each check asks for its table where it reads it, through one cached
+    lookup per spec, so a (spec, variant) table is built when first read
+    and never twice; the counts rows ask for all three first, and so
+    certify the very objects that theorem1, chain, rpoly, ratio and (for
+    m = 1) erdos read.
     """
     m, n_max, checks, oracle_cache = args
     by_check: dict[str, list[dict]] = {name: [] for name in checks}
@@ -168,31 +171,22 @@ def _rows_for_modulus(args: tuple) -> dict[str, list[dict]]:
             for x in x_grid:
                 by_check["eq2"].append(series.check_eq2_pointwise(r, m, x))
 
-    reads = {
-        "counts": SWEEP_VARIANTS,
-        "theorem1": (A_PLUS,),
-        # p(n) is the tail table of m=1, R={0}: the pentagonal table theorem1 reads
-        "erdos": (A_PLUS,) if m == 1 else (),
-        "chain": (FULL_A,),
-        "ratio": (FULL_A,),
-        "rpoly": (R_PLUS,),
-    }
-    labels = [v for v in SWEEP_VARIANTS if any(v in reads.get(name, ()) for name in by_check)]
     for spec in subsets_for_modulus(m):
-        tables = {label: factory.table(spec, label) for label in labels}
+        table = functools.cache(functools.partial(factory.table, spec))
         if "counts" in by_check:
             for label in SWEEP_VARIANTS:
-                by_check["counts"].append(_counts_row(tables[label], oracle_cache))
+                by_check["counts"].append(_counts_row(table(label), oracle_cache))
         if "theorem1" in by_check:
-            by_check["theorem1"].extend(bounds.check_theorem1(tables[A_PLUS]))
+            by_check["theorem1"].extend(bounds.check_theorem1(table(A_PLUS)))
+        # p(n) is the tail table of m=1, R={0}: the pentagonal table theorem1 reads
         if "erdos" in by_check and m == 1 and spec.residues == (0,):
-            by_check["erdos"] = bounds.check_erdos(tables[A_PLUS])
+            by_check["erdos"] = bounds.check_erdos(table(A_PLUS))
         if "chain" in by_check:
-            by_check["chain"].extend(bounds.check_nathanson_chain(tables[FULL_A]))
+            by_check["chain"].extend(bounds.check_nathanson_chain(table(FULL_A)))
         if "ratio" in by_check:
-            by_check["ratio"].extend(_ratio_rows(tables[FULL_A]))
+            by_check["ratio"].extend(_ratio_rows(table(FULL_A)))
         if "rpoly" in by_check:
-            by_check["rpoly"].extend(bounds.check_rplus_poly_bound(tables[R_PLUS]))
+            by_check["rpoly"].extend(bounds.check_rplus_poly_bound(table(R_PLUS)))
         if "eq1" in by_check:
             for t in t_grid:
                 by_check["eq1"].append(series.check_eq1(spec, t))

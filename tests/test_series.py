@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from partlab.series import (
+    _kernel_term,
     check_derivative_nonpositive,
     check_eq1,
     check_eq2_pointwise,
@@ -219,6 +220,17 @@ class TestSummedKernelBound:
             scale = max(abs(via_x), abs(via_t))
             if scale > 0:
                 assert abs(via_x - via_t) / scale < 1e-12
+
+    def test_lhs_is_the_left_to_right_fold(self):
+        """lhs adds the class terms in order, so its bits do not depend on the Python version.
+
+        From Python 3.12, sum() of these three terms gives ...736 instead.
+        """
+        lhs, _ = kernel_sides(3, (0, 1, 2), 0.001)
+        terms = [_kernel_term(r, 3, 0.001) for r in (0, 1, 2)]
+        assert lhs == (terms[0] + terms[1]) + terms[2] == 999996.9216621735
+        empty, _ = kernel_sides(3, (), 0.001)
+        assert empty == 0 and type(empty) is int
 
 
 class TestSinhGap:

@@ -76,12 +76,26 @@ def test_rows_of_a_spec_share_its_residue_tuple(monkeypatch):
         assert all(row["R"] is spec.residues for row in swept[11 * i : 11 * (i + 1)])
 
 
-def test_each_table_is_built_once_per_spec(monkeypatch):
-    """Default verify builds one factory per modulus and asks it once per (spec, variant).
+ALL_SPECS = [spec for m in range(1, 5) for spec in sweeps.subsets_for_modulus(m)]
 
-    The counts oracle certifies all three tables of every spec, and
-    theorem1, erdos, chain, ratio and rpoly read those same objects, so no
-    table is asked for twice.
+
+@pytest.mark.parametrize(
+    "checks, moduli, wanted",
+    [
+        (sweeps.CHECK_NAMES, 4, [(s, v) for s in ALL_SPECS for v in sweeps.SWEEP_VARIANTS]),
+        (("theorem1",), 4, [(s, A_PLUS) for s in ALL_SPECS]),
+        (("chain", "ratio"), 4, [(s, FULL_A) for s in ALL_SPECS]),
+        (("erdos",), 1, [(make_residue_spec(1, [0]), A_PLUS)]),
+    ],
+    ids=["default", "theorem1", "chain-ratio", "erdos"],
+)
+def test_each_table_is_built_once_per_spec(monkeypatch, checks, moduli, wanted):
+    """Verify builds one factory per modulus it reads and asks it once per (spec, variant) read.
+
+    A table is built when a check first reads it: the counts oracle
+    certifies all three tables of every spec, and theorem1, erdos, chain,
+    ratio and rpoly read those same objects, so no table is asked for
+    twice, and a variant no selected check reads is never built.
     """
     factories = []
     calls = []
@@ -98,16 +112,11 @@ def test_each_table_is_built_once_per_spec(monkeypatch):
 
     monkeypatch.setattr(counting.TableFactory, "__init__", counting_init)
     monkeypatch.setattr(counting.TableFactory, "table", recording)
-    result = sweeps.run_verify(sweeps.SweepConfig())
+    result = sweeps.run_verify(sweeps.SweepConfig(checks=checks))
     assert result.ok
-    assert factories == [300] * 4
-    assert len(calls) == 90
-    assert set(calls) == {
-        (spec, variant)
-        for m in range(1, 5)
-        for spec in sweeps.subsets_for_modulus(m)
-        for variant in sweeps.SWEEP_VARIANTS
-    }
+    assert factories == [300] * moduli
+    assert len(calls) == len(wanted)
+    assert set(calls) == set(wanted)
 
 
 def test_serial_run_imports_no_pool():
