@@ -114,6 +114,10 @@ def build_parser() -> argparse.ArgumentParser:
         "for residue-class part sets.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # the report options of table, verify and sweep
+    report = argparse.ArgumentParser(add_help=False)
+    report.add_argument("--format", choices=("json", "csv"), default="json")
+    report.add_argument("--output", default=None, help="file path, default stdout")
 
     p_count = sub.add_parser("count", help="count partitions with two engines")
     p_count.add_argument("--m", type=int, required=True, help="modulus (>= 1)")
@@ -127,15 +131,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_count.add_argument("--n", type=int, required=True, help="target integer")
     p_count.set_defaults(func=cmd_count)
 
-    p_table = sub.add_parser("table", help="per-n counts, bound, slack, ratio")
+    p_table = sub.add_parser(
+        "table", parents=[report], help="per-n counts, bound, slack, ratio"
+    )
     p_table.add_argument("--m", type=int, required=True)
     p_table.add_argument("--r", required=True)
     p_table.add_argument("--n-max", type=int, required=True)
-    p_table.add_argument("--format", choices=("json", "csv"), default="json")
-    p_table.add_argument("--output", default=None, help="file path, default stdout")
     p_table.set_defaults(func=cmd_table)
 
-    p_verify = sub.add_parser("verify", help="run named checks over a sweep grid")
+    p_verify = sub.add_parser(
+        "verify", parents=[report], help="run named checks over a sweep grid"
+    )
     p_verify.add_argument(
         "--checks",
         default=",".join(sweeps.CHECK_NAMES),
@@ -143,17 +149,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_verify.add_argument("--m-max", type=int, default=4)
     p_verify.add_argument("--n-max", type=int, default=300)
-    p_verify.add_argument("--format", choices=("json", "csv"), default="json")
-    p_verify.add_argument("--output", default=None)
     p_verify.set_defaults(func=cmd_verify)
 
     p_sweep = sub.add_parser(
-        "sweep", help="emit table rows for every residue subset up to m-max"
+        "sweep", parents=[report], help="emit table rows for every residue subset up to m-max"
     )
     p_sweep.add_argument("--m-max", type=int, required=True)
     p_sweep.add_argument("--n-max", type=int, required=True)
-    p_sweep.add_argument("--format", choices=("json", "csv"), default="json")
-    p_sweep.add_argument("--output", default=None)
     p_sweep.set_defaults(func=cmd_sweep)
 
     return parser

@@ -4,25 +4,34 @@ Counts are always decimal strings, never floats.  Floats are canonicalized
 to at most 12 significant digits before serialization, so identical runs
 produce byte-identical output and JSON/CSV carry identical values.
 
+The writers' contract: for any rows that ``json.dumps`` can encode,
+``document_to_json`` writes the bytes of ``json.dumps({**head, "rows":
+[canon_row(r, fields) for r in rows]}, indent=2) + "\\n"``, and any other
+value raises json's own TypeError; ``rows_to_csv`` writes the bytes of
+``csv.writer`` over ``_csv_cell`` of each ``canon_row`` value.
+
 Reports are streamed BATCH_ROWS rows at a time, so emission never holds the
 whole report in memory.  Both writers share one column plan: a batch is
 split into runs of rows of one shape (key order), and each field present in
 a run is pulled out as a column.  A column whose values other than None
 share one type, None among them or not, is encoded in one pass, with the
 writer's null text for None; a mixed one is encoded cell by cell, by exact
-value type.  Each distinct list or tuple object is encoded once per run.
-No writer keeps state from one run to the next.  JSON joins each row of a
-run from the run's template, in which the fields the shape lacks are
-already ``null``.  CSV joins a batch's cells itself when none needs
-quoting, and hands the batch to ``csv.writer`` otherwise.
+value type.  Only bool, int, str and float values take a writer's own text;
+JSON takes every other text, the head's and each list, tuple or dict
+value's, from ``json.dumps``.  Each distinct list or tuple object is
+encoded once per run.  No writer keeps state from one run to the next.
+JSON joins each row of a run from the run's template, in which the fields
+the shape lacks are already ``null``.  CSV joins a batch's cells itself
+when none needs quoting, and hands the batch to ``csv.writer`` otherwise.
 
-A float cell's text, and a float's in a JSON list, is ``_float_text(x)``:
-the repr of ``canon_float(x)``.  It is read straight from ``"%.12g" % x``
-when that text has a point and no exponent; when its exponent is negative
-and x is not subnormal (below the smallest normal float, 12 digits can be
-longer than the shortest repr); and, with ".0" added, when it is an
-integer other than -0.  Any other float takes ``canon_float`` and
-``repr``.  JSON spells nan and the infinities as ``json.dumps`` does.
+A float cell's text is ``_float_text(x)``: the repr of ``canon_float(x)``,
+as ``json.dumps`` writes a float in a list.  It is read straight from
+``"%.12g" % x`` when that text has a point and no exponent; when its
+exponent is negative and x is not subnormal (below the smallest normal
+float, 12 digits can be longer than the shortest repr); and, with ".0"
+added, when it is an integer other than -0.  Any other float takes
+``canon_float`` and ``repr``.  JSON spells nan and the infinities with
+``json.dumps``.
 """
 
 from __future__ import annotations
@@ -192,34 +201,12 @@ def _json_float(x: float) -> str:
     text = _float_text(x)
     if text[-1].isdigit():
         return text
-    return {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}[text]
-
-
-def _json_value(v, depth: int) -> str:
-    """Canonical JSON text of one row value nested at depth, as indent=2 writes it."""
-    if v is None:
-        return "null"
-    if v is True:
-        return "true"
-    if v is False:
-        return "false"
-    if isinstance(v, str):
-        return encode_basestring_ascii(v)
-    if isinstance(v, int):
-        return int.__repr__(v)
-    if isinstance(v, float):
-        return _json_float(v)
-    if isinstance(v, (list, tuple)):
-        if not v:
-            return "[]"
-        inner = "\n" + "  " * (depth + 1)
-        items = ("," + inner).join(_json_value(item, depth + 1) for item in v)
-        return "[" + inner + items + "\n" + "  " * depth + "]"
-    raise TypeError(f"row value of type {type(v).__name__} is not JSON serializable")
+    return json.dumps(x)
 
 
 def _json_other(v) -> str:
-    return _json_value(v, 3)
+    """json.dumps's text of a row value, indented for a field at depth 3."""
+    return json.dumps(canon_tree(v), indent=2).replace("\n", "\n      ")
 
 
 def document_to_json(
@@ -227,11 +214,10 @@ def document_to_json(
 ) -> None:
     """Write a report document as stable, human-readable JSON to out.
 
-    Row values may be None, bool, int, str, float, or a list or tuple of
-    these (nested lists and tuples too); any other value, a dict included,
-    raises TypeError.  For such rows the bytes equal ``json.dumps({**head,
-    "rows": [canon_row(r, fields) for r in rows]}, indent=2) + "\\n"``,
-    but no row is copied and no document string is built: ``head``
+    For any rows that ``json.dumps`` can encode, the bytes equal
+    ``json.dumps({**head, "rows": [canon_row(r, fields) for r in rows]},
+    indent=2) + "\\n"``; any other value raises json's own TypeError.  No
+    row is copied and no document string is built: ``head``
     (everything but the rows, canonicalized by the caller) goes through
     ``json.dumps``, and the rows are written BATCH_ROWS at a time.  Each
     run of one shape gets a template with the keys of fields and a literal
@@ -258,7 +244,8 @@ def document_to_json(
             # the template's pieces around its values; encode_basestring_ascii
             # escapes "\0" in keys, so "\0" marks each value
             template = [key + ("\0" if f in row_keys else "null") for key, f in zip(keys, fields)]
-            pieces = ("\n    {" + ",".join(template) + "\n    }").split("\0")
+            # json.dumps writes a dict with no key as {}
+            pieces = ("\n    {" + ",".join(template) + ("\n    }" if fields else "}")).split("\0")
             # a row's text joins pieces and values in turn; the first strand
             # is finite, so a shape with no field still yields its rows
             strands = [repeat(pieces[0], len(run))]

@@ -81,7 +81,10 @@ class TestFloatText:
         values += edges + [-v for v in edges]
         texts = list(map(_float_text, values))
         expected = list(map(repr, map(canon_float, values)))
-        assert [v for v, text, want in zip(values, texts, expected) if text != want] == []
+        json_texts = list(map(_json_float, values))
+        json_expected = list(map(json.dumps, map(canon_float, values)))
+        checked = zip(values, texts, expected, json_texts, json_expected)
+        assert [v for v, text, want, jtext, jwant in checked if (text, jtext) != (want, jwant)] == []
 
     def test_json_spells_nan_and_infinities_as_json_does(self):
         assert [_json_float(v) for v in (math.nan, math.inf, -math.inf)] == [
@@ -329,8 +332,9 @@ class TestColumnPlan:
             [0.5, 3.0, -0.0, 1e-5, 5e-324, 1e16, math.nan, math.inf, -math.inf],
             [(0, 2), (), ((0,), 2.5), (0, 2)],
             [[0, 2], [], [[0], 2.5], [0, 2]],
+            [{"a": [1, 2.5, math.nan]}, {}, {"b": ({"c": 0.1 + 0.2},)}],
         ],
-        ids=["bool", "int", "str", "float", "tuple", "list"],
+        ids=["bool", "int", "str", "float", "tuple", "list", "dict"],
     )
     def test_list_column_with_none(self, values, layout):
         """A column of one type and None, in one run or over two batches."""
@@ -350,3 +354,4 @@ class TestColumnPlan:
         rows += [{"m": 2, "R": [1, 2]}, {}]
         self.check(rows)
         self.check(rows, fields=("m",))
+        self.check(rows, fields=())
