@@ -114,14 +114,17 @@ def build_parser() -> argparse.ArgumentParser:
         "for residue-class part sets.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    m_help, n_help = "largest modulus (>= 1)", "largest n (>= 0)"
     # the report options of table, verify and sweep
     report = argparse.ArgumentParser(add_help=False)
     report.add_argument("--format", choices=("json", "csv"), default="json")
     report.add_argument("--output", default=None, help="file path, default stdout")
+    # the residue spec options of count and table
+    spec = argparse.ArgumentParser(add_help=False)
+    spec.add_argument("--m", type=int, required=True, help="modulus (>= 1)")
+    spec.add_argument("--r", required=True, help="comma-separated residues, '' for empty")
 
-    p_count = sub.add_parser("count", help="count partitions with two engines")
-    p_count.add_argument("--m", type=int, required=True, help="modulus (>= 1)")
-    p_count.add_argument("--r", required=True, help="comma-separated residues, '' for empty")
+    p_count = sub.add_parser("count", parents=[spec], help="count partitions with two engines")
     p_count.add_argument(
         "--variant",
         choices=sweeps.SWEEP_VARIANTS,
@@ -132,11 +135,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_count.set_defaults(func=cmd_count)
 
     p_table = sub.add_parser(
-        "table", parents=[report], help="per-n counts, bound, slack, ratio"
+        "table", parents=[report, spec], help="per-n counts, bound, slack, ratio"
     )
-    p_table.add_argument("--m", type=int, required=True)
-    p_table.add_argument("--r", required=True)
-    p_table.add_argument("--n-max", type=int, required=True)
+    p_table.add_argument("--n-max", type=int, required=True, help=n_help)
     p_table.set_defaults(func=cmd_table)
 
     p_verify = sub.add_parser(
@@ -147,15 +148,15 @@ def build_parser() -> argparse.ArgumentParser:
         default=",".join(sweeps.CHECK_NAMES),
         help=f"comma-separated subset of {','.join(sweeps.CHECK_NAMES)}",
     )
-    p_verify.add_argument("--m-max", type=int, default=4)
-    p_verify.add_argument("--n-max", type=int, default=300)
+    p_verify.add_argument("--m-max", type=int, default=4, help=m_help + ", default %(default)s")
+    p_verify.add_argument("--n-max", type=int, default=300, help=n_help + ", default %(default)s")
     p_verify.set_defaults(func=cmd_verify)
 
     p_sweep = sub.add_parser(
         "sweep", parents=[report], help="emit table rows for every residue subset up to m-max"
     )
-    p_sweep.add_argument("--m-max", type=int, required=True)
-    p_sweep.add_argument("--n-max", type=int, required=True)
+    p_sweep.add_argument("--m-max", type=int, required=True, help=m_help)
+    p_sweep.add_argument("--n-max", type=int, required=True, help=n_help)
     p_sweep.set_defaults(func=cmd_sweep)
 
     return parser

@@ -68,17 +68,14 @@ def parts_up_to(spec: ResidueSpec, variant: str, n: int) -> list[int]:
     """
     if n < 0:
         raise ValueError(f"bound must be >= 0, got {n}")
-    m = spec.m
-    if variant == FULL_A:
-        out: list[int] = []
-        for r in spec.residues:
-            out.extend(range(r if r >= 1 else m, n + 1, m))
-        return sorted(out)
-    if variant == A_PLUS:
-        out = []
-        for r in spec.residues:
-            out.extend(range(m + r, n + 1, m))
-        return sorted(out)
     if variant == R_PLUS:
         return [r for r in spec.residues if 1 <= r <= n]
-    raise SpecError(f"unknown variant {variant!r}")
+    if variant not in (FULL_A, A_PLUS):
+        raise SpecError(f"unknown variant {variant!r}")
+    m = spec.m
+    out: list[int] = []
+    for r in spec.residues:
+        # the class of r starts at m + r in A+, and at r in A (at m when r = 0)
+        start = m + r if variant == A_PLUS else r or m
+        out.extend(range(start, n + 1, m))
+    return sorted(out)

@@ -4,11 +4,14 @@ Counts are always decimal strings, never floats.  Floats are canonicalized
 to at most 12 significant digits before serialization, so identical runs
 produce byte-identical output and JSON/CSV carry identical values.
 
-The writers' contract: for any rows that ``json.dumps`` can encode,
-``document_to_json`` writes the bytes of ``json.dumps({**head, "rows":
-[canon_row(r, fields) for r in rows]}, indent=2) + "\\n"``, and any other
-value raises json's own TypeError; ``rows_to_csv`` writes the bytes of
-``csv.writer`` over ``_csv_cell`` of each ``canon_row`` value.
+The writers' contract, with each row's canonical form ``{f:
+canon_tree(row.get(f)) for f in fields}``: for any rows that ``json.dumps``
+can encode, ``document_to_json`` writes the bytes of ``json.dumps({**head,
+"rows": [canonical rows]}, indent=2) + "\\n"``, and any other value raises
+json's own TypeError; ``rows_to_csv`` writes the bytes of ``csv.writer``
+over the canonical values' cells.  A CSV cell is empty for None, ``true``
+or ``false`` for a bool, the ``;``-join of its items' ``str`` for a list,
+and ``str`` of any other value.
 
 Reports are streamed BATCH_ROWS rows at a time, so emission never holds the
 whole report in memory.  Both writers share one column plan: a batch is
@@ -89,11 +92,6 @@ def canon_tree(node):
     return node
 
 
-def canon_row(row: dict, fields: Sequence[str]) -> dict:
-    """Project a row onto the fixed field order with canonical values."""
-    return {f: canon_tree(row.get(f)) for f in fields}
-
-
 def _float_text(x: float) -> str:
     """A float's report text, the repr of ``canon_float(x)``, by the module docstring's rule."""
     s = "%.12g" % x
@@ -137,29 +135,19 @@ def _column_text(
     return [null if v is None else cell(type(v), other)(v) for v in column]
 
 
-def _csv_cell(v) -> str:
-    if v is None:
-        return ""
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, float):
-        return repr(v)  # repr of a canonicalized float, identical to JSON
-    if isinstance(v, list):
-        return ";".join(str(item) for item in v)
-    return str(v)
-
-
 def _csv_other(v) -> str:
-    return _csv_cell(canon_tree(v))
+    """The CSV cell of a list, tuple, dict or other value the column plan has no text for."""
+    v = canon_tree(v)
+    return ";".join(map(str, v)) if isinstance(v, list) else str(v)
 
 
 def rows_to_csv(rows: Iterable[dict], fields: Sequence[str], out: TextIO) -> None:
     """Write rows as CSV with the given header to out, deterministically.
 
-    Each cell equals ``_csv_cell`` of the ``canon_row`` value, without
-    building the canonical row.  A batch's cells are joined here when none
-    holds a comma, quote or line break, which csv.writer would quote; any
-    other batch, or one of one field, goes through csv.writer.
+    Each cell is the module docstring's CSV cell of the canonical value,
+    without building the canonical row.  A batch's cells are joined here
+    when none holds a comma, quote or line break, which csv.writer would
+    quote; any other batch, or one of one field, goes through csv.writer.
     """
     cells = {
         bool: {False: "false", True: "true"}.__getitem__,
@@ -215,13 +203,13 @@ def document_to_json(
     """Write a report document as stable, human-readable JSON to out.
 
     For any rows that ``json.dumps`` can encode, the bytes equal
-    ``json.dumps({**head, "rows": [canon_row(r, fields) for r in rows]},
-    indent=2) + "\\n"``; any other value raises json's own TypeError.  No
-    row is copied and no document string is built: ``head``
-    (everything but the rows, canonicalized by the caller) goes through
-    ``json.dumps``, and the rows are written BATCH_ROWS at a time.  Each
-    run of one shape gets a template with the keys of fields and a literal
-    ``null`` for each field the shape lacks.
+    ``json.dumps({**head, "rows": [{f: canon_tree(r.get(f)) for f in
+    fields} for r in rows]}, indent=2) + "\\n"``; any other value raises
+    json's own TypeError.  No row is copied and no document string is
+    built: ``head`` (everything but the rows, canonicalized by the caller)
+    goes through ``json.dumps``, and the rows are written BATCH_ROWS at a
+    time.  Each run of one shape gets a template with the keys of fields
+    and a literal ``null`` for each field the shape lacks.
     """
     text = json.dumps({**head, "rows": []}, indent=2)
     out.write(text[: -len("[]\n}")])  # everything before the rows' value

@@ -4,8 +4,8 @@ Runs verify, table and sweep (JSON and CSV each) and count (each variant)
 on small grids in this process under ``sys.setprofile``, and lists the
 functions and methods defined in ``src/partlab`` that no call entered.
 Code that only tests reach must be wired into a command or deleted, so
-that list is pinned: ``reporting.canon_row`` stays as the reference that
-``test_reporting`` holds the writers' bytes to.  Methods that dataclasses
+that list is pinned empty: references that only tests run, such as the
+writers' byte references, live in the tests.  Methods that dataclasses
 generate have no source in the package and are not listed.
 """
 
@@ -17,7 +17,7 @@ from partlab import cli
 
 PACKAGE = Path(cli.__file__).resolve().parent
 
-NEVER_CALLED = {"reporting.canon_row"}
+NEVER_CALLED = set()
 
 
 def _defined_functions() -> dict:

@@ -6,6 +6,7 @@ import io
 import json
 import math
 import random
+from typing import Sequence
 
 import pytest
 from hypothesis import given, settings
@@ -15,11 +16,10 @@ from partlab import reporting, sweeps
 from partlab.reporting import (
     SWEEP_FIELDS,
     TABLE_FIELDS,
-    _csv_cell,
     _float_text,
     _json_float,
     canon_float,
-    canon_row,
+    canon_tree,
     document_to_json,
     rows_to_csv,
 )
@@ -164,6 +164,24 @@ heads = st.dictionaries(
     st.one_of(scalars, st.lists(st.integers(0, 9), max_size=3)),
     max_size=3,
 )
+
+
+# The writers' byte references: the canonical row and its CSV cells.
+def canon_row(row: dict, fields: Sequence[str]) -> dict:
+    """Project a row onto the fixed field order with canonical values."""
+    return {f: canon_tree(row.get(f)) for f in fields}
+
+
+def _csv_cell(v) -> str:
+    if v is None:
+        return ""
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    if isinstance(v, float):
+        return repr(v)  # repr of a canonicalized float, identical to JSON
+    if isinstance(v, list):
+        return ";".join(str(item) for item in v)
+    return str(v)
 
 
 def reference_json(head, rows, fields):
