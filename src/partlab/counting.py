@@ -101,8 +101,6 @@ def _divisor_sums(parts: tuple[int, ...], n: int) -> list[int]:
     """sigma[d] = sum of the parts that divide d, for 0 <= d <= n (sigma[0] = 0)."""
     sigma = [0] * (n + 1)
     for s in parts:
-        if s > n:
-            break
         for d in range(s, n + 1, s):
             sigma[d] += s
     return sigma

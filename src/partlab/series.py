@@ -59,9 +59,8 @@ def default_x_grid() -> list[float]:
     """
     step = 5.0 / 199
     pts = [10.0 ** (-3.0 + i * step) for i in range(200)]
-    if 1.0 not in pts:
-        pts.append(1.0)
-        pts.sort()
+    pts.append(1.0)
+    pts.sort()
     return pts
 
 
@@ -80,9 +79,9 @@ def series_sum_adaptive(spec: ResidueSpec, t: float) -> tuple[float, bool]:
     multiplication with t**m within each residue class, and reads the
     partial sum at the cutoffs TAIL_RULE_START, 2*TAIL_RULE_START, ...,
     TAIL_RULE_CAP.  Returns at the first doubling that changes the partial
-    sum by less than TAIL_RULE_REL relatively (or leaves it 0.0), a
-    certified truncation without symbolic tail bounds; gives up
-    (converged=False) at the cap, which occurs only as t approaches 1.
+    sum by less than TAIL_RULE_REL relatively, a certified truncation
+    without symbolic tail bounds; gives up (converged=False) at the cap,
+    which occurs only as t approaches 1.
     Each partial sum is the float that summing from scratch to its cutoff
     gives, because the terms and their order are the same.
     """
@@ -102,9 +101,7 @@ def series_sum_adaptive(spec: ResidueSpec, t: float) -> tuple[float, bool]:
         for i, r in enumerate(residues):
             a = base + r
             while a > cutoff:  # total is the partial sum over a <= cutoff
-                if previous is not None and (
-                    total == 0.0 or total - previous <= TAIL_RULE_REL * total
-                ):
+                if previous is not None and total - previous <= TAIL_RULE_REL * total:
                     return total, True
                 if cutoff > TAIL_RULE_CAP // 2:
                     return total, False
@@ -250,13 +247,9 @@ def check_sqrt_split(n: int) -> dict:
     root_n = math.sqrt(n)
     sqrt = math.sqrt
     worst = math.inf
-    ok = True
     for d in range(1, n + 1):
-        split = root_n - d / (2.0 * root_n)
-        root = sqrt(n - d)
-        ok = ok and root <= split
-        worst = min(worst, split - root)
-    return {"check": "sqrt-split", "n": n, "margin": worst, "holds": ok}
+        worst = min(worst, root_n - d / (2.0 * root_n) - sqrt(n - d))
+    return {"check": "sqrt-split", "n": n, "margin": worst, "holds": worst >= 0}
 
 
 def check_derivative_nonpositive(r: int, m: int, x_grid: list[float]) -> list[dict]:
@@ -274,7 +267,7 @@ def check_derivative_nonpositive(r: int, m: int, x_grid: list[float]) -> list[di
     for x in x_grid:
         if x < 0:
             raise ValueError(f"grid points must be >= 0, got {x}")
-        t = math.exp(-x) if x > 0 else 1.0
+        t = math.exp(-x)
         deriv = r * (r + m) * (math.exp(-(m + r) * x) - math.exp(-r * x))
         out.append(_row("envelope-derivative", m, None, r, x, t, deriv, 0.0, -deriv, deriv <= 0))
         envelope = (r + m) * math.exp(-r * x) - r * math.exp(-(m + r) * x)

@@ -14,8 +14,9 @@ folds its own larger grids through it too.  ``table_rows`` takes the
 bound and slack columns from theorem1's rows, and ``sweep_rows`` yields
 them for one modulus's TableFactory at a time.  Every command runs its
 work in this process, in order, so output is deterministic.
-``run_verify`` maps its per-modulus tasks through ``_per_modulus``, whose
-process pool only an explicit ``SweepConfig.workers`` above 1 reaches.
+``run_verify`` maps one task per modulus, for every selection, through
+``_per_modulus``, whose process pool only an explicit
+``SweepConfig.workers`` above 1 reaches.
 """
 
 from __future__ import annotations
@@ -267,18 +268,13 @@ def run_verify(config: SweepConfig) -> VerifyResult:
     """Run every selected check over the configured grid."""
     by_check: dict[str, list[dict]] = {name: [] for name in config.checks}
 
-    # every check but these two reads the tables or grids of a modulus, one
-    # task per modulus (erdos reads the m = 1 task's table of p(n))
-    spec_checks = tuple(c for c in config.checks if c not in ("helpers", "remark"))
-    # One recurrence-and-walk cache for the run, keyed by part list: lists
-    # such as {1, 2, ...} recur for every m.  The builtin map shares this
-    # dict across moduli; a pool pickles a copy into each task, so workers
-    # may repeat a walk, and give the same rows.
+    # One task per modulus for every selection, each building only the tables
+    # its checks read.  One recurrence-and-walk cache for the run, keyed by part
+    # list: lists such as {1, 2, ...} recur for every m.  The builtin map shares
+    # it across moduli; a pool pickles a copy into each task, which may re-walk.
     oracle_cache: dict = {}
     tasks = [
-        (m, config.n_max, spec_checks, oracle_cache)
-        for m in range(1, config.m_max + 1)
-        if spec_checks and (m == 1 or spec_checks != ("erdos",))
+        (m, config.n_max, config.checks, oracle_cache) for m in range(1, config.m_max + 1)
     ]
     for partial in _per_modulus(_rows_for_modulus, tasks, config.workers):
         for name, rows in partial.items():

@@ -491,12 +491,6 @@ class TestWorkers:
         assert sweeps.run_verify(config).ok
         assert pool_sizes == [3]
 
-    def test_erdos_alone_starts_no_pool(self, pool_sizes):
-        # erdos reads the m = 1 task's table only, so it makes one task
-        config = sweeps.SweepConfig(m_max=3, n_max=20, checks=("erdos",), workers=64)
-        assert [r["n"] for r in sweeps.run_verify(config).rows] == list(range(21))
-        assert pool_sizes == []
-
 
 class TestSweep:
     def test_rows_cover_all_nonempty_subsets(self, capsys):

@@ -3,7 +3,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from partlab.series import (
@@ -24,6 +24,9 @@ from partlab.series import (
 from partlab.partset import make_residue_spec
 from _oracle import lhs_series_truncated, series_sum_reference
 from test_partset import spec_strategy
+
+
+TINY_T = [5e-324, 1e-300, 1e-200]
 
 
 class TestGrids:
@@ -86,11 +89,19 @@ class TestTruncatedSeries:
 
     @given(
         spec=spec_strategy(m_max=8),
-        t=st.one_of(st.sampled_from(default_t_grid()), st.floats(0.01, 0.99)),
+        t=st.one_of(st.sampled_from(default_t_grid() + TINY_T), st.floats(0.01, 0.99)),
     )
+    @example(spec=make_residue_spec(1, [0]), t=5e-324)
+    @example(spec=make_residue_spec(2, [1]), t=1e-300)
+    @example(spec=make_residue_spec(8, [0, 3, 7]), t=1e-200)
     @settings(max_examples=150, deadline=None)
     def test_one_pass_equals_from_scratch_reference(self, spec, t):
-        """The one-pass sum reads the partial sums the doubling rule re-sums."""
+        """The one-pass sum reads the partial sums the doubling rule re-sums.
+
+        At the TINY_T every term, or every term after the first, underflows
+        to 0.0, so a doubling leaves the partial sum unchanged and the rule
+        stops there, also when the sum itself is 0.0.
+        """
         value, converged = series_sum_adaptive(spec, t)
         ref_value, ref_converged = series_sum_reference(spec, t)
         assert value.hex() == ref_value.hex()
@@ -282,6 +293,21 @@ class TestSqrtSplit:
                 for k in range(1, n // a + 1)
             )
             assert row["margin"] == least
+
+    def test_one_failing_split_fails_the_row(self, monkeypatch):
+        """A sqrt(n - d) that reads 0.1 too high at one d fails the row, by that d's gap."""
+        real = math.sqrt
+
+        def high_at_43(v):
+            return real(v) + 0.1 if v == 43 else real(v)
+
+        monkeypatch.setattr(math, "sqrt", high_at_43)
+        row = check_sqrt_split(50)
+        monkeypatch.undo()
+        gap = (math.sqrt(50) - 7 / (2.0 * math.sqrt(50))) - (math.sqrt(43) + 0.1)
+        assert row["holds"] is False
+        assert row["margin"] == gap
+        assert row["margin"] == pytest.approx(-0.0813, abs=1e-4)
 
 
 class TestEnvelope:

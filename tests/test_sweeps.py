@@ -85,12 +85,12 @@ ALL_SPECS = [spec for m in range(1, 5) for spec in sweeps.subsets_for_modulus(m)
         (sweeps.CHECK_NAMES, 4, [(s, v) for s in ALL_SPECS for v in sweeps.SWEEP_VARIANTS]),
         (("theorem1",), 4, [(s, A_PLUS) for s in ALL_SPECS]),
         (("chain", "ratio"), 4, [(s, FULL_A) for s in ALL_SPECS]),
-        (("erdos",), 1, [(make_residue_spec(1, [0]), A_PLUS)]),
+        (("erdos",), 4, [(make_residue_spec(1, [0]), A_PLUS)]),
     ],
     ids=["default", "theorem1", "chain-ratio", "erdos"],
 )
 def test_each_table_is_built_once_per_spec(monkeypatch, checks, moduli, wanted):
-    """Verify builds one factory per modulus it reads and asks it once per (spec, variant) read.
+    """Verify builds one factory per modulus and asks it once per (spec, variant) read.
 
     A table is built when a check first reads it: the counts oracle
     certifies all three tables of every spec, and theorem1, erdos, chain,
