@@ -2,7 +2,8 @@
 
 Exit codes: 0 on success (every selected check holds), 1 when a check or
 engine-agreement test fails, 2 on configuration errors (bad spec, unknown
-check name, unwritable output path).
+check name, unwritable output path), 3 when a command crashes with any
+other exception, whose traceback goes to stderr.
 
 Every command runs in this one process and starts no other.  table,
 verify and sweep stream their report row by row to one output stream,
@@ -25,6 +26,7 @@ from .partset import FULL_A, SpecError, make_residue_spec
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_CONFIG = 2
+EXIT_CRASH = 3
 
 
 def _parse_residues(text: str):
@@ -180,6 +182,13 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_CONFIG
+    except Exception:
+        # imported here, as only a crash reads it: at module level it adds
+        # about 4 ms to every command's start
+        import traceback
+
+        traceback.print_exc()
+        return EXIT_CRASH
 
 
 if __name__ == "__main__":

@@ -1,8 +1,8 @@
 """Sweep drivers: every checker, over grids of residue families.
 
 A verify run walks all residue subsets R of {0..m-1} for each modulus
-m <= m_max (the empty subset rides along vacuously) in one task per
-modulus.  A task builds each (spec, variant) table from the modulus's
+m <= m_max (the empty subset rides along vacuously), one modulus at a
+time.  Each modulus builds each (spec, variant) table from its own
 TableFactory the first time a check reads it, and never twice; with the
 counts check selected it first certifies all three tables of every spec
 with ``counting.certify``, so the bound checks read the very objects it
@@ -14,9 +14,6 @@ folds its own larger grids through it too.  ``table_rows`` takes the
 bound and slack columns from theorem1's rows, and ``sweep_rows`` yields
 them for one modulus's TableFactory at a time.  Every command runs its
 work in this process, in order, so output is deterministic.
-``run_verify`` maps one task per modulus, for every selection, through
-``_per_modulus``, whose process pool only an explicit
-``SweepConfig.workers`` above 1 reaches.
 """
 
 from __future__ import annotations
@@ -51,7 +48,12 @@ SQRT_SWEEP_N_MAX = 200
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """What to verify, over which grid, with how many worker processes."""
+    """What to verify, over which grid.
+
+    No code reads ``workers``: every run is one process.  The field stays
+    only because ``partbench/layertrace.pool_speedup`` copies a config with
+    ``workers=2``; it goes when that call does (ROADMAP item 12).
+    """
 
     m_max: int = 4
     n_max: int = 300
@@ -152,8 +154,10 @@ def _counts_row(table: CountTable, oracle_cache: dict) -> dict:
     }
 
 
-def _rows_for_modulus(args: tuple) -> dict[str, list[dict]]:
-    """All spec-dependent check rows for one modulus (worker entry point).
+def _rows_for_modulus(
+    m: int, n_max: int, by_check: dict[str, list[dict]], oracle_cache: dict
+) -> None:
+    """Append every spec-dependent check row of one modulus to its check's list.
 
     Each check asks for its table where it reads it, through one cached
     lookup per spec, so a (spec, variant) table is built when first read
@@ -161,8 +165,6 @@ def _rows_for_modulus(args: tuple) -> dict[str, list[dict]]:
     certify the very objects that theorem1, chain, rpoly, ratio and (for
     m = 1) erdos read.
     """
-    m, n_max, checks, oracle_cache = args
-    by_check: dict[str, list[dict]] = {name: [] for name in checks}
     factory = TableFactory(n_max)
     x_grid = series.default_x_grid()
     t_grid = series.default_t_grid()
@@ -181,7 +183,7 @@ def _rows_for_modulus(args: tuple) -> dict[str, list[dict]]:
             by_check["theorem1"].extend(bounds.check_theorem1(table(A_PLUS)))
         # p(n) is the tail table of m=1, R={0}: the pentagonal table theorem1 reads
         if "erdos" in by_check and m == 1 and spec.residues == (0,):
-            by_check["erdos"] = bounds.check_erdos(table(A_PLUS))
+            by_check["erdos"].extend(bounds.check_erdos(table(A_PLUS)))
         if "chain" in by_check:
             by_check["chain"].extend(bounds.check_nathanson_chain(table(FULL_A)))
         if "ratio" in by_check:
@@ -194,7 +196,6 @@ def _rows_for_modulus(args: tuple) -> dict[str, list[dict]]:
         if "eq3" in by_check:
             for x in x_grid:
                 by_check["eq3"].append(series.check_eq3(spec, x))
-    return by_check
 
 
 def _helper_rows(m_max: int, n_sqrt_max: int) -> list[dict]:
@@ -244,41 +245,15 @@ def summarize(name: str, rows: Iterable[dict]) -> dict:
     }
 
 
-def _per_modulus(fn, tasks: list, workers: int):
-    """Yield fn(task) for every task, in order.
-
-    One worker, or one task, runs them here with the builtin map, as every
-    command does.  Otherwise a process pool of at most one worker per task
-    maps them; the one caller that asks for that is the benchmark's
-    ``partbench/layertrace.pool_speedup``, which times ``run_verify`` at
-    ``workers=2``.  The pool's module loads multiprocessing, so it is
-    imported only then, and a serial run never pays for it.
-    """
-    workers = min(workers, len(tasks))
-    if workers <= 1:
-        yield from map(fn, tasks)
-        return
-    from concurrent.futures import ProcessPoolExecutor
-
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        yield from pool.map(fn, tasks)
-
-
 def run_verify(config: SweepConfig) -> VerifyResult:
     """Run every selected check over the configured grid."""
     by_check: dict[str, list[dict]] = {name: [] for name in config.checks}
 
-    # One task per modulus for every selection, each building only the tables
-    # its checks read.  One recurrence-and-walk cache for the run, keyed by part
-    # list: lists such as {1, 2, ...} recur for every m.  The builtin map shares
-    # it across moduli; a pool pickles a copy into each task, which may re-walk.
+    # One recurrence-and-walk cache for the run, keyed by part list: lists
+    # such as {1, 2, ...} recur for every m.
     oracle_cache: dict = {}
-    tasks = [
-        (m, config.n_max, config.checks, oracle_cache) for m in range(1, config.m_max + 1)
-    ]
-    for partial in _per_modulus(_rows_for_modulus, tasks, config.workers):
-        for name, rows in partial.items():
-            by_check[name].extend(rows)
+    for m in range(1, config.m_max + 1):
+        _rows_for_modulus(m, config.n_max, by_check, oracle_cache)
 
     if "helpers" in by_check:
         by_check["helpers"] = _helper_rows(

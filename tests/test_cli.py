@@ -1,6 +1,5 @@
 """Command-line behavior: subcommands, exit codes, determinism."""
 
-import concurrent.futures
 import hashlib
 import json
 
@@ -368,28 +367,30 @@ class TestVerify:
         assert header.startswith("check,m,R,variant,n,count")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["verify"], ["count", "--m", "2", "--r", "1", "--n", "10"]],
+    ids=["verify", "count"],
+)
+def test_crash_is_not_a_failed_check(capsys, monkeypatch, argv):
+    """An exception main does not handle exits 3 with its traceback, not 1."""
+
+    def broken(self, spec, variant):
+        raise TypeError("injected")
+
+    monkeypatch.setattr(counting.TableFactory, "table", broken)
+    code, _, err = run_cli(capsys, argv)
+    assert code == 3
+    assert "Traceback (most recent call last)" in err
+    assert "TypeError: injected" in err
+
+
 class TestDeterminism:
     def test_byte_identical_repeats(self, capsys):
         argv = ["verify", "--checks", "theorem1,eq3", "--m-max", "2", "--n-max", "40"]
         _, out1, _ = run_cli(capsys, argv)
         _, out2, _ = run_cli(capsys, argv)
         assert out1 == out2
-
-    def test_workers_do_not_change_output(self, capsys, monkeypatch):
-        """verify through the two-worker pool prints the bytes of the one-process run."""
-        argv = ["verify", "--checks", "counts,theorem1,chain", "--m-max", "3", "--n-max", "60"]
-        _, serial, _ = run_cli(capsys, argv)
-        real = sweeps.SweepConfig
-        used = []
-
-        def pooled(**fields):
-            used.append(2)
-            return real(**fields, workers=2)
-
-        monkeypatch.setattr(sweeps, "SweepConfig", pooled)
-        _, parallel, _ = run_cli(capsys, argv)
-        assert used == [2]
-        assert serial == parallel
 
     def test_json_and_csv_values_match(self, capsys):
         base = ["verify", "--checks", "theorem1", "--m-max", "2", "--n-max", "25"]
@@ -462,34 +463,6 @@ class TestGoldens:
         code, out, _ = run_cli(capsys, argv)
         assert code == 0
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
-
-
-class TestWorkers:
-    @pytest.fixture
-    def pool_sizes(self, monkeypatch):
-        """Record each pool's max_workers and run its map serially."""
-        sizes = []
-
-        class RecordingPool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, tasks):
-                return map(fn, tasks)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-        return sizes
-
-    def test_verify_pool_capped_at_task_count(self, pool_sizes):
-        config = sweeps.SweepConfig(m_max=3, n_max=20, checks=("theorem1",), workers=64)
-        assert sweeps.run_verify(config).ok
-        assert pool_sizes == [3]
 
 
 class TestSweep:

@@ -1,9 +1,7 @@
-"""Sweep drivers: one table per (spec, variant), the shared oracle cache, the pool, the fold,
+"""Sweep drivers: one table per (spec, variant), the shared oracle cache, the fold,
 the streamed sweep."""
 
-import concurrent.futures
 import math
-import pickle
 import subprocess
 import sys
 from dataclasses import replace
@@ -119,6 +117,26 @@ def test_each_table_is_built_once_per_spec(monkeypatch, checks, moduli, wanted):
     assert set(calls) == set(wanted)
 
 
+# appended to a fresh interpreter's code: prints which pool modules it loaded
+PRINT_POOL_MODULES = (
+    "; print(sorted(m for m in ('concurrent.futures.process', 'multiprocessing') "
+    "if m in sys.modules))"
+)
+
+
+def _fresh_stdout(code: str) -> list[str]:
+    """The stdout lines of ``code`` run in a fresh interpreter that imports this src."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    done = subprocess.run(
+        [sys.executable, "-c", code + PRINT_POOL_MODULES],
+        env={"PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    return done.stdout.splitlines()
+
+
 def test_serial_run_imports_no_pool():
     """No command loads the process pool's module or multiprocessing, on any machine."""
     code = (
@@ -127,44 +145,24 @@ def test_serial_run_imports_no_pool():
         "'--n-max', '10', '--output', '-']) == 0; "
         "assert cli.main(['sweep', '--m-max', '2', '--n-max', '10']) == 0; "
         "assert cli.main(['table', '--m', '2', '--r', '1', '--n-max', '10']) == 0; "
-        "assert cli.main(['count', '--m', '2', '--r', '1', '--n', '10']) == 0; "
-        "print(sorted(m for m in ('concurrent.futures.process', 'multiprocessing') "
-        "if m in sys.modules))"
+        "assert cli.main(['count', '--m', '2', '--r', '1', '--n', '10']) == 0"
     )
-    src = Path(__file__).resolve().parent.parent / "src"
-    done = subprocess.run(
-        [sys.executable, "-c", code],
-        env={"PYTHONPATH": str(src)},
-        capture_output=True,
-        text=True,
-        check=True,
+    assert _fresh_stdout(code)[-1] == "[]"
+
+
+def test_workers_field_starts_no_pool():
+    """The benchmark's ``replace(config, workers=2)`` runs here, as workers=1 does.
+
+    ``SweepConfig.workers`` stays only for that call; no code reads it, so
+    the rows and summaries are the one-process run's and no pool module loads.
+    """
+    code = (
+        "import dataclasses, sys; from partlab import sweeps; "
+        "config = sweeps.SweepConfig(m_max=2, n_max=10, checks=('counts', 'theorem1')); "
+        "runs = [sweeps.run_verify(dataclasses.replace(config, workers=w)) for w in (1, 2)]; "
+        "print(runs[0].rows == runs[1].rows and runs[0].summaries == runs[1].summaries)"
     )
-    assert done.stdout.splitlines()[-1] == "[]"
-
-
-def test_pool_tasks_are_queued_before_the_counts_oracle(monkeypatch):
-    """With workers > 1 the per-modulus tasks, counts oracle included, give the serial rows."""
-
-    class PicklingPool:
-        """Runs each task on its own pickled copy, as a process pool does."""
-
-        def __init__(self, max_workers):
-            pass
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, tasks):
-            return [fn(pickle.loads(pickle.dumps(t))) for t in tasks]
-
-    config = sweeps.SweepConfig(m_max=3, n_max=20, checks=("counts", "theorem1"))
-    serial = sweeps.run_verify(config)
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", PicklingPool)
-    pooled = sweeps.run_verify(replace(config, workers=2))
-    assert pooled.rows == serial.rows
+    assert _fresh_stdout(code) == ["True", "[]"]
 
 
 def test_sweep_refuses_negative_n_max_before_any_task(monkeypatch):
