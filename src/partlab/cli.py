@@ -90,7 +90,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     _write_report(args, head, result.rows, reporting.VERIFY_FIELDS)
     for s in result.summaries:
         worst = s["worst_margin"]
-        worst = "-" if worst is None else repr(reporting.canon_float(worst))
+        worst = "-" if worst is None else reporting._float_text(worst)
         status = "ok" if s["holds"] else "FAIL"
         sys.stderr.write(
             f"check={s['name']} rows={s['rows']} failures={s['failures']} "
@@ -146,13 +146,14 @@ def build_parser() -> argparse.ArgumentParser:
         "verify", parents=[report], help="run named checks over a sweep grid"
     )
     p_verify.add_argument(
-        "--checks",
-        default=",".join(sweeps.CHECK_NAMES),
-        help=f"comma-separated subset of {','.join(sweeps.CHECK_NAMES)}",
+        "--checks", help=f"comma-separated subset of {','.join(sweeps.CHECK_NAMES)}"
     )
-    p_verify.add_argument("--m-max", type=int, default=4, help=m_help + ", default %(default)s")
-    p_verify.add_argument("--n-max", type=int, default=300, help=n_help + ", default %(default)s")
-    p_verify.set_defaults(func=cmd_verify)
+    p_verify.add_argument("--m-max", type=int, help=m_help + ", default %(default)s")
+    p_verify.add_argument("--n-max", type=int, help=n_help + ", default %(default)s")
+    config = sweeps.SweepConfig()  # a default run; set_defaults also fills %(default)s
+    p_verify.set_defaults(
+        func=cmd_verify, checks=",".join(config.checks), m_max=config.m_max, n_max=config.n_max
+    )
 
     p_sweep = sub.add_parser(
         "sweep", parents=[report], help="emit table rows for every residue subset up to m-max"

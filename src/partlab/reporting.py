@@ -14,17 +14,16 @@ or ``false`` for a bool, the ``;``-join of its items' ``str`` for a list,
 and ``str`` of any other value.
 
 Reports are streamed BATCH_ROWS rows at a time, so emission never holds the
-whole report in memory.  Both writers share one column plan: a batch is
-split into runs of rows of one shape (key order), and each field present in
-a run is pulled out as a column.  A column whose values other than None
-share one type, None among them or not, is encoded in one pass, with the
-writer's null text for None; a mixed one is encoded cell by cell, by exact
-value type.  Only bool, int, str and float values take a writer's own text;
-JSON takes every other text, the head's and each list, tuple or dict
-value's, from ``json.dumps``.  Each distinct list or tuple object is
-encoded once per run.  No writer keeps state from one run to the next.
-JSON joins each row of a run from the run's template, in which the fields
-the shape lacks are already ``null``.  CSV joins a batch's cells itself
+whole report in memory.  Both writers share one column plan per batch: each
+field that some row of the batch has is a column, where a row without the
+field reads None; a field no row has is the writer's null text throughout.
+A column whose values other than None share one type, None among them or
+not, is encoded in one pass, with the writer's null text for None; a mixed
+one is encoded cell by cell, by exact value type.  Only bool, int, str and
+float values take a writer's own text; JSON takes every other text, the
+head's and each list, tuple or dict value's, from ``json.dumps``.  Each
+distinct list or tuple object is encoded once per batch, and no writer
+keeps state from one batch to the next.  CSV joins a batch's cells itself
 when none needs quoting, and hands the batch to ``csv.writer`` otherwise.
 
 A float cell's text is ``_float_text(x)``: the repr of ``canon_float(x)``,
@@ -42,9 +41,8 @@ from __future__ import annotations
 import csv
 import json
 import sys
-from itertools import groupby, islice, repeat
+from itertools import islice, repeat
 from json.encoder import encode_basestring_ascii
-from operator import itemgetter
 from typing import Callable, Iterable, Sequence, TextIO
 
 # Both writers encode and write this many rows at a time.
@@ -106,16 +104,16 @@ def _float_text(x: float) -> str:
 
 
 def _column_text(
-    run: list[dict], field: str, null: str, cells: dict, other: Callable
+    batch: list[dict], field: str, null: str, cells: dict, other: Callable
 ) -> list[str]:
-    """The text of field's value in each row of a run: null, ``cells`` by exact type, or other.
+    """The text of field's value in each row of a batch: null, ``cells`` by exact type, or other.
 
-    A column whose values other than None share one type, None among them
-    or not, is encoded in one pass by that type's text; any other column
-    cell by cell.  Each distinct list or tuple object is encoded once per
-    run, by other.
+    A row without field reads None.  A column whose values other than None
+    share one type, None among them or not, is encoded in one pass by that
+    type's text, any other cell by cell.  Each distinct list or tuple object
+    is encoded once per batch, by other.
     """
-    column = list(map(itemgetter(field), run))
+    column = list(map(dict.get, batch, repeat(field)))
     kinds = set(map(type, column)) - {type(None)}
     if list in kinds or tuple in kinds:
         # the column holds every value, so while known lives an id names one object
@@ -160,16 +158,12 @@ def rows_to_csv(rows: Iterable[dict], fields: Sequence[str], out: TextIO) -> Non
     commas = len(fields) - 1
     rows = iter(rows)
     while batch := list(islice(rows, BATCH_ROWS)):
-        lines: list[tuple] = []
-        for row_keys, run in groupby(batch, tuple):
-            run = list(run)
-            columns = [
-                _column_text(run, f, "", cells, _csv_other)
-                if f in row_keys
-                else repeat("", len(run))
-                for f in fields
-            ]
-            lines += zip(*columns) if columns else repeat((), len(run))
+        present = set().union(*batch)
+        columns = [
+            _column_text(batch, f, "", cells, _csv_other) if f in present else repeat("", len(batch))
+            for f in fields
+        ]
+        lines = list(zip(*columns)) if columns else [()] * len(batch)
         text = "\n".join(map(",".join, lines))
         if (
             commas > 0  # csv.writer writes a lone empty cell as ""
@@ -208,8 +202,7 @@ def document_to_json(
     json's own TypeError.  No row is copied and no document string is
     built: ``head`` (everything but the rows, canonicalized by the caller)
     goes through ``json.dumps``, and the rows are written BATCH_ROWS at a
-    time.  Each run of one shape gets a template with the keys of fields
-    and a literal ``null`` for each field the shape lacks.
+    time, each row joined from the keys of fields and its batch's columns.
     """
     text = json.dumps({**head, "rows": []}, indent=2)
     out.write(text[: -len("[]\n}")])  # everything before the rows' value
@@ -222,25 +215,23 @@ def document_to_json(
         str: encode_basestring_ascii,
         float: _json_float,
     }
+    # a row joins before[i] and field i's value in turn, then after (json.dumps's {} if no key)
+    before = ["\n    {" + keys[0]] + ["," + key for key in keys[1:]] if fields else []
+    after = "\n    }" if fields else "\n    {}"
     opener = "["  # the first batch opens the list, later ones continue it
     rows = iter(rows)
     while batch := list(islice(rows, BATCH_ROWS)):
-        texts: list[str] = []
-        for row_keys, run in groupby(batch, tuple):
-            run = list(run)
-            present = [f for f in fields if f in row_keys]
-            # the template's pieces around its values; encode_basestring_ascii
-            # escapes "\0" in keys, so "\0" marks each value
-            template = [key + ("\0" if f in row_keys else "null") for key, f in zip(keys, fields)]
-            # json.dumps writes a dict with no key as {}
-            pieces = ("\n    {" + ",".join(template) + ("\n    }" if fields else "}")).split("\0")
-            # a row's text joins pieces and values in turn; the first strand
-            # is finite, so a shape with no field still yields its rows
-            strands = [repeat(pieces[0], len(run))]
-            for f, piece in zip(present, pieces[1:]):
-                strands += (_column_text(run, f, "null", cells, _json_other), repeat(piece))
-            texts += map("".join, zip(*strands))
-        out.write(opener + ",".join(texts))
+        present = set().union(*batch)
+        # a field that no row of the batch has is a literal null in the text
+        # that leads the next value, so each row joins fewer strings
+        strands, lead = [], ""
+        for key, f in zip(before, fields):
+            if f in present:
+                strands += (repeat(lead + key), _column_text(batch, f, "null", cells, _json_other))
+                lead = ""
+            else:
+                lead += key + "null"
+        # after's strand is finite, so a batch with no field still yields its rows
+        out.write(opener + ",".join(map("".join, zip(*strands, repeat(lead + after, len(batch))))))
         opener = ","
     out.write("\n  ]\n}\n" if opener == "," else "[]\n}\n")
-

@@ -213,7 +213,7 @@ def test_csv_equals_csv_writer_of_canonical_rows(rows):
 
 
 class TestRowEncoder:
-    """The per-shape templates and per-run list texts write json.dumps's bytes."""
+    """The per-batch row join and list texts write json.dumps's bytes."""
 
     def check(self, rows, fields=FIELDS, head=None):
         head = head or {"command": "verify"}
@@ -322,6 +322,19 @@ class TestColumnPlan:
         rows += [{"R": shared, "x": k / 3} for k in range(reporting.BATCH_ROWS)]
         self.check(rows)
 
+    def test_one_tuple_in_rows_of_three_shapes_is_encoded_once(self, monkeypatch):
+        shared = (0, 2)
+        rows = [{"R": shared, "m": 1}, {"m": 2, "R": shared}, {"R": shared}]
+        fields = ("m", "R")
+        self.check(rows, fields=fields)
+        calls = []
+        for name in ("_json_other", "_csv_other"):
+            other = getattr(reporting, name)
+            monkeypatch.setattr(reporting, name, lambda v, n=name, f=other: calls.append(n) or f(v))
+        json_text({"command": "verify"}, rows, fields)
+        csv_text(rows, fields)
+        assert calls == ["_json_other", "_csv_other"]
+
     def test_lists_made_and_freed_a_batch_at_a_time(self):
         # each batch's lists are freed before the next batch's are made, so
         # a new list can reuse a freed one's id while holding other items
@@ -355,7 +368,7 @@ class TestColumnPlan:
         ids=["bool", "int", "str", "float", "tuple", "list", "dict"],
     )
     def test_list_column_with_none(self, values, layout):
-        """A column of one type and None, in one run or over two batches."""
+        """A column of one type and None, in one batch or over two."""
         cells = [None, *values, None, *values[::-1], None]
         if layout == "batches":
             cells *= reporting.BATCH_ROWS // len(cells) + 2
