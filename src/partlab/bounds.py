@@ -37,6 +37,9 @@ import math
 from .counting import CountTable, IntegrityError
 from .partset import A_PLUS, FULL_A, R_PLUS, ResidueSpec
 
+# The spec of p(n): m = 1 and R = {0}, whose full and tail sets are all of N.
+P_SPEC = ResidueSpec(m=1, residues=(0,))
+
 
 def tail_constant(spec: ResidueSpec) -> float:
     """The bound constant c = pi*sqrt(2*|R| / (3*m))."""
@@ -95,7 +98,7 @@ def check_erdos(table: CountTable) -> list[dict]:
     With that spec the tail set is all of N and c = pi*sqrt(2/3), so the
     generic tail-set check specializes to the classical statement exactly.
     """
-    if table.spec != ResidueSpec(m=1, residues=(0,)):
+    if table.spec != P_SPEC:
         raise IntegrityError(
             f"erdos reads the table of p(n) (m=1, R=[0]), got m={table.spec.m}, "
             f"R={list(table.spec.residues)}"

@@ -74,7 +74,7 @@ def cmd_table(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    checks = tuple(tok for tok in args.checks.split(",") if tok)
+    checks = tuple(tok for tok in map(str.strip, args.checks.split(",")) if tok)
     config = sweeps.SweepConfig(m_max=args.m_max, n_max=args.n_max, checks=checks)
     result = sweeps.run_verify(config)
     head = {

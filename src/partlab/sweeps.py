@@ -1,16 +1,16 @@
 """Sweep drivers: every checker, over grids of residue families.
 
-A verify run walks all residue subsets R of {0..m-1} for each modulus
-m <= m_max (the empty subset rides along vacuously), one modulus at a
-time.  Each modulus builds each (spec, variant) table from its own
-TableFactory the first time a check reads it, and never twice; with the
-counts check selected it first certifies all three tables of every spec
-with ``counting.certify``, so the bound checks read the very objects it
-certified, and take the spec and the n range from the table itself.
+``check_rows`` holds each check as one entry, a call that yields its rows
+over the whole grid: every residue subset R of {0..m-1} for each modulus
+m <= m_max (the empty subset rides along vacuously).  ``run_verify`` runs
+the selected entries one at a time, in CHECK_NAMES order.  All entries
+read one run-wide TableFactory through one cached lookup, so a (spec,
+variant) table is built when a check first reads it, and never twice,
+and the bound checks read the very objects the counts check certified.
 Every check returns the row dicts that are emitted, so each row is built
 once, and ``summarize`` folds one check's rows, any iterable of them,
-into the summary dict the report's head holds; the acceptance suite
-folds its own larger grids through it too.  ``table_rows`` takes the
+into the summary dict the report's head holds; the acceptance suite folds
+entries over its larger grids the same way.  ``table_rows`` takes the
 bound and slack columns from theorem1's rows, and ``sweep_rows`` yields
 them for one modulus's TableFactory at a time.  Every command runs its
 work in this process, in order, so output is deterministic.
@@ -21,7 +21,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from . import bounds, series
 from .counting import CountTable, TableFactory, certify
@@ -154,62 +154,52 @@ def _counts_row(table: CountTable, oracle_cache: dict) -> dict:
     }
 
 
-def _rows_for_modulus(
-    m: int, n_max: int, by_check: dict[str, list[dict]], oracle_cache: dict
-) -> None:
-    """Append every spec-dependent check row of one modulus to its check's list.
+def check_rows(config: SweepConfig) -> dict[str, Callable[[], Iterable[dict]]]:
+    """One entry per CHECK_NAMES name: a call that yields the check's rows in report order.
 
-    Each check asks for its table where it reads it, through one cached
-    lookup per spec, so a (spec, variant) table is built when first read
-    and never twice; the counts rows ask for all three first, and so
-    certify the very objects that theorem1, chain, rpoly, ratio and (for
-    m = 1) erdos read.
+    The counts rows read all three tables of every spec, and so certify
+    the very objects that theorem1, erdos, chain, rpoly and ratio read.
     """
-    factory = TableFactory(n_max)
+    table = functools.cache(TableFactory(config.n_max).table)
+    moduli = range(1, config.m_max + 1)
+    specs = [spec for m in moduli for spec in subsets_for_modulus(m)]
     x_grid = series.default_x_grid()
     t_grid = series.default_t_grid()
+    # One recurrence-and-walk cache for the run, keyed by part list: lists
+    # such as {1, 2, ...} recur for every m.
+    oracle_cache: dict = {}
 
-    if "eq2" in by_check:
-        for r in range(m):
-            for x in x_grid:
-                by_check["eq2"].append(series.check_eq2_pointwise(r, m, x))
+    def per_spec(check, variant):
+        return lambda: (row for spec in specs for row in check(table(spec, variant)))
 
-    for spec in subsets_for_modulus(m):
-        table = functools.cache(functools.partial(factory.table, spec))
-        if "counts" in by_check:
-            for label in SWEEP_VARIANTS:
-                by_check["counts"].append(_counts_row(table(label), oracle_cache))
-        if "theorem1" in by_check:
-            by_check["theorem1"].extend(bounds.check_theorem1(table(A_PLUS)))
-        # p(n) is the tail table of m=1, R={0}: the pentagonal table theorem1 reads
-        if "erdos" in by_check and m == 1 and spec.residues == (0,):
-            by_check["erdos"].extend(bounds.check_erdos(table(A_PLUS)))
-        if "chain" in by_check:
-            by_check["chain"].extend(bounds.check_nathanson_chain(table(FULL_A)))
-        if "ratio" in by_check:
-            by_check["ratio"].extend(_ratio_rows(table(FULL_A)))
-        if "rpoly" in by_check:
-            by_check["rpoly"].extend(bounds.check_rplus_poly_bound(table(R_PLUS)))
-        if "eq1" in by_check:
-            for t in t_grid:
-                by_check["eq1"].append(series.check_eq1(spec, t))
-        if "eq3" in by_check:
-            for x in x_grid:
-                by_check["eq3"].append(series.check_eq3(spec, x))
+    def helpers() -> Iterator[dict]:
+        """The sinh gap, the envelope facts, and the sqrt split."""
+        yield from map(series.check_sinh_inequality, x_grid)
+        envelope_grid = [0.0] + x_grid
+        for m in moduli:
+            for r in range(m):
+                yield from series.check_derivative_nonpositive(r, m, envelope_grid)
+        yield from map(series.check_sqrt_split, range(1, min(config.n_max, SQRT_SWEEP_N_MAX) + 1))
 
-
-def _helper_rows(m_max: int, n_sqrt_max: int) -> list[dict]:
-    """Grid rows for the sinh gap, the envelope facts, and the sqrt split."""
-    rows = []
-    x_grid = series.default_x_grid()
-    for x in x_grid:
-        rows.append(series.check_sinh_inequality(x))
-    envelope_grid = [0.0] + x_grid
-    for m in range(1, m_max + 1):
-        for r in range(m):
-            rows.extend(series.check_derivative_nonpositive(r, m, envelope_grid))
-    rows.extend(series.check_sqrt_split(n) for n in range(1, n_sqrt_max + 1))
-    return rows
+    return {
+        "counts": lambda: (
+            _counts_row(table(spec, label), oracle_cache)
+            for spec in specs
+            for label in SWEEP_VARIANTS
+        ),
+        "theorem1": per_spec(bounds.check_theorem1, A_PLUS),
+        "erdos": lambda: bounds.check_erdos(table(bounds.P_SPEC, A_PLUS)),
+        "chain": per_spec(bounds.check_nathanson_chain, FULL_A),
+        "rpoly": per_spec(bounds.check_rplus_poly_bound, R_PLUS),
+        "eq1": lambda: (series.check_eq1(spec, t) for spec in specs for t in t_grid),
+        "eq2": lambda: (
+            series.check_eq2_pointwise(r, m, x) for m in moduli for r in range(m) for x in x_grid
+        ),
+        "eq3": lambda: (series.check_eq3(spec, x) for spec in specs for x in x_grid),
+        "helpers": helpers,
+        "remark": lambda: series.find_counterexample_odd_remark(x_grid),
+        "ratio": per_spec(_ratio_rows, FULL_A),
+    }
 
 
 def summarize(name: str, rows: Iterable[dict]) -> dict:
@@ -246,25 +236,11 @@ def summarize(name: str, rows: Iterable[dict]) -> dict:
 
 
 def run_verify(config: SweepConfig) -> VerifyResult:
-    """Run every selected check over the configured grid."""
-    by_check: dict[str, list[dict]] = {name: [] for name in config.checks}
-
-    # One recurrence-and-walk cache for the run, keyed by part list: lists
-    # such as {1, 2, ...} recur for every m.
-    oracle_cache: dict = {}
-    for m in range(1, config.m_max + 1):
-        _rows_for_modulus(m, config.n_max, by_check, oracle_cache)
-
-    if "helpers" in by_check:
-        by_check["helpers"] = _helper_rows(
-            config.m_max, min(config.n_max, SQRT_SWEEP_N_MAX)
-        )
-    if "remark" in by_check:
-        by_check["remark"] = series.find_counterexample_odd_remark(series.default_x_grid())
-
+    """Run every selected check over the configured grid, one check at a time."""
+    entries = check_rows(config)
     result = VerifyResult()
     for name in config.checks:
-        rows = by_check[name]
+        rows = list(entries[name]())
         result.summaries.append(summarize(name, rows))
         result.rows.extend(rows)
     return result

@@ -4,11 +4,11 @@ Each test prints one PASS/FAIL line (visible with ``pytest -s`` or ``-v``
 plus ``-rA``); the asserts carry the same conditions, row counts included.
 The criteria run the code ``partlab verify`` runs: criteria 1, 4, 7, 8 and
 9 call ``run_verify`` on their own grids and read its rows and summaries.
-Criteria 3 and 5 sweep every nonempty subset for m <= 8, n <= 2000 with
-the theorem1, chain and rpoly checks, whose 502 x 2001 rows each are too
-many to hold at once (``run_verify`` would keep about 3 M row dicts), so
-each check's rows stream from one shared ``TableFactory`` into
-``summarize``, the fold ``run_verify`` uses, and are dropped as they go.
+Criteria 3 and 5 sweep every subset for m <= 8, n <= 2000 with the
+theorem1, chain and rpoly checks, whose 510 x 2001 rows each are too many
+to hold at once (``run_verify`` would keep about 3 M row dicts), so they
+fold each check's ``check_rows`` entry, the one ``run_verify`` lists,
+with ``summarize`` and drop the rows as they go.
 Criteria 2, 6 and 10 hold the library's engines and tables to the literal
 definitions in ``_oracle``.
 """
@@ -19,14 +19,15 @@ import time
 import pytest
 
 from _oracle import convolution_check_range, count_dp, eq4_rhs_direct
-from partlab.bounds import check_nathanson_chain, check_rplus_poly_bound, check_theorem1
 from partlab.counting import TableFactory, recurrence_holds
 from partlab.partset import A_PLUS, FULL_A, R_PLUS, make_residue_spec, parts_up_to
-from partlab.sweeps import SweepConfig, run_verify, subsets_for_modulus, summarize
+from partlab.sweeps import SweepConfig, check_rows, run_verify, subsets_for_modulus, summarize
 
 SWEEP_M_MAX = 8
 SWEEP_N_MAX = 2000
-SWEEP_ROWS = 502 * (SWEEP_N_MAX + 1)
+# every subset R of every modulus m <= 8; the 8 empty ones add vacuous rows
+SWEEP_SPECS = 510
+SWEEP_ROWS = SWEEP_SPECS * (SWEEP_N_MAX + 1)
 
 
 def _report(num: int, ok: bool, detail: str) -> None:
@@ -35,31 +36,21 @@ def _report(num: int, ok: bool, detail: str) -> None:
 
 @pytest.fixture(scope="module")
 def bound_sweep():
-    """(specs, summaries by check name, seconds) of one timed bound sweep.
+    """(summaries by check name, seconds) of one timed bound sweep.
 
-    theorem1, chain and rpoly each run on their variant table of every
-    nonempty subset, m <= 8, n <= 2000, and their rows stream into
-    summarize.  One factory serves all three folds, so its tail tables are
-    built once, and one span times the whole sweep.
+    theorem1, chain and rpoly each fold their ``check_rows`` entry over
+    every subset for m <= 8, n <= 2000 with ``summarize``, as ``partlab
+    verify`` does, and the rows are dropped as they stream.  The entries
+    share the run's one table lookup, so each table is built once, and one
+    span times the whole sweep.
     """
     start = time.monotonic()
-    factory = TableFactory(SWEEP_N_MAX)
-    specs = [
-        spec
-        for m in range(1, SWEEP_M_MAX + 1)
-        for spec in subsets_for_modulus(m, include_empty=False)
-    ]
-    summaries = {
-        name: summarize(
-            name, (row for spec in specs for row in check(factory.table(spec, variant)))
-        )
-        for name, check, variant in (
-            ("theorem1", check_theorem1, A_PLUS),
-            ("chain", check_nathanson_chain, FULL_A),
-            ("rpoly", check_rplus_poly_bound, R_PLUS),
-        )
-    }
-    return len(specs), summaries, time.monotonic() - start
+    config = SweepConfig(
+        m_max=SWEEP_M_MAX, n_max=SWEEP_N_MAX, checks=("theorem1", "chain", "rpoly")
+    )
+    entries = check_rows(config)
+    summaries = {name: summarize(name, entries[name]()) for name in config.checks}
+    return summaries, time.monotonic() - start
 
 
 def test_criterion_01_oracle_equivalence():
@@ -111,16 +102,15 @@ def test_criterion_02_double_counting_integrity():
 
 def test_criterion_03_tail_bound_sweep(bound_sweep):
     """log p_{A+}(n) <= pi*sqrt(2n|R|/3m) + 1e-9 over the full grid."""
-    specs, summaries, elapsed = bound_sweep
+    summaries, elapsed = bound_sweep
     stats = summaries["theorem1"]
-    ok = specs == 502 and stats["rows"] == SWEEP_ROWS and stats["holds"] and elapsed < 300
+    ok = stats["rows"] == SWEEP_ROWS and stats["holds"] and elapsed < 300
     _report(
         3,
         ok,
-        f"{specs} specs, {stats['rows']} rows, {stats['failures']} failures, "
+        f"{SWEEP_SPECS} specs, {stats['rows']} rows, {stats['failures']} failures, "
         f"min slack {stats['worst_margin']:.3g}, sweep {elapsed:.1f}s",
     )
-    assert specs == 502
     assert stats["rows"] == SWEEP_ROWS
     assert stats["failures"] == 0
     assert stats["holds"]
@@ -159,12 +149,11 @@ def test_criterion_04_classical_special_case():
 
 def test_criterion_05_full_set_chain(bound_sweep):
     """Chain bound on p_A plus the exact head-count polynomial bound."""
-    specs, summaries, elapsed = bound_sweep
+    summaries, elapsed = bound_sweep
     chain = summaries["chain"]
     rpoly = summaries["rpoly"]
     ok = (
-        specs == 502
-        and chain["rows"] == rpoly["rows"] == SWEEP_ROWS
+        chain["rows"] == rpoly["rows"] == SWEEP_ROWS
         and chain["holds"]
         and rpoly["holds"]
         and elapsed < 300
@@ -177,7 +166,6 @@ def test_criterion_05_full_set_chain(bound_sweep):
         f"head bound: {rpoly['rows']} rows, {rpoly['failures']} failures; "
         f"sweep {elapsed:.1f}s",
     )
-    assert specs == 502
     assert chain["failures"] == 0
     assert chain["rows"] == SWEEP_ROWS
     assert chain["holds"]

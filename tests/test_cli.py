@@ -357,6 +357,14 @@ class TestVerify:
         assert code == 2
         assert "unknown check" in err
 
+    def test_spaces_around_check_names_are_ignored(self, capsys):
+        """``--checks "theorem1, erdos"`` reads as ``theorem1,erdos``, as --r reads "1, 2"."""
+        argv = ["verify", "--m-max", "2", "--n-max", "20", "--checks"]
+        spaced = run_cli(capsys, argv + ["theorem1, erdos"])
+        assert spaced == run_cli(capsys, argv + ["theorem1,erdos"])
+        assert spaced[0] == 0
+        assert "check=erdos rows=21 " in spaced[2]
+
     def test_csv_format(self, capsys):
         code, out, _ = run_cli(
             capsys,
@@ -415,7 +423,9 @@ class TestGoldens:
     The table/sweep digests predate the slice-DP table factory; the verify
     digests predate the single canonicalization pass and the variant labels;
     the JSON sweep digest predates the streamed report writer; the n=10^4
-    table digest predates the pentagonal start of dense tail tables.
+    table digest predates the pentagonal start of dense tail tables; the
+    m <= 5 and the erdos,eq2,helpers,remark,ratio verify digests predate
+    verify's running one check at a time.
     """
 
     @pytest.mark.parametrize(
@@ -456,6 +466,24 @@ class TestGoldens:
             (
                 ["verify", "--format", "csv"],
                 "ca5204c59c0decf734291540bd24ea59c876ea8a3b3beb77cf01bcdba8db1345",
+            ),
+            (
+                ["verify", "--m-max", "5", "--n-max", "40"],
+                "b9917053b80aa009b040d51ecf71961479e22453063ff2ae61a1d331b6574e84",
+            ),
+            (
+                [
+                    "verify",
+                    "--checks",
+                    "erdos,eq2,helpers,remark,ratio",
+                    "--m-max",
+                    "6",
+                    "--n-max",
+                    "30",
+                    "--format",
+                    "csv",
+                ],
+                "a8b266bb03bce79962d20f7827f422cf6980108a8f61ca0d98c9fe79f710a768",
             ),
         ],
     )

@@ -77,18 +77,23 @@ def test_rows_of_a_spec_share_its_residue_tuple(monkeypatch):
 ALL_SPECS = [spec for m in range(1, 5) for spec in sweeps.subsets_for_modulus(m)]
 
 
+def test_check_rows_has_one_entry_per_check_name():
+    """The table of checks and CHECK_NAMES list the same checks in the same order."""
+    assert list(sweeps.check_rows(sweeps.SweepConfig())) == list(sweeps.CHECK_NAMES)
+
+
 @pytest.mark.parametrize(
-    "checks, moduli, wanted",
+    "checks, wanted",
     [
-        (sweeps.CHECK_NAMES, 4, [(s, v) for s in ALL_SPECS for v in sweeps.SWEEP_VARIANTS]),
-        (("theorem1",), 4, [(s, A_PLUS) for s in ALL_SPECS]),
-        (("chain", "ratio"), 4, [(s, FULL_A) for s in ALL_SPECS]),
-        (("erdos",), 4, [(make_residue_spec(1, [0]), A_PLUS)]),
+        (sweeps.CHECK_NAMES, [(s, v) for s in ALL_SPECS for v in sweeps.SWEEP_VARIANTS]),
+        (("theorem1",), [(s, A_PLUS) for s in ALL_SPECS]),
+        (("chain", "ratio"), [(s, FULL_A) for s in ALL_SPECS]),
+        (("erdos",), [(make_residue_spec(1, [0]), A_PLUS)]),
     ],
     ids=["default", "theorem1", "chain-ratio", "erdos"],
 )
-def test_each_table_is_built_once_per_spec(monkeypatch, checks, moduli, wanted):
-    """Verify builds one factory per modulus and asks it once per (spec, variant) read.
+def test_each_table_is_built_once_per_spec(monkeypatch, checks, wanted):
+    """Verify builds one factory for the run and asks it once per (spec, variant) read.
 
     A table is built when a check first reads it: the counts oracle
     certifies all three tables of every spec, and theorem1, erdos, chain,
@@ -112,7 +117,7 @@ def test_each_table_is_built_once_per_spec(monkeypatch, checks, moduli, wanted):
     monkeypatch.setattr(counting.TableFactory, "table", recording)
     result = sweeps.run_verify(sweeps.SweepConfig(checks=checks))
     assert result.ok
-    assert factories == [300] * moduli
+    assert factories == [300]
     assert len(calls) == len(wanted)
     assert set(calls) == set(wanted)
 
