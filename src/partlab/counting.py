@@ -11,11 +11,11 @@ read, for many residue subsets at one n_max, with one coin-change kernel,
 part a.  Each subset's tail table is the table of the subset without its
 highest residue, extended by that residue's slice of parts, with every
 tail table cached per factory.  The one exception is the subset of every
-residue, whose tail is all parts >= m: its table starts from p(n) by
-Euler's pentagonal recurrence and takes the parts 1..m-1 back out,
-because adding its n - m + 1 parts one pass at a time costs O(n**2)
-big-integer additions.  Full-set tables extend the tail table, and head
-tables the empty table, by the small parts of R+ with the same kernel.
+residue, whose full set is every part: its table is p(n), built once per
+factory by Euler's pentagonal recurrence, and its tail table a copy with
+the parts 1..m-1 taken out, as adding the n - m + 1 tail parts one pass at
+a time costs O(n**2) big-integer additions.  Other full-set tables extend
+the tail table, and head tables the empty table, by the small parts of R+.
 
 Two checks share no code with the factory, or with each other:
 
@@ -252,12 +252,12 @@ class TableFactory:
     The tail set of (m, R) is the disjoint union of its single-residue
     slices {r+m, r+2m, ...}, so the tail table for R is the table for R
     without its highest residue r, extended by the parts of r's slice.
-    The table for every residue is built from the other end instead: p(n)
-    from Euler's pentagonal recurrence with the parts 1..m-1 taken out,
-    m - 1 passes where adding the n - m + 1 tail parts one at a time would
-    take O(n) passes (checked: below m only the empty partition remains).
-    Every tail table built on the way is cached per (m, R), so a sweep over
-    many subsets of one modulus extends each table by one slice only.
+    For every residue, p(n) (the m = 1 tail, by the pentagonal recurrence
+    once per factory) is the full-set table, and its copy with the parts
+    1..m-1 taken out, m - 1 passes, the tail table (checked: below m only
+    the empty partition remains).  Every tail table built on the way is
+    cached per (m, R), so a sweep over many subsets of one modulus extends
+    each table by one slice only.
     """
 
     def __init__(self, n_max: int) -> None:
@@ -284,8 +284,8 @@ class TableFactory:
         return values
 
     def _every_residue(self, m: int) -> list[int]:
-        """Counts over the parts >= m: p(n) with the parts 1..m-1 removed."""
-        values = _partition_numbers(self.n_max)
+        """Counts over the parts >= m: p(n), the m = 1 table, with the parts 1..m-1 removed."""
+        values = _partition_numbers(self.n_max) if m == 1 else self._tail_values(1, (0,)).copy()
         for a in range(1, m):
             _remove_part(values, a)
         # parts >= m cannot sum to 1..m-1; only the empty partition sums to 0
@@ -300,12 +300,15 @@ class TableFactory:
         """The counts of 0..n_max over the variant set of spec.
 
         The tail set (a-plus) reads the cached tail table.  The full set
-        (full-a) extends a copy of it by the parts of R+ = R minus {0}, and
-        the head set (r-plus) extends the empty table by them.
+        (full-a) is p(n) for every residue, else a copy of the tail table
+        extended by the parts of R+ = R minus {0}; the head set (r-plus)
+        extends the empty table by them.
         """
         if variant == A_PLUS:
             return CountTable(spec, variant, tuple(self._tail_values(spec.m, spec.residues)))
         if variant == FULL_A:
+            if len(spec.residues) == spec.m:  # every residue: the full set is every part
+                return CountTable(spec, variant, tuple(self._tail_values(1, (0,))))
             values = self._tail_values(spec.m, spec.residues).copy()
         elif variant == R_PLUS:
             values = [1] + [0] * self.n_max

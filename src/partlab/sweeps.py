@@ -10,8 +10,8 @@ and the bound checks read the very objects the counts check certified.
 Every check returns the row dicts that are emitted, so each row is built
 once, and ``summarize`` folds one check's rows, any iterable of them,
 into the summary dict the report's head holds; the acceptance suite folds
-entries over its larger grids the same way.  ``table_rows`` takes the
-bound and slack columns from theorem1's rows, and ``sweep_rows`` yields
+entries over its larger grids the same way.  ``table_rows`` gives
+theorem1's own rows the count and ratio columns, and ``sweep_rows`` yields
 them for one modulus's TableFactory at a time.  Every command runs its
 work in this process, in order, so output is deterministic.
 """
@@ -250,31 +250,27 @@ def run_verify(config: SweepConfig) -> VerifyResult:
 
 
 def table_rows(spec: ResidueSpec, factory: TableFactory) -> list[dict]:
-    """Per-n rows over the factory's n range: three counts, theorem1's bound and slack, the ratio."""
+    """The list check_theorem1 returns for the spec's a-plus table, each row given columns in place.
+
+    A row gains p_a, p_a_plus (its own count), p_r_plus and the ratio.  Its
+    keys variant, count, log_count and holds are in neither TABLE_FIELDS
+    nor SWEEP_FIELDS, so the writers print nothing of them.
+    """
     full = factory.table(spec, FULL_A).values
     head = factory.table(spec, R_PLUS).values
-    rows = []
-    for n, tail in enumerate(bounds.check_theorem1(factory.table(spec, A_PLUS))):
-        bound = tail["bound"]
-        full_count = full[n]
+    rows = bounds.check_theorem1(factory.table(spec, A_PLUS))
+    for row, full_count, head_count in zip(rows, full, head):
+        bound = row["bound"]
+        row["p_a"] = str(full_count)
+        row["p_a_plus"] = row["count"]
+        row["p_r_plus"] = str(head_count)
         # log_count / bound, as in _ratio_rows; bound > 0 exactly when n >= 1 and R is nonempty
-        ratio = math.log(full_count) / bound if bound > 0 and full_count >= 1 else None
-        rows.append(
-            {
-                "n": n,
-                "p_a": str(full_count),
-                "p_a_plus": tail["count"],
-                "p_r_plus": str(head[n]),
-                "bound": bound,
-                "slack": tail["slack"],
-                "ratio": ratio,
-            }
-        )
+        row["ratio"] = math.log(full_count) / bound if bound > 0 and full_count >= 1 else None
     return rows
 
 
 def sweep_rows(m_max: int, n_max: int) -> Iterator[dict]:
-    """table_rows, with m and R, for every nonempty subset of every modulus up to m_max.
+    """table_rows for every nonempty subset of every modulus up to m_max; each row has m and R.
 
     Bad m_max or n_max is refused here, at the call, before a writer sees
     the rows.  The rows then come lazily, from one TableFactory per
@@ -289,7 +285,6 @@ def sweep_rows(m_max: int, n_max: int) -> Iterator[dict]:
         for m in range(1, m_max + 1):
             factory = TableFactory(n_max)
             for spec in subsets_for_modulus(m, include_empty=False):
-                for row in table_rows(spec, factory):
-                    yield {"m": m, "R": spec.residues, **row}
+                yield from table_rows(spec, factory)
 
     return rows()

@@ -281,21 +281,22 @@ class TestVerify:
 
     def test_oracle_compares_factory_tables_on_cache_hits(self, capsys, monkeypatch):
         """A wrong full-R table of m >= 2 fails its full-a row, whose part list m = 1 cached."""
-        real = counting._remove_part
+        real = counting.TableFactory.table
 
-        def off_by_one(values, a):
-            real(values, a)
-            if a == 1:
+        def off_by_one(self, spec, variant):
+            table = real(self, spec, variant)
+            if variant == FULL_A and spec.m >= 2 and len(spec.residues) == spec.m:
+                values = list(table.values)
                 values[150] += 1
+                return CountTable(spec, variant, tuple(values))
+            return table
 
-        monkeypatch.setattr(counting, "_remove_part", off_by_one)
+        monkeypatch.setattr(counting.TableFactory, "table", off_by_one)
         code, out, _ = run_cli(capsys, ["verify", "--checks", "counts"])
         assert code == 1
         doc = json.loads(out)
         failed = {(row["m"], tuple(row["R"]), row["variant"]) for row in doc["rows"] if not row["holds"]}
-        assert failed == {
-            (m, tuple(range(m)), variant) for m in range(2, 5) for variant in ("full-a", "a-plus")
-        }
+        assert failed == {(m, tuple(range(m)), FULL_A) for m in range(2, 5)}
 
     def test_erdos_reads_the_factory_table(self, capsys, monkeypatch):
         """A p(n) table over the classical bound at its last n fails erdos (and theorem1)."""

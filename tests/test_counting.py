@@ -365,6 +365,24 @@ class TestTableFactory:
         with pytest.raises(IntegrityError):
             TableFactory(40).table(make_residue_spec(m, range(m)), A_PLUS)
 
+    def test_partition_numbers_run_once_per_factory(self, monkeypatch):
+        """Every residue's tail and full tables, m = 1..4, read one run of p(n)."""
+        n = 60
+        runs = []
+        real = counting._partition_numbers
+
+        def recording(n_max):
+            runs.append(n_max)
+            return real(n_max)
+
+        monkeypatch.setattr(counting, "_partition_numbers", recording)
+        factory = TableFactory(n)
+        for m in range(1, 5):
+            spec = make_residue_spec(m, range(m))
+            assert factory.table(spec, FULL_A).values == tuple(real(n))
+            assert factory.table(spec, A_PLUS).values == count_dp(parts_up_to(spec, A_PLUS, n), n)
+        assert runs == [n]
+
 
 class TestCertify:
     def test_passes_every_factory_table(self):

@@ -177,7 +177,7 @@ def test_sweep_refuses_negative_n_max_before_any_task(monkeypatch):
     are read, and the same rows as a list built modulus by modulus.
     """
     expected = [
-        {"m": m, "R": spec.residues, **row}
+        row
         for m in range(1, 5)
         for spec in sweeps.subsets_for_modulus(m, include_empty=False)
         for row in sweeps.table_rows(spec, counting.TableFactory(40))
@@ -224,6 +224,37 @@ def test_table_ratio_matches_the_ratio_rows():
         for row in ratio_rows:
             assert rows[row["n"]]["bound"] == row["bound"]
             assert rows[row["n"]]["ratio"] == row["ratio"] == row["log_count"] / row["bound"]
+
+
+def _recording_theorem1(monkeypatch) -> list[list[dict]]:
+    """Patch bounds.check_theorem1 to keep every list it returns; return those lists."""
+    returned = []
+    real = bounds.check_theorem1
+
+    def recording(table):
+        returned.append(real(table))
+        return returned[-1]
+
+    monkeypatch.setattr(bounds, "check_theorem1", recording)
+    return returned
+
+
+def test_table_rows_are_theorem1s_rows(monkeypatch):
+    """table_rows returns the very list check_theorem1 built for the spec's a-plus table."""
+    returned = _recording_theorem1(monkeypatch)
+    spec = make_residue_spec(3, [0, 2])
+    rows = sweeps.table_rows(spec, counting.TableFactory(30))
+    assert len(returned) == 1 and rows is returned[0]
+    assert all(row["p_a_plus"] is row["count"] and row["R"] is spec.residues for row in rows)
+
+
+def test_sweep_rows_yield_theorem1s_rows(monkeypatch):
+    """sweep_rows yields theorem1's row dicts themselves, not copies."""
+    returned = _recording_theorem1(monkeypatch)
+    swept = list(sweeps.sweep_rows(3, 10))
+    built = [row for rows in returned for row in rows]
+    assert len(returned) == 1 + 3 + 7 and len(swept) == len(built) == 11 * 11
+    assert all(a is b for a, b in zip(swept, built))
 
 
 def test_summarize_reads_its_rows_once():
