@@ -35,10 +35,7 @@ from __future__ import annotations
 import math
 
 from .counting import CountTable, IntegrityError
-from .partset import A_PLUS, FULL_A, R_PLUS, ResidueSpec
-
-# The spec of p(n): m = 1 and R = {0}, whose full and tail sets are all of N.
-P_SPEC = ResidueSpec(m=1, residues=(0,))
+from .partset import A_PLUS, FULL_A, P_SPEC, R_PLUS, ResidueSpec
 
 
 def tail_constant(spec: ResidueSpec) -> float:

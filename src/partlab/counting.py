@@ -8,14 +8,16 @@ carries that spec and variant, so a table always says what it counts.
 ``TableFactory.table(spec, variant)`` builds every table the commands
 read, for many residue subsets at one n_max, with one coin-change kernel,
 ``_add_part``: the ascending loop ``values[j] += values[j - a]`` for each
-part a.  Each subset's tail table is the table of the subset without its
-highest residue, extended by that residue's slice of parts, with every
-tail table cached per factory.  The one exception is the subset of every
-residue, whose full set is every part: its table is p(n), built once per
-factory by Euler's pentagonal recurrence, and its tail table a copy with
-the parts 1..m-1 taken out, as adding the n - m + 1 tail parts one pass at
-a time costs O(n**2) big-integer additions.  Other full-set tables extend
-the tail table, and head tables the empty table, by the small parts of R+.
+part a.  One cache per factory holds every table's counts, one tuple per
+(m, R, variant), and each table is built from the cached table it
+extends: a subset's tail table from the tail table of the subset without
+its highest residue, by that residue's slice of parts; its full-set
+table from its tail table, and its head table from the empty table, by
+the small parts of R+.  The one exception is the subset of every
+residue, whose full set is every part: its full-set table is p(n), built
+once per factory by Euler's pentagonal recurrence, and its tail table
+p(n) with the parts 1..m-1 taken out, as adding the n - m + 1 tail parts
+one pass at a time costs O(n**2) big-integer additions.
 
 Two checks share no code with the factory, or with each other:
 
@@ -42,6 +44,7 @@ from typing import Iterable, Sequence
 from .partset import (
     A_PLUS,
     FULL_A,
+    P_SPEC,
     R_PLUS,
     ResidueSpec,
     SpecError,
@@ -249,72 +252,65 @@ def _remove_part(values: list[int], a: int) -> None:
 class TableFactory:
     """Exact count tables for many residue subsets at one fixed n_max.
 
-    The tail set of (m, R) is the disjoint union of its single-residue
-    slices {r+m, r+2m, ...}, so the tail table for R is the table for R
-    without its highest residue r, extended by the parts of r's slice.
-    For every residue, p(n) (the m = 1 tail, by the pentagonal recurrence
-    once per factory) is the full-set table, and its copy with the parts
-    1..m-1 taken out, m - 1 passes, the tail table (checked: below m only
-    the empty partition remains).  Every tail table built on the way is
-    cached per (m, R), so a sweep over many subsets of one modulus extends
-    each table by one slice only.
+    One dict caches every table's counts, one tuple per (m, R, variant),
+    and the builder reads each table it extends back through it, so each
+    is built once and every read of it shares its tuple.  The tail set of
+    (m, R) is the disjoint union of its slices {r+m, r+2m, ...}, so its
+    table is that of R without its highest residue r plus r's slice.  For
+    every residue, p(n) (by the pentagonal recurrence) is the full-set
+    table, and p(n) without the parts 1..m-1 the tail table (checked:
+    below m only the empty partition remains).
     """
 
     def __init__(self, n_max: int) -> None:
         if n_max < 0:
             raise ValueError(f"n_max must be >= 0, got {n_max}")
         self.n_max = n_max
-        # (m, residues) -> tail-set counts of 0..n_max; never mutated
-        self._tails: dict[tuple[int, tuple[int, ...]], list[int]] = {}
-
-    def _tail_values(self, m: int, residues: tuple[int, ...]) -> list[int]:
-        """Cached tail-set counts for a spec's residues, strictly increasing."""
-        key = (m, residues)
-        values = self._tails.get(key)
-        if values is None:
-            if not residues:
-                values = [1] + [0] * self.n_max  # only the empty partition
-            elif len(residues) == m:
-                values = self._every_residue(m)
-            else:
-                values = self._tail_values(m, residues[:-1]).copy()
-                for a in range(m + residues[-1], self.n_max + 1, m):
-                    _add_part(values, a)
-            self._tails[key] = values
-        return values
-
-    def _every_residue(self, m: int) -> list[int]:
-        """Counts over the parts >= m: p(n), the m = 1 table, with the parts 1..m-1 removed."""
-        values = _partition_numbers(self.n_max) if m == 1 else self._tail_values(1, (0,)).copy()
-        for a in range(1, m):
-            _remove_part(values, a)
-        # parts >= m cannot sum to 1..m-1; only the empty partition sums to 0
-        if values[:m] != [1] + [0] * min(m - 1, self.n_max):
-            raise IntegrityError(
-                f"m={m}: tail counts below m are {values[:m]}, "
-                "expected the empty partition only"
-            )
-        return values
+        # (m, residues, variant) -> counts of 0..n_max
+        self._cache: dict[tuple[int, tuple[int, ...], str], tuple[int, ...]] = {}
 
     def table(self, spec: ResidueSpec, variant: str) -> CountTable:
-        """The counts of 0..n_max over the variant set of spec.
+        """The counts of 0..n_max over the variant set of spec."""
+        return CountTable(spec, variant, self._values(spec.m, spec.residues, variant))
 
-        The tail set (a-plus) reads the cached tail table.  The full set
-        (full-a) is p(n) for every residue, else a copy of the tail table
-        extended by the parts of R+ = R minus {0}; the head set (r-plus)
-        extends the empty table by them.
-        """
-        if variant == A_PLUS:
-            return CountTable(spec, variant, tuple(self._tail_values(spec.m, spec.residues)))
-        if variant == FULL_A:
-            if len(spec.residues) == spec.m:  # every residue: the full set is every part
-                return CountTable(spec, variant, tuple(self._tail_values(1, (0,))))
-            values = self._tail_values(spec.m, spec.residues).copy()
-        elif variant == R_PLUS:
-            values = [1] + [0] * self.n_max
-        else:
+    def _values(self, m: int, residues: tuple[int, ...], variant: str) -> tuple[int, ...]:
+        """The cached counts of (m, R, variant), built on the first read; R strictly increasing."""
+        key = (m, residues, variant)
+        values = self._cache.get(key)
+        if values is None:
+            values = self._cache[key] = self._build(m, residues, variant)
+        return values
+
+    def _build(self, m: int, residues: tuple[int, ...], variant: str) -> tuple[int, ...]:
+        """The counts of (m, R, variant), extending the cached table they start from."""
+        n_max = self.n_max
+        if variant == FULL_A and len(residues) == m:
+            # every residue: the full set is every part
+            return self._values(P_SPEC.m, P_SPEC.residues, A_PLUS)
+        if variant in (FULL_A, R_PLUS):
+            values = list(self._values(m, residues if variant == FULL_A else (), A_PLUS))
+            parts = [r for r in residues if r >= 1]
+        elif variant != A_PLUS:
             raise SpecError(f"unknown variant {variant!r}")
-        for r in spec.residues:
-            if r >= 1:
-                _add_part(values, r)
-        return CountTable(spec, variant, tuple(values))
+        elif not residues:
+            return (1,) + (0,) * n_max  # only the empty partition
+        elif len(residues) == m:
+            if m == 1:
+                values = _partition_numbers(n_max)
+            else:
+                values = list(self._values(P_SPEC.m, P_SPEC.residues, A_PLUS))
+            for a in range(1, m):
+                _remove_part(values, a)
+            # parts >= m cannot sum to 1..m-1; only the empty partition sums to 0
+            if values[:m] != [1] + [0] * min(m - 1, n_max):
+                raise IntegrityError(
+                    f"m={m}: tail counts below m are {values[:m]}, "
+                    "expected the empty partition only"
+                )
+            return tuple(values)
+        else:
+            values = list(self._values(m, residues[:-1], A_PLUS))
+            parts = range(m + residues[-1], n_max + 1, m)
+        for a in parts:
+            _add_part(values, a)
+        return tuple(values)

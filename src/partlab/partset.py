@@ -51,6 +51,10 @@ def make_residue_spec(m: int, residues: Iterable[int]) -> ResidueSpec:
     return ResidueSpec(m=m, residues=tuple(sorted(rs)))
 
 
+# The spec of p(n): m = 1 and R = {0}, whose full and tail sets are all of N.
+P_SPEC = ResidueSpec(m=1, residues=(0,))
+
+
 # --- variants ---------------------------------------------------------------
 
 # Each variant is its label: the full set A, the tail set A+ (members >= m)

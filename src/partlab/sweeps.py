@@ -4,9 +4,9 @@
 over the whole grid: every residue subset R of {0..m-1} for each modulus
 m <= m_max (the empty subset rides along vacuously).  ``run_verify`` runs
 the selected entries one at a time, in CHECK_NAMES order.  All entries
-read one run-wide TableFactory through one cached lookup, so a (spec,
-variant) table is built when a check first reads it, and never twice,
-and the bound checks read the very objects the counts check certified.
+read one run-wide TableFactory, whose one cache builds a (spec, variant)
+table when a check first reads it, and never twice, so the bound checks
+read the very values the counts check certified.
 Every check returns the row dicts that are emitted, so each row is built
 once, and ``summarize`` folds one check's rows, any iterable of them,
 into the summary dict the report's head holds; the acceptance suite folds
@@ -18,14 +18,13 @@ work in this process, in order, so output is deterministic.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator
 
 from . import bounds, series
 from .counting import CountTable, TableFactory, certify
-from .partset import A_PLUS, FULL_A, R_PLUS, ResidueSpec
+from .partset import A_PLUS, FULL_A, P_SPEC, R_PLUS, ResidueSpec
 
 CHECK_NAMES = (
     "counts",
@@ -158,11 +157,13 @@ def check_rows(config: SweepConfig) -> dict[str, Callable[[], Iterable[dict]]]:
     """One entry per CHECK_NAMES name: a call that yields the check's rows in report order.
 
     The counts rows read all three tables of every spec, and so certify
-    the very objects that theorem1, erdos, chain, rpoly and ratio read.
+    the very values that theorem1, erdos, chain, rpoly and ratio read.
     """
-    table = functools.cache(TableFactory(config.n_max).table)
+    table = TableFactory(config.n_max).table
     moduli = range(1, config.m_max + 1)
     specs = [spec for m in moduli for spec in subsets_for_modulus(m)]
+    # the grid's own spec of p(n), so erdos's rows carry the grid's R tuple
+    p_spec = specs[specs.index(P_SPEC)]
     x_grid = series.default_x_grid()
     t_grid = series.default_t_grid()
     # One recurrence-and-walk cache for the run, keyed by part list: lists
@@ -188,7 +189,7 @@ def check_rows(config: SweepConfig) -> dict[str, Callable[[], Iterable[dict]]]:
             for label in SWEEP_VARIANTS
         ),
         "theorem1": per_spec(bounds.check_theorem1, A_PLUS),
-        "erdos": lambda: bounds.check_erdos(table(bounds.P_SPEC, A_PLUS)),
+        "erdos": lambda: bounds.check_erdos(table(p_spec, A_PLUS)),
         "chain": per_spec(bounds.check_nathanson_chain, FULL_A),
         "rpoly": per_spec(bounds.check_rplus_poly_bound, R_PLUS),
         "eq1": lambda: (series.check_eq1(spec, t) for spec in specs for t in t_grid),

@@ -383,6 +383,37 @@ class TestTableFactory:
             assert factory.table(spec, A_PLUS).values == count_dp(parts_up_to(spec, A_PLUS, n), n)
         assert runs == [n]
 
+    @pytest.mark.parametrize("variant", [FULL_A, A_PLUS, R_PLUS])
+    def test_every_read_shares_one_values_tuple(self, variant):
+        """A table is built once per factory; a second read returns its very counts."""
+        factory = TableFactory(40)
+        for spec in subsets_for_modulus(3):
+            assert factory.table(spec, variant).values is factory.table(spec, variant).values
+
+    def test_every_residue_full_set_is_the_tuple_of_p(self):
+        """For m = 1..4 the full-a table of every residue is p(n)'s tail table, not a copy."""
+        factory = TableFactory(60)
+        p = factory.table(make_residue_spec(1, [0]), A_PLUS).values
+        for m in range(1, 5):
+            assert factory.table(make_residue_spec(m, range(m)), FULL_A).values is p
+
+    def test_second_read_makes_no_pass(self, monkeypatch):
+        """Reading a full-set table again runs no _add_part pass over it."""
+        passes = []
+        real = counting._add_part
+
+        def recording(values, a):
+            passes.append(a)
+            real(values, a)
+
+        monkeypatch.setattr(counting, "_add_part", recording)
+        factory, spec = TableFactory(30), make_residue_spec(3, [0, 2])
+        first = factory.table(spec, FULL_A).values
+        assert passes
+        passes.clear()
+        assert factory.table(spec, FULL_A).values == first
+        assert passes == []
+
 
 class TestCertify:
     def test_passes_every_factory_table(self):

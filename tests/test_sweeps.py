@@ -82,44 +82,69 @@ def test_check_rows_has_one_entry_per_check_name():
     assert list(sweeps.check_rows(sweeps.SweepConfig())) == list(sweeps.CHECK_NAMES)
 
 
+def _keys(variant, specs=ALL_SPECS):
+    """The factory's (m, R, variant) key of each spec's table of the variant."""
+    return [(s.m, s.residues, variant) for s in specs]
+
+
 @pytest.mark.parametrize(
     "checks, wanted",
     [
-        (sweeps.CHECK_NAMES, [(s, v) for s in ALL_SPECS for v in sweeps.SWEEP_VARIANTS]),
-        (("theorem1",), [(s, A_PLUS) for s in ALL_SPECS]),
-        (("chain", "ratio"), [(s, FULL_A) for s in ALL_SPECS]),
-        (("erdos",), [(make_residue_spec(1, [0]), A_PLUS)]),
+        (sweeps.CHECK_NAMES, [k for v in sweeps.SWEEP_VARIANTS for k in _keys(v)]),
+        (("theorem1",), _keys(A_PLUS)),
+        # every full-a table extends its tail table but those of every
+        # residue, which are p(n), itself the tail table of m = 1, R = {0}
+        (
+            ("chain", "ratio"),
+            _keys(FULL_A) + _keys(A_PLUS, [s for s in ALL_SPECS if s.rsize < s.m or s.m == 1]),
+        ),
+        (("erdos",), [(1, (0,), A_PLUS)]),
     ],
     ids=["default", "theorem1", "chain-ratio", "erdos"],
 )
 def test_each_table_is_built_once_per_spec(monkeypatch, checks, wanted):
-    """Verify builds one factory for the run and asks it once per (spec, variant) read.
+    """Verify builds one factory for the run, and each (m, R, variant) once in it.
 
-    A table is built when a check first reads it: the counts oracle
-    certifies all three tables of every spec, and theorem1, erdos, chain,
-    ratio and rpoly read those same objects, so no table is asked for
-    twice, and a variant no selected check reads is never built.
+    A table is built when a check first reads it, or first reads a table
+    built from it: a full-set table extends the spec's tail table, so
+    chain and ratio build the tail tables too, and a variant no selected
+    check reads, nor any table built from it, is never built.  Every read
+    of a table shares the very values its one build made.
     """
     factories = []
-    calls = []
+    builds = {}
+    built_twice = []
+    reads = []
     real_init = counting.TableFactory.__init__
+    real_build = counting.TableFactory._build
     real_table = counting.TableFactory.table
 
     def counting_init(self, n_max):
         factories.append(n_max)
         real_init(self, n_max)
 
-    def recording(self, spec, variant):
-        calls.append((spec, variant))
-        return real_table(self, spec, variant)
+    def recording_build(self, m, residues, variant):
+        key = (m, residues, variant)
+        if key in builds:
+            built_twice.append(key)
+        builds[key] = real_build(self, m, residues, variant)
+        return builds[key]
+
+    def recording_table(self, spec, variant):
+        table = real_table(self, spec, variant)
+        reads.append(table)
+        return table
 
     monkeypatch.setattr(counting.TableFactory, "__init__", counting_init)
-    monkeypatch.setattr(counting.TableFactory, "table", recording)
+    monkeypatch.setattr(counting.TableFactory, "_build", recording_build)
+    monkeypatch.setattr(counting.TableFactory, "table", recording_table)
     result = sweeps.run_verify(sweeps.SweepConfig(checks=checks))
     assert result.ok
     assert factories == [300]
-    assert len(calls) == len(wanted)
-    assert set(calls) == set(wanted)
+    assert built_twice == []
+    assert set(builds) == set(wanted)
+    assert reads
+    assert all(t.values is builds[t.spec.m, t.spec.residues, t.variant] for t in reads)
 
 
 # appended to a fresh interpreter's code: prints which pool modules it loaded
