@@ -9,15 +9,17 @@ carries that spec and variant, so a table always says what it counts.
 read, for many residue subsets at one n_max, with one coin-change kernel,
 ``_add_part``: the ascending loop ``values[j] += values[j - a]`` for each
 part a.  One cache per factory holds every table's counts, one tuple per
-(m, R, variant), and each table is built from the cached table it
-extends: a subset's tail table from the tail table of the subset without
-its highest residue, by that residue's slice of parts; its full-set
-table from its tail table, and its head table from the empty table, by
-the small parts of R+.  The one exception is the subset of every
-residue, whose full set is every part: its full-set table is p(n), built
-once per factory by Euler's pentagonal recurrence, and its tail table
-p(n) with the parts 1..m-1 taken out, as adding the n - m + 1 tail parts
-one pass at a time costs O(n**2) big-integer additions.
+(m, R, variant), but one per R+ alone for a head table, whose counts
+depend neither on m nor on whether 0 is in R.  Each table is built from
+the cached table it extends: a subset's tail table from the tail table
+of the subset without its highest residue, by that residue's slice of
+parts; its full-set table from its tail table, by the small parts of
+R+; and a head table from the empty partition, by the same parts.  The
+one exception is the subset of every residue, whose full set is every
+part: its full-set table is p(n), built once per factory by Euler's
+pentagonal recurrence, and its tail table p(n) with the parts 1..m-1
+taken out, as adding the n - m + 1 tail parts one pass at a time costs
+O(n**2) big-integer additions.
 
 Two checks share no code with the factory, or with each other:
 
@@ -27,11 +29,14 @@ Two checks share no code with the factory, or with each other:
   the table by induction, so the identity certifies it, unrecomputed;
 * ``count_bruteforce`` - the one engine: an exhaustive walk over
   nonincreasing summand sequences of the parts above the smallest that
-  tallies each at its total, then one ascending pass that adds the runs
-  of the smallest part, refused above ``ORACLE_CEILING``.
+  tallies each at its total (a leaf in its parent's loop, with no call of
+  its own), then one ascending pass that adds the runs of the smallest
+  part, refused above ``ORACLE_CEILING``.
 
 ``certify`` runs both over the parts of the variant a table claims, so a
 table is certified against the definition of what it says it counts.
+Through the cache a run shares, the walk runs once per (part list, cap)
+and the identity once per distinct (part list, count list).
 ``partlab count`` and ``partlab verify``'s counts check both call it.
 """
 
@@ -149,7 +154,9 @@ def count_bruteforce(parts: Iterable[int], n: int) -> tuple[int, ...]:
     Independent oracle: no memoization, no shared state with the factory
     or the identity.  The walk adds summands no larger than the last,
     recursing only over the parts above the smallest, and tallies each
-    partition it reaches once, at its total.  One ascending pass after the
+    partition it reaches once, at its total: a leaf, on top of which not
+    even the smallest walked part fits, in its parent's loop, and any other
+    in the call that walks on from it.  One ascending pass after the
     walk, ``tally[j] += tally[j - smallest]``, then adds the runs of 1, 2,
     ... copies of the smallest part to every partition.  So every partition
     of every total up to n is tallied once.  Rejects n above ORACLE_CEILING
@@ -162,6 +169,9 @@ def count_bruteforce(parts: Iterable[int], n: int) -> tuple[int, ...]:
         raise ValueError(f"n={n} exceeds brute-force ceiling {ORACLE_CEILING}")
     usable = [p for p in ps if p <= n]
     tally = [0] * (n + 1)
+    # a partition that reaches a total above this is a leaf: not even the
+    # smallest walked part, usable[1], fits on top of it
+    leaf_above = n - usable[1] if len(usable) > 1 else n
 
     def walk(total: int, top: int) -> None:
         tally[total] += 1
@@ -169,7 +179,10 @@ def count_bruteforce(parts: Iterable[int], n: int) -> tuple[int, ...]:
             reached = total + usable[i]
             if reached > n:
                 break
-            walk(reached, i)
+            if reached > leaf_above:
+                tally[reached] += 1
+            else:
+                walk(reached, i)
 
     walk(0, len(usable) - 1)
     if usable:
@@ -182,18 +195,26 @@ def count_bruteforce(parts: Iterable[int], n: int) -> tuple[int, ...]:
 def certify(table: CountTable, cache: dict) -> bool:
     """Whether the table holds the counts of the variant set it claims.
 
-    Over ``table.parts`` it must obey the identity at every level
-    (``recurrence_holds``) and equal the brute-force walk at every n up to
-    ORACLE_N_CAP.  The walk runs once per (part list, cap) in the cache,
-    which callers share across the tables of a run; the identity is
-    checked for every table, also where its part list was seen before.
+    Over ``table.parts`` it must equal the brute-force walk at every n up
+    to ORACLE_N_CAP and obey the identity at every level
+    (``recurrence_holds``).  The cache, which callers share across the
+    tables of a run, keeps the walk once per (part list, cap) and the
+    identity's verdict once per distinct (part list, count list): the key
+    holds the counts themselves, so any other count list, a wrong one
+    included, is checked on its own.
     """
     parts = table.parts
     top = min(table.n_max, ORACLE_N_CAP)
     walked = cache.get((parts, top))
     if walked is None:
         walked = cache[parts, top] = count_bruteforce(parts, top)
-    return table.values[: top + 1] == walked and recurrence_holds(table.values, parts)
+    if table.values[: top + 1] != walked:
+        return False
+    key = (parts, table.values)
+    holds = cache.get(key)
+    if holds is None:
+        holds = cache[key] = recurrence_holds(table.values, parts)
+    return holds
 
 
 # --- sweep-scale table factory -----------------------------------------------
@@ -254,19 +275,21 @@ class TableFactory:
 
     One dict caches every table's counts, one tuple per (m, R, variant),
     and the builder reads each table it extends back through it, so each
-    is built once and every read of it shares its tuple.  The tail set of
-    (m, R) is the disjoint union of its slices {r+m, r+2m, ...}, so its
-    table is that of R without its highest residue r plus r's slice.  For
-    every residue, p(n) (by the pentagonal recurrence) is the full-set
-    table, and p(n) without the parts 1..m-1 the tail table (checked:
-    below m only the empty partition remains).
+    is built once and every read of it shares its tuple.  A head table is
+    keyed by R+ alone, as (0, R+, R_PLUS): its parts are the residues of
+    R+ themselves, so every m and R with that R+ share one tuple.  The
+    tail set of (m, R) is the disjoint union of its slices {r+m, r+2m,
+    ...}, so its table is that of R without its highest residue r plus r's
+    slice.  For every residue, p(n) (by the pentagonal recurrence) is the
+    full-set table, and p(n) without the parts 1..m-1 the tail table
+    (checked: below m only the empty partition remains).
     """
 
     def __init__(self, n_max: int) -> None:
         if n_max < 0:
             raise ValueError(f"n_max must be >= 0, got {n_max}")
         self.n_max = n_max
-        # (m, residues, variant) -> counts of 0..n_max
+        # (m, residues, variant) -> counts of 0..n_max; (0, R+, R_PLUS) for a head table
         self._cache: dict[tuple[int, tuple[int, ...], str], tuple[int, ...]] = {}
 
     def table(self, spec: ResidueSpec, variant: str) -> CountTable:
@@ -275,6 +298,9 @@ class TableFactory:
 
     def _values(self, m: int, residues: tuple[int, ...], variant: str) -> tuple[int, ...]:
         """The cached counts of (m, R, variant), built on the first read; R strictly increasing."""
+        if variant == R_PLUS:
+            # the head set is R+ alone, whatever m and whether 0 is in R
+            m, residues = 0, tuple(r for r in residues if r)
         key = (m, residues, variant)
         values = self._cache.get(key)
         if values is None:
@@ -287,9 +313,12 @@ class TableFactory:
         if variant == FULL_A and len(residues) == m:
             # every residue: the full set is every part
             return self._values(P_SPEC.m, P_SPEC.residues, A_PLUS)
-        if variant in (FULL_A, R_PLUS):
-            values = list(self._values(m, residues if variant == FULL_A else (), A_PLUS))
+        if variant == FULL_A:
+            values = list(self._values(m, residues, A_PLUS))
             parts = [r for r in residues if r >= 1]
+        elif variant == R_PLUS:
+            values = [1] + [0] * n_max  # the empty partition, then the parts of R+
+            parts = residues
         elif variant != A_PLUS:
             raise SpecError(f"unknown variant {variant!r}")
         elif not residues:

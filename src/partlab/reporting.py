@@ -31,9 +31,12 @@ as ``json.dumps`` writes a float in a list.  It is read straight from
 ``"%.12g" % x`` when that text has a point and no exponent; when its
 exponent is negative and x is not subnormal (below the smallest normal
 float, 12 digits can be longer than the shortest repr); and, with ".0"
-added, when it is an integer other than -0.  Any other float takes
-``canon_float`` and ``repr``.  JSON spells nan and the infinities with
-``json.dumps``.
+added, when it is an integer other than -0.  Any other finite float takes
+``canon_float`` and ``repr``.  Nan and the infinities fall through every
+one of those tests; only there do the writers' texts differ, CSV spelling
+them as ``repr`` does and JSON as ``json.dumps`` does.  Both texts come
+from one body, ``_float_texts``, so a JSON float cell, ``_json_float(x)``,
+is one call, as a CSV one is.
 """
 
 from __future__ import annotations
@@ -43,6 +46,7 @@ import json
 import sys
 from itertools import islice, repeat
 from json.encoder import encode_basestring_ascii
+from math import isfinite
 from typing import Callable, Iterable, Sequence, TextIO
 
 # Both writers encode and write this many rows at a time.
@@ -90,17 +94,30 @@ def canon_tree(node):
     return node
 
 
-def _float_text(x: float) -> str:
-    """A float's report text, the repr of ``canon_float(x)``, by the module docstring's rule."""
-    s = "%.12g" % x
-    if "e" not in s:
-        if "." in s:
+def _float_texts(nonfinite: Callable[[float], str]) -> Callable[[float], str]:
+    """A float cell's text by the module docstring's rule, nan and the infinities by nonfinite."""
+    smallest_normal = sys.float_info.min
+
+    def float_text(x: float) -> str:
+        s = "%.12g" % x
+        if "e" not in s:
+            if "." in s:
+                return s
+            if s != "-0" and s.lstrip("-").isdigit():
+                return s + ".0"
+        elif "e-" in s and abs(x) >= smallest_normal:
             return s
-        if s != "-0" and s.lstrip("-").isdigit():
-            return s + ".0"
-    elif "e-" in s and abs(x) >= sys.float_info.min:
-        return s
-    return float.__repr__(canon_float(x))
+        if isfinite(x):
+            return float.__repr__(canon_float(x))
+        return nonfinite(x)
+
+    return float_text
+
+
+# One body for both writers' float cells: CSV spells nan and the infinities
+# as repr does, JSON as json.dumps does.
+_float_text = _float_texts(float.__repr__)
+_json_float = _float_texts(json.dumps)
 
 
 def _column_text(
@@ -176,14 +193,6 @@ def rows_to_csv(rows: Iterable[dict], fields: Sequence[str], out: TextIO) -> Non
             out.write("\n")
         else:
             writer.writerows(lines)
-
-
-def _json_float(x: float) -> str:
-    """json's spelling of a float's report text, NaN and infinities included."""
-    text = _float_text(x)
-    if text[-1].isdigit():
-        return text
-    return json.dumps(x)
 
 
 def _json_other(v) -> str:

@@ -365,6 +365,26 @@ class TestTableFactory:
         with pytest.raises(IntegrityError):
             TableFactory(40).table(make_residue_spec(m, range(m)), A_PLUS)
 
+    def test_head_table_is_built_once_per_r_plus(self, monkeypatch):
+        """R+ = {1} of m = 3 with and without 0, and of m = 4: one build, one tuple."""
+        builds = []
+        real_build = counting.TableFactory._build
+
+        def recording_build(self, m, residues, variant):
+            if variant == R_PLUS:
+                builds.append((m, residues))
+            return real_build(self, m, residues, variant)
+
+        monkeypatch.setattr(counting.TableFactory, "_build", recording_build)
+        factory = TableFactory(30)
+        heads = [
+            factory.table(make_residue_spec(m, residues), R_PLUS).values
+            for m, residues in ((3, [1]), (3, [0, 1]), (4, [1]))
+        ]
+        assert heads[0] is heads[1] is heads[2]
+        assert heads[0] == count_dp([1], 30)
+        assert len(builds) == 1
+
     def test_partition_numbers_run_once_per_factory(self, monkeypatch):
         """Every residue's tail and full tables, m = 1..4, read one run of p(n)."""
         n = 60
@@ -430,7 +450,7 @@ class TestCertify:
         assert certify(CountTable(spec, FULL_A, full.values), {})
 
     def test_engines_run_once_per_part_list_and_n_max(self, monkeypatch):
-        """The walk runs once per (part list, cap); the identity once per table."""
+        """The walk runs once per (part list, cap); the identity once per (part list, counts)."""
         walks, identities = [], []
         real_walk, real_identity = counting.count_bruteforce, counting.recurrence_holds
 
@@ -446,22 +466,45 @@ class TestCertify:
         monkeypatch.setattr(counting, "recurrence_holds", recording_identity)
         cache = {}
         # the tail set of m = 2, R = {0} and the full set of m = 4, R = {0, 2}
-        # are both the even numbers
+        # are both the even numbers, so their tables hold equal counts
         evens = [(make_residue_spec(2, [0]), A_PLUS), (make_residue_spec(4, [0, 2]), FULL_A)]
         for spec, variant in evens:
             assert certify(TableFactory(30).table(spec, variant), cache)
         assert certify(TableFactory(20).table(make_residue_spec(2, [0]), A_PLUS), cache)
         assert walks == [(tuple(range(2, 31, 2)), 30), (tuple(range(2, 21, 2)), 20)]
-        assert identities == [30, 30, 20]
+        assert identities == [30, 20]
 
     def test_walk_caches_at_the_cap(self):
-        """Above the cap a walk is shared by tables of one part list, the identity is not."""
+        """Above the cap a walk is shared by tables of one part list, the identity only by equal counts."""
         spec, cache = make_residue_spec(1, [0]), {}
         table = TableFactory(100).table(spec, FULL_A)
         assert certify(table, cache)
-        assert list(cache) == [(table.parts, 40)]
+        assert list(cache) == [(table.parts, 40), (table.parts, table.values)]
         wrong = table.values[:70] + (table.values[70] + 1,) + table.values[71:]
         assert not certify(CountTable(spec, FULL_A, wrong), cache)
+
+    def test_identity_runs_once_per_part_list_and_counts(self, monkeypatch):
+        """Equal parts and counts share one identity; one count off above the cap is checked and fails."""
+        identities = []
+        real_identity = counting.recurrence_holds
+
+        def recording_identity(values, parts):
+            identities.append(values)
+            return real_identity(values, parts)
+
+        monkeypatch.setattr(counting, "recurrence_holds", recording_identity)
+        factory, cache = TableFactory(100), {}
+        # both the even numbers: equal part lists, equal counts, two tuples
+        tail = factory.table(make_residue_spec(2, [0]), A_PLUS)
+        full = factory.table(make_residue_spec(4, [0, 2]), FULL_A)
+        assert tail.parts == full.parts and tail.values == full.values
+        assert tail.values is not full.values
+        assert certify(tail, cache) is True
+        assert certify(full, cache) is True
+        assert identities == [tail.values]
+        wrong = full.values[:70] + (full.values[70] + 1,) + full.values[71:]
+        assert certify(CountTable(full.spec, FULL_A, wrong), cache) is False
+        assert identities == [tail.values, wrong]
 
 
 def test_partition_numbers_match_count_dp():

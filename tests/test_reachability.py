@@ -1,7 +1,8 @@
 """Every hand-written function of partlab is reached by some command.
 
 Runs verify, table and sweep (JSON and CSV each) and count (each variant)
-on small grids in this process under ``sys.setprofile``, and lists the
+on small grids in a fresh interpreter under ``sys.setprofile``, set before
+partlab is imported so that calls made at import count too, and lists the
 functions and methods defined in ``src/partlab`` that no call entered.
 Code that only tests reach must be wired into a command or deleted, so
 that list is pinned empty: references that only tests run, such as the
@@ -10,6 +11,8 @@ generate have no source in the package and are not listed.
 """
 
 import inspect
+import json
+import subprocess
 import sys
 from pathlib import Path
 
@@ -39,8 +42,28 @@ def _defined_functions() -> dict:
     return found
 
 
+# run in a fresh interpreter: profiles partlab's import and the commands of
+# argv[1], then writes the exit codes and the code objects entered to argv[2]
+PROFILED_RUN = """
+import json, sys
+entered = set()
+
+def profile(frame, event, arg):
+    if event == "call":
+        code = frame.f_code
+        entered.add((code.co_filename, code.co_firstlineno, code.co_name))
+
+sys.setprofile(profile)
+from partlab import cli
+codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]
+sys.setprofile(None)
+with open(sys.argv[2], "w") as f:
+    json.dump({"codes": codes, "entered": sorted(entered)}, f)
+"""
+
+
 def _run_commands(tmp_path) -> set:
-    """(file, first line, name) of every code object entered by the commands."""
+    """(file, first line, name) of every code object entered by partlab's import and the commands."""
     runs = []
     for fmt in ("json", "csv"):
         out = str(tmp_path / f"report.{fmt}")
@@ -52,23 +75,19 @@ def _run_commands(tmp_path) -> set:
     for variant in ("full-a", "a-plus", "r-plus"):
         runs.append(["count", "--m", "3", "--r", "0,1", "--variant", variant, "--n", "12"])
 
-    entered = set()
-
-    def profile(frame, event, arg):
-        if event == "call":
-            code = frame.f_code
-            entered.add((code.co_filename, code.co_firstlineno, code.co_name))
-
-    sys.setprofile(profile)
-    try:
-        codes = [cli.main(argv) for argv in runs]
-    finally:
-        sys.setprofile(None)
-    assert codes == [0] * len(runs)
-    return entered
+    record = tmp_path / "entered.json"
+    subprocess.run(
+        [sys.executable, "-c", PROFILED_RUN, json.dumps(runs), str(record)],
+        env={"PYTHONPATH": str(PACKAGE.parent)},
+        capture_output=True,
+        check=True,
+    )
+    done = json.loads(record.read_text(encoding="utf-8"))
+    assert done["codes"] == [0] * len(runs)
+    return set(map(tuple, done["entered"]))
 
 
-def test_only_pinned_functions_are_unreached(tmp_path, capsys):
+def test_only_pinned_functions_are_unreached(tmp_path):
     defined = _defined_functions()
     assert "sweeps.run_verify" in defined.values()
     assert "counting.TableFactory._build" in defined.values()

@@ -66,19 +66,26 @@ def random_finite_floats(count, seed):
     return [x for x in array.array("d", bits.tobytes()) if math.isfinite(x)][:count]
 
 
+SMALLEST_NORMAL = 2.2250738585072014e-308
+
+
+def edge_floats():
+    """Floats at each rule's edges, both signs: the powers of ten and their neighbours, subnormals."""
+    edges = [999999999999.5, 1e12, 9.99999999999e15, 1e16, 1e-4, 9.9999999999995e-5, 1e-5]
+    for k in range(-323, 309):
+        ten = float(f"1e{k}")
+        edges += (math.nextafter(ten, 0.0), ten, math.nextafter(ten, math.inf))
+    edges += [math.nextafter(SMALLEST_NORMAL, 0.0), SMALLEST_NORMAL]
+    edges += [math.nextafter(SMALLEST_NORMAL, 1.0), 5e-324, 0.0]
+    return edges + [-v for v in edges]
+
+
 class TestFloatText:
     def test_float_text_is_the_repr_of_the_canonical_float(self):
-        edges = [999999999999.5, 1e12, 9.99999999999e15, 1e16, 1e-4, 9.9999999999995e-5, 1e-5]
-        for k in range(-323, 309):
-            ten = float(f"1e{k}")
-            edges += (math.nextafter(ten, 0.0), ten, math.nextafter(ten, math.inf))
-        smallest_normal = 2.2250738585072014e-308
-        edges += [math.nextafter(smallest_normal, 0.0), smallest_normal]
-        edges += [math.nextafter(smallest_normal, 1.0), 5e-324, 0.0]
         values = random_finite_floats(200_000, seed=2101_11542)
         assert len(values) == 200_000
-        assert sum(1 for v in values if 0.0 < abs(v) < smallest_normal) > 19_000
-        values += edges + [-v for v in edges]
+        assert sum(1 for v in values if 0.0 < abs(v) < SMALLEST_NORMAL) > 19_000
+        values += edge_floats()
         texts = list(map(_float_text, values))
         expected = list(map(repr, map(canon_float, values)))
         json_texts = list(map(_json_float, values))
@@ -94,6 +101,29 @@ class TestFloatText:
         ]
         for v in (0.5, -0.0, 1e16, 1e-5, 5e-324, 2.0):
             assert _json_float(v) == _float_text(v) == json.dumps(canon_float(v))
+
+    def test_json_float_is_one_call(self, monkeypatch):
+        """A JSON float cell does not go through _float_text: it is one call of the shared body."""
+
+        def refuse(x):
+            raise AssertionError("_json_float called _float_text")
+
+        monkeypatch.setattr(reporting, "_float_text", refuse)
+        assert reporting._json_float(1.5) == "1.5"
+        assert reporting._json_float(math.nan) == "NaN"
+
+    def test_writers_differ_only_on_nan_and_infinities(self, monkeypatch):
+        """Every finite float of the edge and random lists has one text in both writers."""
+        float_text = reporting._float_text
+        monkeypatch.setattr(reporting, "_float_text", None)  # _json_float must not need it
+        values = random_finite_floats(200_000, seed=2101_11542) + edge_floats()
+        assert [v for v in values if _json_float(v) != float_text(v)] == []
+        nonfinite = (math.nan, math.inf, -math.inf)
+        assert [(float_text(v), _json_float(v)) for v in nonfinite] == [
+            ("nan", "NaN"),
+            ("inf", "Infinity"),
+            ("-inf", "-Infinity"),
+        ]
 
 
 def sample_rows():

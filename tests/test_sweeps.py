@@ -82,9 +82,16 @@ def test_check_rows_has_one_entry_per_check_name():
     assert list(sweeps.check_rows(sweeps.SweepConfig())) == list(sweeps.CHECK_NAMES)
 
 
+def _key(spec, variant):
+    """The factory's key of spec's table of the variant: (m, R, variant), but (0, R+, R_PLUS) for a head table."""
+    if variant == R_PLUS:
+        return (0, tuple(r for r in spec.residues if r), R_PLUS)
+    return (spec.m, spec.residues, variant)
+
+
 def _keys(variant, specs=ALL_SPECS):
-    """The factory's (m, R, variant) key of each spec's table of the variant."""
-    return [(s.m, s.residues, variant) for s in specs]
+    """The factory's key of each spec's table of the variant."""
+    return [_key(s, variant) for s in specs]
 
 
 @pytest.mark.parametrize(
@@ -104,6 +111,9 @@ def _keys(variant, specs=ALL_SPECS):
 )
 def test_each_table_is_built_once_per_spec(monkeypatch, checks, wanted):
     """Verify builds one factory for the run, and each (m, R, variant) once in it.
+
+    A head table is keyed and built by its R+ alone, once for every m and R
+    with that R+; the default run reads 30 of them and builds 8.
 
     A table is built when a check first reads it, or first reads a table
     built from it: a full-set table extends the spec's tail table, so
@@ -144,7 +154,7 @@ def test_each_table_is_built_once_per_spec(monkeypatch, checks, wanted):
     assert built_twice == []
     assert set(builds) == set(wanted)
     assert reads
-    assert all(t.values is builds[t.spec.m, t.spec.residues, t.variant] for t in reads)
+    assert all(t.values is builds[_key(t.spec, t.variant)] for t in reads)
 
 
 # appended to a fresh interpreter's code: prints which pool modules it loaded
