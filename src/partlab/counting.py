@@ -9,17 +9,19 @@ carries that spec and variant, so a table always says what it counts.
 read, for many residue subsets at one n_max, with one coin-change kernel,
 ``_add_part``: the ascending loop ``values[j] += values[j - a]`` for each
 part a.  One cache per factory holds every table's counts, one tuple per
-(m, R, variant), but one per R+ alone for a head table, whose counts
-depend neither on m nor on whether 0 is in R.  Each table is built from
-the cached table it extends: a subset's tail table from the tail table
-of the subset without its highest residue, by that residue's slice of
-parts; its full-set table from its tail table, by the small parts of
-R+; and a head table from the empty partition, by the same parts.  The
-one exception is the subset of every residue, whose full set is every
-part: its full-set table is p(n), built once per factory by Euler's
-pentagonal recurrence, and its tail table p(n) with the parts 1..m-1
-taken out, as adding the n - m + 1 tail parts one pass at a time costs
-O(n**2) big-integer additions.
+part set: a read is keyed by the set it counts, so sets equal by
+definition are built once.  A head table is keyed by R+ alone, as are
+the tables of R = {}, whose sets are all empty; the full set of every
+residue is all of N, p(n)'s key; and the full set of R = {0}, which has
+no head parts, is keyed as its tail set.  Each table is built from the
+cached table it extends: a subset's tail table from the tail table of
+the subset without its highest residue, by that residue's slice of
+parts; its full-set table from its tail table, by the parts of R+; and
+a head table from the empty partition, by the same parts.  The one
+exception is the tail set of every residue: p(n), built once per factory
+by Euler's pentagonal recurrence, with the parts 1..m-1 taken out, as
+adding the n - m + 1 tail parts one pass at a time costs O(n**2)
+big-integer additions.
 
 Two checks share no code with the factory, or with each other:
 
@@ -273,23 +275,22 @@ def _remove_part(values: list[int], a: int) -> None:
 class TableFactory:
     """Exact count tables for many residue subsets at one fixed n_max.
 
-    One dict caches every table's counts, one tuple per (m, R, variant),
-    and the builder reads each table it extends back through it, so each
-    is built once and every read of it shares its tuple.  A head table is
-    keyed by R+ alone, as (0, R+, R_PLUS): its parts are the residues of
-    R+ themselves, so every m and R with that R+ share one tuple.  The
-    tail set of (m, R) is the disjoint union of its slices {r+m, r+2m,
-    ...}, so its table is that of R without its highest residue r plus r's
-    slice.  For every residue, p(n) (by the pentagonal recurrence) is the
-    full-set table, and p(n) without the parts 1..m-1 the tail table
-    (checked: below m only the empty partition remains).
+    One dict caches every table's counts, one tuple per part set, and the
+    builder reads each table it extends back through it, so each set is
+    built once and every read of it shares its tuple; ``_values`` maps a
+    read to its set's key.  The tail set of (m, R) is the disjoint union
+    of its slices {r+m, r+2m, ...}, so its table is that of R without its
+    highest residue r plus r's slice, down to the empty partition of R =
+    {}.  For every residue the tail table is p(n) (by the pentagonal
+    recurrence) without the parts 1..m-1 (checked: below m only the empty
+    partition remains).
     """
 
     def __init__(self, n_max: int) -> None:
         if n_max < 0:
             raise ValueError(f"n_max must be >= 0, got {n_max}")
         self.n_max = n_max
-        # (m, residues, variant) -> counts of 0..n_max; (0, R+, R_PLUS) for a head table
+        # the key of a part set, as _values makes it -> counts of 0..n_max
         self._cache: dict[tuple[int, tuple[int, ...], str], tuple[int, ...]] = {}
 
     def table(self, spec: ResidueSpec, variant: str) -> CountTable:
@@ -297,10 +298,23 @@ class TableFactory:
         return CountTable(spec, variant, self._values(spec.m, spec.residues, variant))
 
     def _values(self, m: int, residues: tuple[int, ...], variant: str) -> tuple[int, ...]:
-        """The cached counts of (m, R, variant), built on the first read; R strictly increasing."""
-        if variant == R_PLUS:
-            # the head set is R+ alone, whatever m and whether 0 is in R
-            m, residues = 0, tuple(r for r in residues if r)
+        """The cached counts of (m, R, variant), built on the first read; R strictly increasing.
+
+        A read is keyed by the part set it counts: a head table, or any of
+        R = {}, as (0, R+, R_PLUS); the full set of every residue as p(n),
+        (1, (0,), A_PLUS); that of R = {0} as its tail set; else (m, R, variant).
+        """
+        if variant not in (FULL_A, A_PLUS, R_PLUS):
+            raise SpecError(f"unknown variant {variant!r}")
+        if variant == R_PLUS or not residues:
+            # the head set is R+ alone, whatever m and whether 0 is in R;
+            # for R = {} every variant set is empty, as R+ is
+            m, residues, variant = 0, tuple(r for r in residues if r), R_PLUS
+        elif variant == FULL_A and len(residues) == m:
+            # every residue: the full set is every part
+            m, residues, variant = P_SPEC.m, P_SPEC.residues, A_PLUS
+        elif variant == FULL_A and residues == (0,):
+            variant = A_PLUS  # no head parts: A = A+
         key = (m, residues, variant)
         values = self._cache.get(key)
         if values is None:
@@ -308,21 +322,14 @@ class TableFactory:
         return values
 
     def _build(self, m: int, residues: tuple[int, ...], variant: str) -> tuple[int, ...]:
-        """The counts of (m, R, variant), extending the cached table they start from."""
+        """The counts of a part set keyed by ``_values``, from the cached table they extend."""
         n_max = self.n_max
-        if variant == FULL_A and len(residues) == m:
-            # every residue: the full set is every part
-            return self._values(P_SPEC.m, P_SPEC.residues, A_PLUS)
-        if variant == FULL_A:
-            values = list(self._values(m, residues, A_PLUS))
-            parts = [r for r in residues if r >= 1]
-        elif variant == R_PLUS:
+        if variant == R_PLUS:
             values = [1] + [0] * n_max  # the empty partition, then the parts of R+
             parts = residues
-        elif variant != A_PLUS:
-            raise SpecError(f"unknown variant {variant!r}")
-        elif not residues:
-            return (1,) + (0,) * n_max  # only the empty partition
+        elif variant == FULL_A:
+            values = list(self._values(m, residues, A_PLUS))
+            parts = [r for r in residues if r >= 1]
         elif len(residues) == m:
             if m == 1:
                 values = _partition_numbers(n_max)

@@ -29,7 +29,7 @@ relative tolerance.
 Each check returns its report row, built once as the dict that is
 emitted: ``{check, m, R, r, x, t, lhs, rhs, margin, holds}``, with the
 evaluation point both as x > 0 and as t = e**-x in (0, 1) (the envelope's
-x = 0 row has t = 1); fields a check has no value for are None.  The
+x = 0 row has t = 1); a row holds only its own fields, in that order.  The
 margin depends on the check.  For one-sided inequalities margin = rhs -
 lhs (nonnegative means the inequality holds); for identities margin =
 |lhs - rhs|.  The finder for the odd-part counterexample inverts this:
@@ -156,32 +156,6 @@ def kernel_sides(m: int, offsets: tuple[int, ...], x: float) -> tuple[float, flo
     return lhs, len(offsets) / (m * x * x)
 
 
-def _row(
-    check: str,
-    m: int | None,
-    residues: tuple[int, ...] | None,
-    r: int | None,
-    x: float,
-    t: float,
-    lhs: float,
-    rhs: float,
-    margin: float,
-    holds: bool,
-) -> dict:
-    return {
-        "check": check,
-        "m": m,
-        "R": residues,
-        "r": r,
-        "x": x,
-        "t": t,
-        "lhs": lhs,
-        "rhs": rhs,
-        "margin": margin,
-        "holds": holds,
-    }
-
-
 def check_eq1(spec: ResidueSpec, t: float) -> dict:
     """Truncated tail series vs. closed form, within relative tolerance."""
     value, converged = series_sum_adaptive(spec, t)
@@ -190,7 +164,8 @@ def check_eq1(spec: ResidueSpec, t: float) -> dict:
     scale = max(abs(rhs), abs(value))
     margin = diff / scale if scale > 0 else 0.0
     holds = converged and margin <= SERIES_REL_TOL
-    return _row("eq1", spec.m, spec.residues, None, -math.log(t), t, value, rhs, margin, holds)
+    return {"check": "eq1", "m": spec.m, "R": spec.residues, "x": -math.log(t), "t": t,
+            "lhs": value, "rhs": rhs, "margin": margin, "holds": holds}
 
 
 # --- pointwise inequalities ---------------------------------------------------
@@ -203,15 +178,15 @@ def check_eq2_pointwise(r: int, m: int, x: float) -> dict:
     if not 0 <= r <= m - 1:
         raise ValueError(f"residue {r} out of range [0, {m - 1}]")
     lhs, rhs = kernel_sides(m, (r,), x)
-    return _row("eq2", m, None, r, x, math.exp(-x), lhs, rhs, rhs - lhs, lhs <= rhs)
+    return {"check": "eq2", "m": m, "r": r, "x": x, "t": math.exp(-x),
+            "lhs": lhs, "rhs": rhs, "margin": rhs - lhs, "holds": lhs <= rhs}
 
 
 def check_eq3(spec: ResidueSpec, x: float) -> dict:
     """Summed kernel bound: tail series at e**-x vs. |R|/(m*x**2)."""
     lhs, rhs = kernel_sides(spec.m, spec.residues, x)
-    return _row(
-        "eq3", spec.m, spec.residues, None, x, math.exp(-x), lhs, rhs, rhs - lhs, lhs <= rhs
-    )
+    return {"check": "eq3", "m": spec.m, "R": spec.residues, "x": x, "t": math.exp(-x),
+            "lhs": lhs, "rhs": rhs, "margin": rhs - lhs, "holds": lhs <= rhs}
 
 
 def check_sinh_inequality(x: float) -> dict:
@@ -230,9 +205,8 @@ def check_sinh_inequality(x: float) -> dict:
         consequence = True
     else:
         consequence = 1.0 / (gap * gap) < 1.0 / (x * x)
-    return _row(
-        "sinh", None, None, None, x, math.exp(-x), x, gap, gap - x, primary and consequence
-    )
+    return {"check": "sinh", "x": x, "t": math.exp(-x),
+            "lhs": x, "rhs": gap, "margin": gap - x, "holds": primary and consequence}
 
 
 def check_sqrt_split(n: int) -> dict:
@@ -269,13 +243,15 @@ def check_derivative_nonpositive(r: int, m: int, x_grid: list[float]) -> list[di
             raise ValueError(f"grid points must be >= 0, got {x}")
         t = math.exp(-x)
         deriv = r * (r + m) * (math.exp(-(m + r) * x) - math.exp(-r * x))
-        out.append(_row("envelope-derivative", m, None, r, x, t, deriv, 0.0, -deriv, deriv <= 0))
+        out.append({"check": "envelope-derivative", "m": m, "r": r, "x": x, "t": t,
+                    "lhs": deriv, "rhs": 0.0, "margin": -deriv, "holds": deriv <= 0})
         envelope = (r + m) * math.exp(-r * x) - r * math.exp(-(m + r) * x)
         if x == 0:
             label, margin, holds = "envelope-at-zero", abs(envelope - m), envelope == m
         else:
             label, margin, holds = "envelope-cap", m - envelope, envelope <= m
-        out.append(_row(label, m, None, r, x, t, envelope, float(m), margin, holds))
+        out.append({"check": label, "m": m, "r": r, "x": x, "t": t,
+                    "lhs": envelope, "rhs": float(m), "margin": margin, "holds": holds})
     return out
 
 
@@ -292,6 +268,6 @@ def find_counterexample_odd_remark(x_grid: list[float]) -> list[dict]:
     for x in x_grid:
         lhs, rhs = kernel_sides(2, (-1,), x)
         if lhs > rhs:
-            t = math.exp(-x)
-            out.append(_row("odd-remark", None, None, None, x, t, lhs, rhs, lhs - rhs, True))
+            out.append({"check": "odd-remark", "x": x, "t": math.exp(-x),
+                        "lhs": lhs, "rhs": rhs, "margin": lhs - rhs, "holds": True})
     return out

@@ -336,7 +336,9 @@ def test_report_row_shape():
         (find_counterexample_odd_remark([1.0])[0], "odd-remark", None, None, None),
     ]
     for row, label, m, residues, r in analytic:
-        assert list(row) == ["check", "m", "R", "r", "x", "t", "lhs", "rhs", "margin", "holds"]
-        assert (row["check"], row["m"], row["R"], row["r"]) == (label, m, residues, r)
+        # a row holds only its own fields: of m, R and r, those it has a value for
+        own = [k for k, v in (("m", m), ("R", residues), ("r", r)) if v is not None]
+        assert list(row) == ["check", *own, "x", "t", "lhs", "rhs", "margin", "holds"]
+        assert (row["check"], row.get("m"), row.get("R"), row.get("r")) == (label, m, residues, r)
         assert all(isinstance(row[k], float) for k in ("x", "t", "lhs", "rhs", "margin"))
         assert row["holds"] is True

@@ -273,6 +273,20 @@ class TestConvolution:
         assert all(r.holds for r in convolution_check_range(spec, n_max))
 
 
+@pytest.fixture
+def builds(monkeypatch):
+    """The key of every ``TableFactory._build`` call, in call order."""
+    made = []
+    real_build = counting.TableFactory._build
+
+    def recording_build(self, m, residues, variant):
+        made.append((m, residues, variant))
+        return real_build(self, m, residues, variant)
+
+    monkeypatch.setattr(counting.TableFactory, "_build", recording_build)
+    return made
+
+
 class TestTableFactory:
     @given(spec=spec_strategy(m_max=5))
     @settings(max_examples=30, deadline=None)
@@ -305,8 +319,9 @@ class TestTableFactory:
         assert (table.spec, table.variant, table.n_max) == (spec, FULL_A, 12)
         assert table.parts == (2, 3, 5, 6, 8, 9, 11, 12)
         assert TableFactory(12).table(spec, R_PLUS).parts == (2,)
-        with pytest.raises(SpecError):
-            TableFactory(12).table(spec, "all-naturals")
+        for other in (spec, make_residue_spec(3, []), make_residue_spec(3, [0])):
+            with pytest.raises(SpecError):
+                TableFactory(12).table(other, "all-naturals")
 
     def test_shared_cache_matches_count_dp(self):
         """Every subset of m <= 7, built in bitmask, reverse and shuffled order.
@@ -365,17 +380,8 @@ class TestTableFactory:
         with pytest.raises(IntegrityError):
             TableFactory(40).table(make_residue_spec(m, range(m)), A_PLUS)
 
-    def test_head_table_is_built_once_per_r_plus(self, monkeypatch):
+    def test_head_table_is_built_once_per_r_plus(self, builds):
         """R+ = {1} of m = 3 with and without 0, and of m = 4: one build, one tuple."""
-        builds = []
-        real_build = counting.TableFactory._build
-
-        def recording_build(self, m, residues, variant):
-            if variant == R_PLUS:
-                builds.append((m, residues))
-            return real_build(self, m, residues, variant)
-
-        monkeypatch.setattr(counting.TableFactory, "_build", recording_build)
         factory = TableFactory(30)
         heads = [
             factory.table(make_residue_spec(m, residues), R_PLUS).values
@@ -383,6 +389,30 @@ class TestTableFactory:
         ]
         assert heads[0] is heads[1] is heads[2]
         assert heads[0] == count_dp([1], 30)
+        assert len(builds) == 1
+
+    def test_empty_residues_share_one_table(self, builds):
+        """Every variant set of R = {} is empty: one build, one tuple, for every m."""
+        factory = TableFactory(30)
+        empty = [
+            factory.table(make_residue_spec(m, []), variant).values
+            for m in range(1, 5)
+            for variant in (A_PLUS, FULL_A)
+        ]
+        empty.append(factory.table(make_residue_spec(3, []), R_PLUS).values)
+        assert all(values is empty[0] for values in empty)
+        assert empty[0] == (1,) + (0,) * 30
+        assert len(builds) == 1
+
+    @pytest.mark.parametrize("m", range(1, 5))
+    def test_full_set_of_zero_is_its_tail_table(self, builds, m):
+        """R = {0} has no head parts, so A = A+: one build, one tuple."""
+        factory, spec = TableFactory(30), make_residue_spec(m, [0])
+        factory.table(make_residue_spec(m, []), A_PLUS)  # the table the tail extends
+        builds.clear()
+        full = factory.table(spec, FULL_A).values
+        assert full is factory.table(spec, A_PLUS).values
+        assert full == count_dp(parts_up_to(spec, FULL_A, 30), 30)
         assert len(builds) == 1
 
     def test_partition_numbers_run_once_per_factory(self, monkeypatch):

@@ -83,10 +83,20 @@ def test_check_rows_has_one_entry_per_check_name():
 
 
 def _key(spec, variant):
-    """The factory's key of spec's table of the variant: (m, R, variant), but (0, R+, R_PLUS) for a head table."""
-    if variant == R_PLUS:
-        return (0, tuple(r for r in spec.residues if r), R_PLUS)
-    return (spec.m, spec.residues, variant)
+    """The factory's key of spec's table of the variant, the key of the part set it counts.
+
+    (0, R+, R_PLUS) for a head table and for every table of R = {}; p(n)'s
+    (1, (0,), A_PLUS) for the full set of every residue; the tail set's for
+    the full set of R = {0}; (m, R, variant) for any other.
+    """
+    m, residues = spec.m, spec.residues
+    if variant == R_PLUS or not residues:
+        return (0, tuple(r for r in residues if r), R_PLUS)
+    if variant == FULL_A and len(residues) == m:
+        return (1, (0,), A_PLUS)
+    if variant == FULL_A and residues == (0,):
+        return (m, residues, A_PLUS)
+    return (m, residues, variant)
 
 
 def _keys(variant, specs=ALL_SPECS):
@@ -99,8 +109,9 @@ def _keys(variant, specs=ALL_SPECS):
     [
         (sweeps.CHECK_NAMES, [k for v in sweeps.SWEEP_VARIANTS for k in _keys(v)]),
         (("theorem1",), _keys(A_PLUS)),
-        # every full-a table extends its tail table but those of every
-        # residue, which are p(n), itself the tail table of m = 1, R = {0}
+        # every full-a table is or extends its tail table but those of
+        # every residue, which are p(n), itself the tail table of m = 1,
+        # R = {0}, and those of R = {}, the empty head table
         (
             ("chain", "ratio"),
             _keys(FULL_A) + _keys(A_PLUS, [s for s in ALL_SPECS if s.rsize < s.m or s.m == 1]),
@@ -110,10 +121,12 @@ def _keys(variant, specs=ALL_SPECS):
     ids=["default", "theorem1", "chain-ratio", "erdos"],
 )
 def test_each_table_is_built_once_per_spec(monkeypatch, checks, wanted):
-    """Verify builds one factory for the run, and each (m, R, variant) once in it.
+    """Verify builds one factory for the run, and each part set's table once in it.
 
-    A head table is keyed and built by its R+ alone, once for every m and R
-    with that R+; the default run reads 30 of them and builds 8.
+    A table is keyed and built by the part set it counts (``_key``): a head
+    table by its R+ alone, once for every m and R with that R+, so the
+    default run reads 30 of them and builds 8; in all it builds 53 tables
+    for its 90 reads of distinct (spec, variant).
 
     A table is built when a check first reads it, or first reads a table
     built from it: a full-set table extends the spec's tail table, so
